@@ -14,10 +14,7 @@ from .bounds import (
     bound_report,
     hrsur_product_bound,
     hrsur_sum_bound,
-    l1_bound,
-    l2_bound,
-    optimal_xi_perp_l1,
-    optimal_xi_perp_l2,
+    optimal_xi_perp,
 )
 from .instances import Instance, InstanceFormatError, load_instance, parse_instance, report_to_dict
 from .montecarlo import (
@@ -31,7 +28,6 @@ from .montecarlo import (
 )
 from .quantum import (
     DimensionMismatchError,
-    EigenSystem,
     EigensolverError,
     EmptyComplementError,
     HermiticityError,
@@ -56,7 +52,6 @@ from .quantum import (
     pauli_x,
     pauli_z,
     quantum_covariance,
-    validate_hermitian,
     variance,
 )
 from .verify import (
@@ -65,6 +60,8 @@ from .verify import (
     SuiteReport,
     check_csi,
     check_parallelogram,
+    l1_bound,
+    l2_bound,
     random_observable,
     random_state,
     random_unit_in_complement,

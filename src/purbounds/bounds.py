@@ -11,16 +11,27 @@ to the state,
     l1(s) = |<xi|(A + s B)|xi_perp>|^2 / 2
     l2(s) = s i <[A,B]> + |<xi|(A + s i B)|xi_perp>|^2,   s in {+1, -1},
 
-together with the closed-form optimal xi_perp for each bound: projecting
-(A + s B)|xi> (resp. (A - s i B)|xi>) onto the complement of the state
-saturates the Cauchy-Schwarz step of each derivation, so no search is needed.
-The optimized l2 always equals Var(A) + Var(B); the optimized l1 equals
-(Var(A) + Var(B))/2 + |CovQ(A,B)|.
+together with the closed-form optimal xi_perp for each bound.
+
+Everything is computed from the two deviation vectors psi = (A - <A>)|xi>
+and phi = (B - <B>)|xi>: Var(A) = |psi|^2, Var(B) = |phi|^2, CovQ(A,B) =
+Re<psi|phi> and <[A,B]> = 2i Im<psi|phi>, while for xi_perp orthogonal to xi
+
+    <xi|(A + s B)|xi_perp>   = <psi + s phi|xi_perp>
+    <xi|(A + s i B)|xi_perp> = <psi - s i phi|xi_perp>.
+
+Taking xi_perp along the complement projection of psi + s phi (resp.
+psi - s i phi) saturates the Cauchy-Schwarz step of each derivation, so no
+search is needed. The optimized l2 always equals Var(A) + Var(B); the
+optimized l1 equals (Var(A) + Var(B))/2 + |CovQ(A,B)|. The per-xi_perp
+formulas evaluated from (A + s B)|xi> and (A - s i B)|xi> directly live in
+`verify`, as the independent reference this module is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +42,10 @@ from .quantum import (
     EmptyComplementError,
     Observable,
     QuantumState,
-    _as_vector,
     _same_dim,
-    commutator_mean,
-    is_eigenstate,
+    _squared_norm,
+    deviation_vector,
     orthonormal_complement_basis,
-    quantum_covariance,
-    variance,
 )
 
 __all__ = [
@@ -46,14 +54,13 @@ __all__ = [
     "OrthogonalityError",
     "hrsur_product_bound",
     "hrsur_sum_bound",
-    "l1_bound",
-    "l2_bound",
-    "optimal_xi_perp_l1",
-    "optimal_xi_perp_l2",
+    "optimal_xi_perp",
     "bound_report",
 ]
 
-CANDIDATE_KINDS = ("user_supplied", "analytic_optimum", "search_optimum")
+CANDIDATE_KINDS = ("user_supplied", "analytic_optimum")
+
+MP_BOUNDS = ("l1", "l2")
 
 
 class OrthogonalityError(ValueError):
@@ -70,8 +77,7 @@ class OrthogonalCandidate:
     kind: str
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        _validate_sign(self.sign)
         if self.kind not in CANDIDATE_KINDS:
             raise ValueError(f"unknown candidate kind {self.kind!r}")
 
@@ -111,114 +117,131 @@ def _validate_sign(sign: int) -> int:
     return sign
 
 
+def _validate_which(which: str) -> str:
+    if which not in MP_BOUNDS:
+        raise ValueError(f"which must be 'l1' or 'l2', got {which!r}")
+    return which
+
+
 def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
-    vec = _as_vector(xi_perp)
-    _same_dim(state.dim, vec.size)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > RENORM_WINDOW:
-        raise OrthogonalityError(f"xi_perp norm {nrm!r} is not 1")
+    """xi_perp renormalized, after checking unit norm and orthogonality to the state.
+
+    Takes one vector or a stack of row vectors, and checks every row.
+    """
+    vec = xi_perp.vector if isinstance(xi_perp, QuantumState) else np.asarray(xi_perp, dtype=complex)
+    if vec.ndim not in (1, 2) or not np.all(np.isfinite(vec)):
+        raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
+    _same_dim(state.dim, vec.shape[-1])
+    nrm = np.linalg.norm(vec, axis=-1, keepdims=True)
+    off = np.abs(nrm - 1.0) > RENORM_WINDOW
+    if np.any(off):
+        raise OrthogonalityError(f"xi_perp norm {float(nrm[off][0])!r} is not 1")
     vec = vec / nrm
-    overlap = abs(np.vdot(state.vector, vec))
+    overlap = float(np.max(np.abs(vec @ state.vector.conj())))
     if overlap > TOL_EIG:
         raise OrthogonalityError(f"|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}")
     return vec
 
 
+class _Deviations(NamedTuple):
+    """psi = (A - <A>)|xi>, phi = (B - <B>)|xi> and Cov(A,B) = <psi|phi>."""
+
+    psi: np.ndarray
+    phi: np.ndarray
+    overlap: complex
+
+
+def _deviations(a: Observable, b: Observable, state: QuantumState) -> _Deviations:
+    _same_dim(a.dim, b.dim, state.dim)
+    psi = deviation_vector(a, state)
+    phi = deviation_vector(b, state)
+    return _Deviations(psi, phi, complex(np.vdot(psi, phi)))
+
+
+def _hrsur(overlap: complex) -> tuple[float, float]:
+    """(t1, t2) from Cov(A,B): CovQ = Re Cov and |<[A,B]>| = 2 |Im Cov|."""
+    comm_abs = 2.0 * abs(overlap.imag)
+    return overlap.real * overlap.real + 0.25 * comm_abs**2, comm_abs
+
+
 def hrsur_product_bound(a: Observable, b: Observable, state: QuantumState) -> float:
     """t1 = CovQ(A,B)^2 + |<[A,B]>|^2 / 4."""
-    covq = quantum_covariance(a, b, state)
-    comm = commutator_mean(a, b, state)
-    return covq * covq + 0.25 * abs(comm) ** 2
+    return _hrsur(_deviations(a, b, state).overlap)[0]
 
 
 def hrsur_sum_bound(a: Observable, b: Observable, state: QuantumState) -> float:
     """t2 = |<[A,B]>|."""
-    return abs(commutator_mean(a, b, state))
+    return _hrsur(_deviations(a, b, state).overlap)[1]
 
 
-def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int) -> float:
-    """|<xi|(A + sign B)|xi_perp>|^2 / 2 for a unit xi_perp orthogonal to xi."""
-    _validate_sign(sign)
-    _same_dim(a.dim, b.dim, state.dim)
-    perp = _checked_perp(state, xi_perp)
-    image = (a.matrix + sign * b.matrix) @ state.vector
-    return 0.5 * abs(np.vdot(image, perp)) ** 2
+def _direction(dev: _Deviations, which: str, sign: int) -> np.ndarray:
+    """The vector whose overlap with xi_perp is the bound's matrix element.
+
+    psi + s phi for l1 (<xi|(A + s B)|xi_perp>) and psi - s i phi for l2
+    (<xi|(A + s i B)|xi_perp>).
+    """
+    if which == "l1":
+        return dev.psi + sign * dev.phi
+    return dev.psi - sign * 1j * dev.phi
 
 
-def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int) -> float:
-    """sign * i<[A,B]> + |<xi|(A + sign i B)|xi_perp>|^2, signs correlated.
+def _candidate(dev: _Deviations, perp: QuantumState, which: str, sign: int, kind: str) -> OrthogonalCandidate:
+    """The bound `which` at `sign`, evaluated at a unit `perp` orthogonal to the state.
 
-    The first term is real because the commutator mean is purely imaginary;
-    the value may be negative for the non-maximizing sign and is returned
+    The l2 value may be negative for the non-maximizing sign and is kept
     unclamped.
     """
-    _validate_sign(sign)
-    _same_dim(a.dim, b.dim, state.dim)
-    perp = _checked_perp(state, xi_perp)
-    comm_term = (sign * 1j * commutator_mean(a, b, state)).real
-    # <xi|(A + s i B)|xi_perp> = <(A - s i B) xi | xi_perp>
-    dual = (a.matrix - sign * 1j * b.matrix) @ state.vector
-    return comm_term + abs(np.vdot(dual, perp)) ** 2
-
-
-def _project_out_state(state: QuantumState, vec: np.ndarray) -> np.ndarray:
-    out = vec - np.vdot(state.vector, vec) * state.vector
-    # second pass keeps the normalized direction orthogonal even when the
-    # projection nearly annihilates vec
-    return out - np.vdot(state.vector, out) * state.vector
-
-
-def _fallback_candidate(state: QuantumState, sign: int) -> OrthogonalCandidate:
-    first = orthonormal_complement_basis(state)[0]
-    return OrthogonalCandidate(vector=first, bound_value=0.0, sign=sign, kind="analytic_optimum")
-
-
-def optimal_xi_perp_l1(a: Observable, b: Observable, state: QuantumState, sign: int) -> OrthogonalCandidate:
-    """Complement projection of (A + sign B)|xi>, the Cauchy-Schwarz-saturating choice.
-
-    Falls back to the first complement-basis vector (bound value 0) when the
-    projection is numerically null, which happens exactly when l1 vanishes
-    for every admissible xi_perp.
-    """
-    _validate_sign(sign)
-    _same_dim(a.dim, b.dim, state.dim)
-    if state.dim < 2:
-        raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-    image = (a.matrix + sign * b.matrix) @ state.vector
-    projected = _project_out_state(state, image)
-    scale = 1.0 + a.frobenius_norm() + b.frobenius_norm()
-    if float(np.linalg.norm(projected)) <= TOL_NULL * scale:
-        return _fallback_candidate(state, sign)
-    perp = QuantumState(projected / np.linalg.norm(projected))
-    value = l1_bound(a, b, state, perp, sign)
-    return OrthogonalCandidate(vector=perp, bound_value=value, sign=sign, kind="analytic_optimum")
-
-
-def optimal_xi_perp_l2(a: Observable, b: Observable, state: QuantumState, sign: int) -> OrthogonalCandidate:
-    """Complement projection of (A - sign i B)|xi>, dual to the l2 matrix element.
-
-    In the degenerate (null-projection) case any complement vector already
-    attains the optimum, so the fallback vector is reported with the actual
-    attained value rather than 0.
-    """
-    _validate_sign(sign)
-    _same_dim(a.dim, b.dim, state.dim)
-    if state.dim < 2:
-        raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-    dual = (a.matrix - sign * 1j * b.matrix) @ state.vector
-    projected = _project_out_state(state, dual)
-    scale = 1.0 + a.frobenius_norm() + b.frobenius_norm()
-    if float(np.linalg.norm(projected)) <= TOL_NULL * scale:
-        perp = orthonormal_complement_basis(state)[0]
+    element = abs(np.vdot(_direction(dev, which, sign), perp.vector)) ** 2
+    if which == "l1":
+        value = 0.5 * element
     else:
-        perp = QuantumState(projected / np.linalg.norm(projected))
-    value = l2_bound(a, b, state, perp, sign)
-    return OrthogonalCandidate(vector=perp, bound_value=value, sign=sign, kind="analytic_optimum")
+        # s i <[A,B]> = s i (2i Im Cov) is real
+        value = -2.0 * sign * dev.overlap.imag + element
+    return OrthogonalCandidate(vector=perp, bound_value=float(value), sign=sign, kind=kind)
 
 
-def _maximize_over_signs(value_plus: float, value_minus: float, tol: float = TOL_EIG) -> int:
+def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, null_tol: float) -> QuantumState:
+    """Normalized complement projection of the bound's direction.
+
+    When the projection is numerically null the matrix element vanishes for
+    every admissible xi_perp, and the first complement-basis vector is taken.
+    """
+    if state.dim < 2:
+        raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
+    xi = state.vector
+    projected = _direction(dev, which, sign)
+    # two passes keep the normalized direction orthogonal even when the
+    # projection nearly annihilates the vector
+    for _ in range(2):
+        projected = projected - np.vdot(xi, projected) * xi
+    nrm = float(np.linalg.norm(projected))
+    if nrm <= null_tol:
+        return orthonormal_complement_basis(state)[0]
+    return QuantumState(projected / nrm)
+
+
+def _null_tol(a: Observable, b: Observable) -> float:
+    return TOL_NULL * (1.0 + a.frobenius_norm() + b.frobenius_norm())
+
+
+def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: str, sign: int) -> OrthogonalCandidate:
+    """Closed-form optimal xi_perp for bound `which` ("l1" or "l2") at `sign`, with its value.
+
+    The vector is the normalized complement projection of psi + sign phi (l1)
+    or psi - sign i phi (l2), the Cauchy-Schwarz-saturating choice. When the
+    projection is numerically null the first complement-basis vector is
+    reported, with the value it attains.
+    """
+    _validate_which(which)
+    _validate_sign(sign)
+    dev = _deviations(a, b, state)
+    perp = _optimal_perp(state, dev, which, sign, _null_tol(a, b))
+    return _candidate(dev, perp, which, sign, "analytic_optimum")
+
+
+def _maximize_over_signs(plus: OrthogonalCandidate, minus: OrthogonalCandidate, tol: float = TOL_EIG) -> OrthogonalCandidate:
     # values equal within tol count as a tie, which goes to +1 for determinism
-    return 1 if value_plus >= value_minus - tol else -1
+    return plus if plus.bound_value >= minus.bound_value - tol else minus
 
 
 def bound_report(
@@ -230,57 +253,48 @@ def bound_report(
 ) -> BoundReport:
     """All four bounds for one instance, with maximizing signs and candidates.
 
-    With `user_xi_perp` the Maccone-Pati bounds are evaluated at that vector
-    for both signs; otherwise each bound uses its analytic optimum per sign.
+    Every field comes from the two deviation vectors. With `user_xi_perp` the
+    Maccone-Pati bounds are evaluated at that vector for both signs;
+    otherwise each bound and sign is evaluated at its own analytic optimum.
     """
-    _same_dim(a.dim, b.dim, state.dim)
-    var_a = variance(a, state)
-    var_b = variance(b, state)
+    dev = _deviations(a, b, state)
+    var_a = _squared_norm(dev.psi)
+    var_b = _squared_norm(dev.phi)
     sum_var = var_a + var_b
-    prod_var = var_a * var_b
-    covq = quantum_covariance(a, b, state)
-    comm_abs = abs(commutator_mean(a, b, state))
-    t1 = covq * covq + 0.25 * comm_abs**2
-    t2 = comm_abs
+    t1, t2 = _hrsur(dev.overlap)
 
-    if user_xi_perp is not None:
-        perp = QuantumState(_checked_perp(state, user_xi_perp))
-        l1_vals = {s: l1_bound(a, b, state, perp, s) for s in (1, -1)}
-        l2_vals = {s: l2_bound(a, b, state, perp, s) for s in (1, -1)}
-        l1_sign = _maximize_over_signs(l1_vals[1], l1_vals[-1])
-        l2_sign = _maximize_over_signs(l2_vals[1], l2_vals[-1])
-        l1_cand = OrthogonalCandidate(perp, l1_vals[l1_sign], l1_sign, "user_supplied")
-        l2_cand = OrthogonalCandidate(perp, l2_vals[l2_sign], l2_sign, "user_supplied")
+    keys = [(which, sign) for which in MP_BOUNDS for sign in (1, -1)]
+    if user_xi_perp is None:
+        null_tol = _null_tol(a, b)
+        perps = {key: _optimal_perp(state, dev, *key, null_tol) for key in keys}
+        kind = "analytic_optimum"
     else:
-        l1_cands = {s: optimal_xi_perp_l1(a, b, state, s) for s in (1, -1)}
-        l2_cands = {s: optimal_xi_perp_l2(a, b, state, s) for s in (1, -1)}
-        l1_vals = {s: c.bound_value for s, c in l1_cands.items()}
-        l2_vals = {s: c.bound_value for s, c in l2_cands.items()}
-        l1_sign = _maximize_over_signs(l1_vals[1], l1_vals[-1])
-        l2_sign = _maximize_over_signs(l2_vals[1], l2_vals[-1])
-        l1_cand = l1_cands[l1_sign]
-        l2_cand = l2_cands[l2_sign]
+        perps = dict.fromkeys(keys, QuantumState(_checked_perp(state, user_xi_perp)))
+        kind = "user_supplied"
+    cands = {key: _candidate(dev, perp, *key, kind) for key, perp in perps.items()}
+    l1_cand = _maximize_over_signs(cands["l1", 1], cands["l1", -1])
+    l2_cand = _maximize_over_signs(cands["l2", 1], cands["l2", -1])
 
-    l1 = l1_vals[l1_sign]
-    l2 = l2_vals[l2_sign]
+    l1 = l1_cand.bound_value
+    l2 = l2_cand.bound_value
     mpur = max(l1, l2)
     return BoundReport(
         var_a=var_a,
         var_b=var_b,
         sum_var=sum_var,
-        prod_var=prod_var,
-        covq=covq,
-        comm_mean_abs=comm_abs,
+        prod_var=var_a * var_b,
+        covq=dev.overlap.real,
+        comm_mean_abs=t2,
         t1=t1,
         t2=t2,
         l1=l1,
         l2=l2,
         l1_candidate=l1_cand,
         l2_candidate=l2_cand,
-        l1_by_sign=(l1_vals[1], l1_vals[-1]),
-        l2_by_sign=(l2_vals[1], l2_vals[-1]),
+        l1_by_sign=(cands["l1", 1].bound_value, cands["l1", -1].bound_value),
+        l2_by_sign=(cands["l2", 1].bound_value, cands["l2", -1].bound_value),
         mpur=mpur,
         hrsur_trivial=bool(t1 <= tol and t2 <= tol and sum_var > tol),
-        common_eigenvector=bool(is_eigenstate(a, state, tol) and is_eigenstate(b, state, tol)),
+        common_eigenvector=bool(var_a <= tol and var_b <= tol),
         saturation_gap=sum_var - mpur,
     )

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 I/O error, 2 validation or usage error, 3 invariant
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
@@ -123,10 +122,11 @@ def _load_instance_checked(path: str):
         instance = load_instance(path)
     except OSError as exc:
         return None, _fail(f"cannot read {path}: {exc}", EXIT_IO)
-    except json.JSONDecodeError as exc:
-        return None, _fail(f"malformed JSON in {path}: {exc}", EXIT_VALIDATION)
     except (InstanceFormatError, NormalizationError, HermiticityError) as exc:
         return None, _fail(f"invalid instance {path}: {exc}", EXIT_VALIDATION)
+    except ValueError as exc:
+        # from json.load: a decode error, or an integer literal past the interpreter's digit limit
+        return None, _fail(f"malformed JSON in {path}: {exc}", EXIT_VALIDATION)
     return instance, None
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, OrthogonalCandidate
-from .quantum import HermiticityError, NormalizationError, Observable, QuantumState, validate_hermitian
+from .quantum import HermiticityError, NormalizationError, Observable, QuantumState
 
 __all__ = [
     "InstanceFormatError",
@@ -66,7 +66,10 @@ def _pair_to_complex(obj, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise InstanceFormatError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise InstanceFormatError(f"{where}: {exc}") from exc
 
 
 def _pairs_to_vector(obj, dim: int, name: str) -> np.ndarray:
@@ -123,7 +126,7 @@ def parse_instance(data) -> Instance:
     observables = {}
     for key in ("A", "B"):
         try:
-            observables[key] = validate_hermitian(_pairs_to_matrix(data[key], dim, key))
+            observables[key] = Observable(_pairs_to_matrix(data[key], dim, key))
         except HermiticityError as exc:
             raise InstanceFormatError(f"matrix {key} is not Hermitian: {exc}") from exc
         except ValueError as exc:

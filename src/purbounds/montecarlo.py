@@ -10,7 +10,7 @@ empirical variance sum at a 5-sigma margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,15 +83,15 @@ def born_distribution(a: Observable, state: QuantumState) -> BornDistribution:
     outcomes of numerically zero probability are dropped from the support.
     """
     _same_dim(a.dim, state.dim)
-    eig = hermitian_eigensystem(a)
-    weights = np.abs(eig.vectors.conj().T @ state.vector) ** 2
+    eig_values, eig_vectors = hermitian_eigensystem(a)
+    weights = np.abs(eig_vectors.conj().T @ state.vector) ** 2
     gap_tol = TOL_EIG * a.frobenius_norm()
 
     values: list[float] = []
     probs: list[float] = []
-    group_vals: list[float] = [float(eig.values[0])]
+    group_vals: list[float] = [float(eig_values[0])]
     group_weights: list[float] = [float(weights[0])]
-    for lam, w in zip(eig.values[1:], weights[1:]):
+    for lam, w in zip(eig_values[1:], weights[1:]):
         if lam - group_vals[-1] <= gap_tol:
             group_vals.append(float(lam))
             group_weights.append(float(w))
@@ -140,16 +140,6 @@ class EstimateReport:
     bound_checked: float | None = None
     z_margin: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean_hat": self.mean_hat,
-            "var_hat": self.var_hat,
-            "var_stderr": self.var_stderr,
-            "bound_checked": self.bound_checked,
-            "z_margin": self.z_margin,
-        }
-
 
 def empirical_variance(samples) -> EstimateReport:
     """Unbiased sample variance of a 1-D sample, with standard error."""
@@ -186,19 +176,7 @@ class StatisticalCheckReport:
         return self.undercut_violation or self.overshoot_violation
 
     def to_dict(self) -> dict:
-        return {
-            "estimate_a": self.estimate_a.to_dict(),
-            "estimate_b": self.estimate_b.to_dict(),
-            "empirical_sum": self.empirical_sum,
-            "combined_stderr": self.combined_stderr,
-            "mpur": self.mpur,
-            "analytic_sum": self.analytic_sum,
-            "z_margin": self.z_margin,
-            "sigma_margin": self.sigma_margin,
-            "undercut_violation": self.undercut_violation,
-            "overshoot_violation": self.overshoot_violation,
-            "violation": self.violation,
-        }
+        return {**asdict(self), "violation": self.violation}
 
 
 def statistical_bound_check(

@@ -28,11 +28,9 @@ __all__ = [
     "EigensolverError",
     "QuantumState",
     "Observable",
-    "EigenSystem",
     "inner_product",
     "norm",
     "normalize",
-    "validate_hermitian",
     "expectation",
     "deviation_vector",
     "variance",
@@ -141,8 +139,8 @@ class Observable:
     """d x d Hermitian matrix; eigenvalues are the measurement outcomes.
 
     The stored matrix is symmetrized to (M + M†)/2 so Hermiticity is exact;
-    inputs whose Hermiticity defect exceeds tol_herm are rejected (see
-    validate_hermitian for a caller-chosen tolerance).
+    inputs whose Hermiticity defect exceeds tol_herm * (1 + max |M_ij|) are
+    rejected.
     """
 
     matrix: np.ndarray
@@ -165,37 +163,15 @@ class Observable:
         mat = 0.5 * (mat + mat.conj().T)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        # every scale-relative tolerance reads the norm; the matrix never changes
+        object.__setattr__(self, "_frobenius", float(np.linalg.norm(mat)))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Real eigenvalues in ascending order with orthonormal eigenvectors.
-
-    `vectors[:, k]` is the eigenvector of `values[k]`.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        vecs = np.asarray(self.vectors, dtype=complex).copy()
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "vectors", vecs)
-
-
-def validate_hermitian(matrix, tol_herm: float = TOL_HERM) -> Observable:
-    """Check Hermiticity within `tol_herm` and return the symmetrized Observable."""
-    return Observable(matrix, tol_herm=tol_herm)
+        return self._frobenius
 
 
 def inner_product(u, v) -> complex:
@@ -219,34 +195,39 @@ def normalize(u) -> QuantumState:
     return QuantumState(vec / nrm)
 
 
-def expectation(a: Observable, state: QuantumState) -> float:
-    """Re<state|A|state>; the imaginary residue must vanish within tolerance."""
-    _same_dim(a.dim, state.dim)
-    raw = complex(np.vdot(state.vector, a.matrix @ state.vector))
+def _mean_of_image(a: Observable, state: QuantumState, image: np.ndarray) -> float:
+    """Re<state|image> for image = A|state>; the imaginary residue must vanish within tolerance."""
+    raw = complex(np.vdot(state.vector, image))
     tol = TOL_EIG * (1.0 + a.frobenius_norm())
     if abs(raw.imag) > tol:
         raise HermiticityError(f"expectation has imaginary part {raw.imag:.3e} above tolerance")
     return raw.real
 
 
-def deviation_vector(a: Observable, state: QuantumState) -> np.ndarray:
-    """(A - <A> I)|state>; orthogonal to |state> and of squared norm Var(A)."""
+def _squared_norm(vec: np.ndarray) -> float:
+    return float(np.vdot(vec, vec).real)
+
+
+def expectation(a: Observable, state: QuantumState) -> float:
+    """Re<state|A|state>; the imaginary residue must vanish within tolerance."""
     _same_dim(a.dim, state.dim)
-    mean = expectation(a, state)
-    return a.matrix @ state.vector - mean * state.vector
+    return _mean_of_image(a, state, a.matrix @ state.vector)
+
+
+def deviation_vector(a: Observable, state: QuantumState) -> np.ndarray:
+    """(A - <A> I)|state>, from one matrix-vector product.
+
+    Orthogonal to |state> and of squared norm Var(A); every bound is a closed
+    form in the deviation vectors of the two observables.
+    """
+    _same_dim(a.dim, state.dim)
+    image = a.matrix @ state.vector
+    return image - _mean_of_image(a, state, image) * state.vector
 
 
 def variance(a: Observable, state: QuantumState) -> float:
-    """<A^2> - <A>^2, clamped to 0 when rounding pushes it just below zero."""
-    _same_dim(a.dim, state.dim)
-    image = a.matrix @ state.vector
-    second_moment = float(np.vdot(image, image).real)
-    mean = expectation(a, state)
-    raw = second_moment - mean * mean
-    tol = TOL_EIG * (1.0 + a.frobenius_norm() ** 2)
-    if raw < -tol:
-        raise ArithmeticError(f"variance {raw:.3e} below -{tol:.3e}; inputs are inconsistent")
-    return max(raw, 0.0)
+    """Var(A) = ||(A - <A>)|state>||^2, nonnegative by construction."""
+    return _squared_norm(deviation_vector(a, state))
 
 
 def covariance(x: Observable, y: Observable, state: QuantumState) -> complex:
@@ -313,8 +294,11 @@ def orthonormal_complement_basis(state: QuantumState) -> list[QuantumState]:
     return [QuantumState(v) for v in accepted[1:]]
 
 
-def hermitian_eigensystem(a: Observable) -> EigenSystem:
-    """Dense eigensystem with ascending eigenvalues and verified reconstruction."""
+def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) with ascending eigenvalues and verified reconstruction.
+
+    `vectors[:, k]` is the eigenvector of `values[k]`.
+    """
     try:
         values, vectors = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
@@ -322,7 +306,7 @@ def hermitian_eigensystem(a: Observable) -> EigenSystem:
     residual = float(np.linalg.norm(a.matrix - (vectors * values) @ vectors.conj().T))
     if residual > TOL_EIG * (1.0 + a.frobenius_norm()):
         raise EigensolverError(f"eigendecomposition residual {residual:.3e} above tolerance")
-    return EigenSystem(values, vectors)
+    return values, vectors
 
 
 def is_eigenstate(a: Observable, state: QuantumState, tol: float = TOL_EIG) -> bool:

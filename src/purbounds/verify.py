@@ -1,6 +1,8 @@
 """Independent verification machinery for the bound computations.
 
-Seeded random instance generation (Haar states, GUE-style observables),
+Seeded random instance generation (Haar states, GUE-style observables), the
+per-xi_perp Maccone-Pati formulas evaluated from (A + s B)|xi> and
+(A - s i B)|xi> directly (the reference `bound_report` is checked against),
 brute-force optimization over the orthogonal complement as a check on the
 closed-form optima, direct numeric checks of the foundational identities
 (Cauchy-Schwarz, parallelogram law), and the randomized invariant suite that
@@ -15,11 +17,11 @@ evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import bound_report, optimal_xi_perp_l1, optimal_xi_perp_l2
+from .bounds import _checked_perp, _validate_sign, _validate_which, bound_report, optimal_xi_perp
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
@@ -42,6 +44,8 @@ __all__ = [
     "random_state",
     "random_observable",
     "random_unit_in_complement",
+    "l1_bound",
+    "l2_bound",
     "search_optimal_xi_perp",
     "check_parallelogram",
     "check_csi",
@@ -100,13 +104,33 @@ def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
     return QuantumState(_complement_samples(basis, 1, _rng(seed))[0])
 
 
-def _l1_sample_values(a: Observable, b: Observable, state: QuantumState, perps: np.ndarray, sign: int) -> np.ndarray:
+def _checked_reference_args(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int) -> np.ndarray:
+    _validate_sign(sign)
+    _same_dim(a.dim, b.dim, state.dim)
+    return _checked_perp(state, xi_perp)
+
+
+def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
+    """|<xi|(A + sign B)|xi_perp>|^2 / 2 for a unit xi_perp orthogonal to xi.
+
+    `xi_perp` is one vector (one value) or a stack of row vectors (one value
+    per row).
+    """
+    perps = _checked_reference_args(a, b, state, xi_perp, sign)
     image = (a.matrix + sign * b.matrix) @ state.vector
     return 0.5 * np.abs(perps @ image.conj()) ** 2
 
 
-def _l2_sample_values(a: Observable, b: Observable, state: QuantumState, perps: np.ndarray, sign: int) -> np.ndarray:
+def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
+    """sign * i<[A,B]> + |<xi|(A + sign i B)|xi_perp>|^2, signs correlated.
+
+    Takes one xi_perp or a stack of rows, as `l1_bound`. The first term is
+    real because the commutator mean is purely imaginary; the value may be
+    negative for the non-maximizing sign and is returned unclamped.
+    """
+    perps = _checked_reference_args(a, b, state, xi_perp, sign)
     comm_term = (sign * 1j * commutator_mean(a, b, state)).real
+    # <xi|(A + s i B)|xi_perp> = <(A - s i B) xi | xi_perp>
     dual = (a.matrix - sign * 1j * b.matrix) @ state.vector
     return comm_term + np.abs(perps @ dual.conj()) ** 2
 
@@ -160,19 +184,14 @@ def search_optimal_xi_perp(
     optimum always dominates it (gap >= 0 up to rounding), and for d = 2 the
     complement is a single phase circle so the gap vanishes.
     """
-    if which not in ("l1", "l2"):
-        raise ValueError(f"which must be 'l1' or 'l2', got {which!r}")
+    _validate_which(which)
     if samples < 1:
         raise ValueError("samples must be positive")
     _same_dim(a.dim, b.dim, state.dim)
     basis = _complement_matrix(state)
     perps = _complement_samples(basis, samples, _rng(seed))
-    if which == "l1":
-        values = _l1_sample_values(a, b, state, perps, sign)
-        analytic = optimal_xi_perp_l1(a, b, state, sign).bound_value
-    else:
-        values = _l2_sample_values(a, b, state, perps, sign)
-        analytic = optimal_xi_perp_l2(a, b, state, sign).bound_value
+    values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
+    analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
     best = int(np.argmax(values))
     return SearchResult(
         best_value=float(values[best]),
@@ -218,17 +237,7 @@ class SuiteReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "dims": list(self.dims),
-            "seed": self.seed,
-            "tol": self.tol,
-            "perp_samples": self.perp_samples,
-            "passed": self.passed,
-            "min_slacks": dict(self.min_slacks),
-            "max_defects": dict(self.max_defects),
-            "violations": list(self.violations),
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _check_instance(
@@ -272,8 +281,8 @@ def _check_instance(
 
     # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp
     for i, sign in ((0, 1), (1, -1)):
-        l1_vals = _l1_sample_values(a, b, state, perps, sign)
-        l2_vals = _l2_sample_values(a, b, state, perps, sign)
+        l1_vals = l1_bound(a, b, state, perps, sign)
+        l2_vals = l2_bound(a, b, state, perps, sign)
         slack_checks["mpur_l1_random_perp"] = min(
             slack_checks.get("mpur_l1_random_perp", math.inf), float(np.min(rep.sum_var - l1_vals))
         )

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from purbounds.bounds import bound_report, optimal_xi_perp_l1
+from purbounds.bounds import bound_report, optimal_xi_perp
 from purbounds.cli import main
 from purbounds.montecarlo import statistical_bound_check
 from purbounds.quantum import Observable, basis_state, equatorial_state, pauli_x, pauli_z
@@ -151,7 +151,7 @@ def test_criterion_5_l1_identity(suite_run):
         a = random_observable(2, rng)
         b = random_observable(2, rng)
         for sign in (1, -1):
-            cand = optimal_xi_perp_l1(a, b, state, sign)
+            cand = optimal_xi_perp(a, b, state, "l1", sign)
             res = search_optimal_xi_perp(a, b, state, "l1", sign, samples=50, seed=13)
             worst = max(worst, abs(res.best_value - cand.bound_value))
     assert worst <= 1e-9

@@ -6,10 +6,7 @@ from purbounds.bounds import (
     bound_report,
     hrsur_product_bound,
     hrsur_sum_bound,
-    l1_bound,
-    l2_bound,
-    optimal_xi_perp_l1,
-    optimal_xi_perp_l2,
+    optimal_xi_perp,
 )
 from purbounds.quantum import (
     DimensionMismatchError,
@@ -23,6 +20,7 @@ from purbounds.quantum import (
     quantum_covariance,
     variance,
 )
+from purbounds.verify import l1_bound, l2_bound
 
 ALPHAS = [0.0, 0.4, np.pi / 4, 1.2, np.pi / 2, 2.8, np.pi, 4.4, 5.7]
 
@@ -160,7 +158,7 @@ class TestOptimalXiPerpL1:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_qubit_matches_unique_direction(self, sign):
         state = equatorial_state(1.0)
-        cand = optimal_xi_perp_l1(pauli_x(), pauli_z(), state, sign)
+        cand = optimal_xi_perp(pauli_x(), pauli_z(), state, "l1", sign)
         overlap = abs(np.vdot(cand.vector.vector, perp_of(1.0).vector))
         assert overlap == pytest.approx(1.0, abs=1e-12)
         assert cand.bound_value == pytest.approx((1.0 + np.sin(1.0) ** 2) / 2.0, abs=1e-13)
@@ -175,13 +173,22 @@ class TestOptimalXiPerpL1:
                 expected_base = 0.5 * (variance(a, state) + variance(b, state))
                 covq = quantum_covariance(a, b, state)
                 for s in (1, -1):
-                    cand = optimal_xi_perp_l1(a, b, state, s)
+                    cand = optimal_xi_perp(a, b, state, "l1", s)
                     assert cand.bound_value == pytest.approx(expected_base + s * covq, abs=1e-9)
 
     def test_degenerate_fallback(self):
-        cand = optimal_xi_perp_l1(pauli_z(), pauli_z(), basis_state(2, 0), -1)
+        cand = optimal_xi_perp(pauli_z(), pauli_z(), basis_state(2, 0), "l1", -1)
         assert cand.bound_value == 0.0
         assert abs(np.vdot(cand.vector.vector, basis_state(2, 1).vector)) == pytest.approx(1.0)
+
+    def test_fallback_reports_attained_value(self):
+        # (Z - B)|0> = -1e-14 |1> is below the null tolerance, but not zero
+        b = Observable(pauli_z().matrix + 1e-14 * pauli_x().matrix)
+        state = basis_state(2, 0)
+        cand = optimal_xi_perp(pauli_z(), b, state, "l1", -1)
+        assert abs(np.vdot(cand.vector.vector, basis_state(2, 1).vector)) == pytest.approx(1.0)
+        assert cand.bound_value == pytest.approx(l1_bound(pauli_z(), b, state, cand.vector, -1), rel=1e-12)
+        assert cand.bound_value == pytest.approx(0.5e-28, rel=1e-12)
 
 
 class TestOptimalXiPerpL2:
@@ -192,16 +199,16 @@ class TestOptimalXiPerpL2:
                 state, a, b = random_instance(rng, dim)
                 sum_var = variance(a, state) + variance(b, state)
                 for s in (1, -1):
-                    cand = optimal_xi_perp_l2(a, b, state, s)
+                    cand = optimal_xi_perp(a, b, state, "l2", s)
                     assert cand.bound_value == pytest.approx(sum_var, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_qubit_family(self, alpha):
-        cand = optimal_xi_perp_l2(pauli_x(), pauli_z(), equatorial_state(alpha), 1)
+        cand = optimal_xi_perp(pauli_x(), pauli_z(), equatorial_state(alpha), "l2", 1)
         assert cand.bound_value == pytest.approx(1.0 + np.sin(alpha) ** 2, abs=1e-13)
 
     def test_common_eigenvector_gives_zero(self):
-        cand = optimal_xi_perp_l2(pauli_z(), pauli_z(), basis_state(2, 0), 1)
+        cand = optimal_xi_perp(pauli_z(), pauli_z(), basis_state(2, 0), "l2", 1)
         assert cand.bound_value == pytest.approx(0.0, abs=1e-15)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +225,28 @@ class TestCmdMontecarlo:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["montecarlo", "--file", str(tmp_path / "none.json"), "--samples", "100"]) == 1
+
+
+class TestHugeIntegerLiterals:
+    """Integer literals beyond the double range (400 digits) or the interpreter's
+    integer-parsing digit limit (5000 digits) are validation errors, not crashes."""
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("command", ["bounds", "montecarlo"])
+    def test_exit_two_with_one_error_line(self, tmp_path, command, digits):
+        payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_x())
+        payload["A"][0][0] = ["HUGE", 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload).replace('"HUGE"', "9" * digits))
+        argv = [str(path)] if command == "bounds" else ["--file", str(path), "--samples", "100"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "purbounds", command, *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestUsage:

@@ -30,7 +30,6 @@ from purbounds.quantum import (
     pauli_x,
     pauli_z,
     quantum_covariance,
-    validate_hermitian,
     variance,
 )
 
@@ -121,15 +120,15 @@ class TestInnerProductAndNorm:
 
 class TestValidateHermitian:
     def test_pauli_x_accepted(self):
-        obs = validate_hermitian([[0.0, 1.0], [1.0, 0.0]])
+        obs = Observable([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(obs.matrix, pauli_x().matrix)
 
     def test_anti_hermitian_rejected(self):
         with pytest.raises(HermiticityError):
-            validate_hermitian([[0.0, 1.0j], [1.0j, 0.0]])
+            Observable([[0.0, 1.0j], [1.0j, 0.0]])
 
     def test_tiny_defect_accepted_and_symmetrized(self):
-        obs = validate_hermitian([[1.0, 1e-14j], [0.0, 2.0]], tol_herm=1e-10)
+        obs = Observable([[1.0, 1e-14j], [0.0, 2.0]], tol_herm=1e-10)
         defect = np.max(np.abs(obs.matrix - obs.matrix.conj().T))
         assert defect == 0.0
         # symmetrization averages the off-diagonal pair
@@ -137,7 +136,7 @@ class TestValidateHermitian:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            validate_hermitian(np.zeros((2, 3)))
+            Observable(np.zeros((2, 3)))
 
 
 class TestExpectation:
@@ -284,24 +283,24 @@ class TestComplementBasis:
 
 class TestEigensystem:
     def test_pauli_z(self):
-        eig = hermitian_eigensystem(pauli_z())
-        np.testing.assert_allclose(eig.values, [-1.0, 1.0])
-        assert abs(eig.vectors[1, 0]) == pytest.approx(1.0)  # eigenvector of -1 is |1>
-        assert abs(eig.vectors[0, 1]) == pytest.approx(1.0)  # eigenvector of +1 is |0>
+        values, vectors = hermitian_eigensystem(pauli_z())
+        np.testing.assert_allclose(values, [-1.0, 1.0])
+        assert abs(vectors[1, 0]) == pytest.approx(1.0)  # eigenvector of -1 is |1>
+        assert abs(vectors[0, 1]) == pytest.approx(1.0)  # eigenvector of +1 is |0>
 
     def test_pauli_x(self):
         # analytic 2x2 diagonalization: values -1, +1 with vectors (|0> -+ |1>)/sqrt2
-        eig = hermitian_eigensystem(pauli_x())
-        np.testing.assert_allclose(eig.values, [-1.0, 1.0], atol=1e-15)
+        values, vectors = hermitian_eigensystem(pauli_x())
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-15)
         minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(np.vdot(minus, eig.vectors[:, 0])) == pytest.approx(1.0, abs=1e-14)
-        assert abs(np.vdot(plus, eig.vectors[:, 1])) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(minus, vectors[:, 0])) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(plus, vectors[:, 1])) == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_identity(self):
-        eig = hermitian_eigensystem(identity_observable(3))
-        np.testing.assert_allclose(eig.values, np.ones(3))
-        gram = eig.vectors.conj().T @ eig.vectors
+        values, vectors = hermitian_eigensystem(identity_observable(3))
+        np.testing.assert_allclose(values, np.ones(3))
+        gram = vectors.conj().T @ vectors
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-14)
 
     def test_reconstruction_trace_and_frobenius(self):
@@ -309,12 +308,12 @@ class TestEigensystem:
         for dim in (2, 3, 8, 16):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             a = Observable(0.5 * (g + g.conj().T))
-            eig = hermitian_eigensystem(a)
-            rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
+            values, vectors = hermitian_eigensystem(a)
+            rebuilt = (vectors * values) @ vectors.conj().T
             np.testing.assert_allclose(rebuilt, a.matrix, atol=1e-12 * (1 + a.frobenius_norm()))
-            assert eig.values.sum() == pytest.approx(np.trace(a.matrix).real, abs=1e-10)
-            assert (eig.values**2).sum() == pytest.approx(a.frobenius_norm() ** 2, abs=1e-10)
-            assert np.all(np.diff(eig.values) >= 0)
+            assert values.sum() == pytest.approx(np.trace(a.matrix).real, abs=1e-10)
+            assert (values**2).sum() == pytest.approx(a.frobenius_norm() ** 2, abs=1e-10)
+            assert np.all(np.diff(values) >= 0)
 
 
 class TestIsEigenstate:

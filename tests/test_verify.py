@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from purbounds.bounds import hrsur_product_bound, optimal_xi_perp_l1, optimal_xi_perp_l2
+from purbounds.bounds import bound_report, hrsur_product_bound, optimal_xi_perp
 from purbounds.quantum import (
     EmptyComplementError,
     basis_state,
@@ -21,6 +21,8 @@ from purbounds.verify import (
     RandomSpec,
     check_csi,
     check_parallelogram,
+    l1_bound,
+    l2_bound,
     random_observable,
     random_state,
     random_unit_in_complement,
@@ -275,7 +277,7 @@ class TestAnalyticOptimaAgainstSearch:
             a = random_observable(2, rng)
             b = random_observable(2, rng)
             for sign in (1, -1):
-                cand = optimal_xi_perp_l1(a, b, state, sign)
+                cand = optimal_xi_perp(a, b, state, "l1", sign)
                 res = search_optimal_xi_perp(a, b, state, "l1", sign, samples=40, seed=2)
                 assert abs(res.best_value - cand.bound_value) <= 1e-9
 
@@ -286,6 +288,43 @@ class TestAnalyticOptimaAgainstSearch:
             a = random_observable(2, rng)
             b = random_observable(2, rng)
             for sign in (1, -1):
-                cand = optimal_xi_perp_l2(a, b, state, sign)
+                cand = optimal_xi_perp(a, b, state, "l2", sign)
                 res = search_optimal_xi_perp(a, b, state, "l2", sign, samples=40, seed=4)
                 assert abs(res.best_value - cand.bound_value) <= 1e-9
+
+
+class TestKernelAgainstReference:
+    """bound_report works from the deviation vectors; l1_bound/l2_bound from
+    (A + s B)|xi> and (A - s i B)|xi> directly. They must agree at every vector."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_per_sign_values_match_reference(self, dim):
+        rng = np.random.default_rng([61, dim])
+        for _ in range(5):
+            state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
+            tol = 1e-12 * (1.0 + a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
+            perp = random_unit_in_complement(state, rng)
+            user = bound_report(a, b, state, user_xi_perp=perp)
+            rep = bound_report(a, b, state)
+            assert variance(a, state) == rep.var_a
+            assert variance(b, state) == rep.var_b
+            for i, sign in enumerate((1, -1)):
+                assert abs(user.l1_by_sign[i] - l1_bound(a, b, state, perp, sign)) <= tol
+                assert abs(user.l2_by_sign[i] - l2_bound(a, b, state, perp, sign)) <= tol
+                for which, by_sign, reference in (("l1", rep.l1_by_sign, l1_bound), ("l2", rep.l2_by_sign, l2_bound)):
+                    cand = optimal_xi_perp(a, b, state, which, sign)
+                    assert cand.bound_value == by_sign[i]
+                    assert abs(by_sign[i] - reference(a, b, state, cand.vector, sign)) <= tol
+            for cand, reference in ((rep.l1_candidate, l1_bound), (rep.l2_candidate, l2_bound)):
+                assert abs(cand.bound_value - reference(a, b, state, cand.vector, cand.sign)) <= tol
+
+    def test_stack_of_rows_matches_single_vectors(self):
+        rng = np.random.default_rng(67)
+        state, a, b = random_state(5, rng), random_observable(5, rng), random_observable(5, rng)
+        perps = np.array([random_unit_in_complement(state, rng).vector for _ in range(4)])
+        for reference in (l1_bound, l2_bound):
+            for sign in (1, -1):
+                stacked = reference(a, b, state, perps, sign)
+                assert stacked.shape == (4,)
+                for row, value in zip(perps, stacked):
+                    assert value == pytest.approx(reference(a, b, state, row, sign), abs=1e-12)
