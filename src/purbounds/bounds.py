@@ -216,7 +216,7 @@ def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, 
         projected = projected - np.vdot(xi, projected) * xi
     nrm = float(np.linalg.norm(projected))
     if nrm <= null_tol:
-        return orthonormal_complement_basis(state)[0]
+        return QuantumState(orthonormal_complement_basis(state)[0])
     return QuantumState(projected / nrm)
 
 

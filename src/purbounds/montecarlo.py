@@ -78,8 +78,9 @@ class BornDistribution:
 def born_distribution(a: Observable, state: QuantumState) -> BornDistribution:
     """p(lambda) = sum of |<v|state>|^2 over the eigenvectors of lambda.
 
-    Eigenvalues closer than tol_eig * ||A||_F are treated as one degenerate
-    outcome whose probability is the sum (value: probability-weighted mean);
+    Eigenvalues within tol_eig * ||A||_F of the smallest value of their group
+    are treated as one degenerate outcome whose probability is the sum
+    (value: probability-weighted mean), so no group spans more than that;
     outcomes of numerically zero probability are dropped from the support.
     """
     _same_dim(a.dim, state.dim)
@@ -92,7 +93,7 @@ def born_distribution(a: Observable, state: QuantumState) -> BornDistribution:
     group_vals: list[float] = [float(eig_values[0])]
     group_weights: list[float] = [float(weights[0])]
     for lam, w in zip(eig_values[1:], weights[1:]):
-        if lam - group_vals[-1] <= gap_tol:
+        if lam - group_vals[0] <= gap_tol:
             group_vals.append(float(lam))
             group_weights.append(float(w))
         else:

@@ -267,31 +267,34 @@ def anticommutator_mean(a: Observable, b: Observable, state: QuantumState) -> co
     return mean
 
 
-def orthonormal_complement_basis(state: QuantumState) -> list[QuantumState]:
-    """Deterministic orthonormal basis of the complement of |state>.
+def orthonormal_complement_basis(state: QuantumState) -> np.ndarray:
+    """Deterministic orthonormal basis of the complement of |state>, as rows.
 
-    Completes the state with standard basis vectors (skipping the one of
-    largest overlap modulus) and runs modified Gram-Schmidt with a second
-    re-orthogonalization pass.
+    Row k is the Gram-Schmidt orthogonalization of the k-th standard basis
+    vector, taken in ascending order and skipping index k* of the largest
+    |xi_k|, against the state and the rows before it. In closed form: with y
+    the state reordered to (ascending indices without k*, then k*) and
+    T_k = sum_{i >= k} |y_i|^2, row k is
+    sqrt(T_k / T_{k+1}) (e_k - conj(y_k) / T_k * y restricted to i >= k),
+    mapped back to the original order. Every T_k holds |xi_{k*}|^2 >= 1/d, so
+    no division is by a small number. Returns a read-only (d-1, d) array.
     """
     d = state.dim
     if d < 2:
         raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
     skip = int(np.argmax(np.abs(state.vector)))
-    accepted = [state.vector]
-    for j in range(d):
-        if j == skip:
-            continue
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for b in accepted:
-                v = v - np.vdot(b, v) * b
-        nrm = float(np.linalg.norm(v))
-        if nrm <= TOL_NULL:
-            raise ArithmeticError("Gram-Schmidt produced a null vector from independent inputs")
-        accepted.append(v / nrm)
-    return [QuantumState(v) for v in accepted[1:]]
+    order = np.arange(d)
+    order[skip:-1] += 1
+    order[-1] = skip
+    y = state.vector[order]
+    tails = np.cumsum(np.abs(y[::-1]) ** 2)[::-1]
+    rows = np.triu(np.outer(-y[:-1].conj() / tails[:-1], y))
+    rows[:, :-1] += np.eye(d - 1)
+    rows *= np.sqrt(tails[:-1] / tails[1:])[:, None]
+    basis = np.empty_like(rows)
+    basis[:, order] = rows
+    basis.setflags(write=False)
+    return basis
 
 
 def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:

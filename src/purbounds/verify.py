@@ -25,7 +25,6 @@ from .bounds import _checked_perp, _validate_sign, _validate_which, bound_report
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
-    EmptyComplementError,
     Observable,
     QuantumState,
     _as_vector,
@@ -83,11 +82,6 @@ def random_observable(dim: int, seed) -> Observable:
     return Observable(0.5 * (g + g.conj().T))
 
 
-def _complement_matrix(state: QuantumState) -> np.ndarray:
-    """Complement basis vectors as rows of a (d-1, d) matrix."""
-    return np.array([b.vector for b in orthonormal_complement_basis(state)])
-
-
 def _complement_samples(basis: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` unit vectors uniform on the complement sphere, as rows."""
     coeffs = rng.standard_normal((count, basis.shape[0])) + 1j * rng.standard_normal((count, basis.shape[0]))
@@ -98,9 +92,7 @@ def _complement_samples(basis: np.ndarray, count: int, rng: np.random.Generator)
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
     """Uniform unit vector orthogonal to the state (Gaussian over the complement basis)."""
-    if state.dim < 2:
-        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
-    basis = _complement_matrix(state)
+    basis = orthonormal_complement_basis(state)
     return QuantumState(_complement_samples(basis, 1, _rng(seed))[0])
 
 
@@ -188,7 +180,7 @@ def search_optimal_xi_perp(
     if samples < 1:
         raise ValueError("samples must be positive")
     _same_dim(a.dim, b.dim, state.dim)
-    basis = _complement_matrix(state)
+    basis = orthonormal_complement_basis(state)
     perps = _complement_samples(basis, samples, _rng(seed))
     values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
     analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
@@ -367,7 +359,7 @@ def run_invariant_suite(
         state = random_state(dim, rng)
         a = random_observable(dim, rng)
         b = random_observable(dim, rng)
-        basis = _complement_matrix(state)
+        basis = orthonormal_complement_basis(state)
         perps = _complement_samples(basis, perp_samples, rng)
         theta = 2.0 * math.pi * rng.random()
         _check_instance(report, index, state, a, b, perps, theta)

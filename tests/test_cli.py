@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import purbounds
 from purbounds.bounds import bound_report
 from purbounds.cli import main, qubit_sweep
 from purbounds.instances import (
@@ -17,6 +20,14 @@ from purbounds.instances import (
     report_to_dict,
 )
 from purbounds.quantum import basis_state, equatorial_state, pauli_x, pauli_z
+
+
+# the subprocess imports the same package as this process, installed or not
+PACKAGE_PARENT = str(Path(purbounds.__file__).resolve().parent.parent)
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (PACKAGE_PARENT, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 def instance_dict(state, a, b, xi_perp=None):
@@ -240,7 +251,11 @@ class TestHugeIntegerLiterals:
         path.write_text(json.dumps(payload).replace('"HUGE"', "9" * digits))
         argv = [str(path)] if command == "bounds" else ["--file", str(path), "--samples", "100"]
         proc = subprocess.run(
-            [sys.executable, "-m", "purbounds", command, *argv], capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "purbounds", command, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""

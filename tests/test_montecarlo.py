@@ -11,7 +11,9 @@ from purbounds.montecarlo import (
     statistical_bound_check,
 )
 from purbounds.quantum import (
+    TOL_EIG,
     Observable,
+    QuantumState,
     basis_state,
     equatorial_state,
     expectation,
@@ -60,6 +62,15 @@ class TestBornDistribution:
         dist = born_distribution(identity_observable(3), basis_state(3, 1))
         np.testing.assert_allclose(dist.values, [1.0])
         np.testing.assert_allclose(dist.probabilities, [1.0])
+
+    def test_near_degenerate_chain_not_merged_past_gap_tol(self):
+        # steps of 0.6 gap_tol chain to a span of 1.2 gap_tol, which must split
+        gap = TOL_EIG * np.sqrt(28.0)
+        a = Observable(np.diag([1.0, 1.0 + 0.6 * gap, 1.0 + 1.2 * gap, 5.0]).astype(complex))
+        assert TOL_EIG * a.frobenius_norm() == pytest.approx(gap, rel=1e-6)
+        dist = born_distribution(a, QuantumState(np.full(4, 0.5, dtype=complex)))
+        np.testing.assert_allclose(dist.values, [1.0 + 0.3 * gap, 1.0 + 1.2 * gap, 5.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dist.probabilities, [0.5, 0.25, 0.25], atol=1e-14)
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):

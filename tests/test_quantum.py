@@ -248,6 +248,50 @@ class TestCommutatorMeans:
             assert abs(anticommutator_mean(a, b, state).imag) < tol
 
 
+def gram_schmidt_complement(state: QuantumState) -> np.ndarray:
+    """Reference: modified Gram-Schmidt with re-orthogonalization, as rows.
+
+    Completes the state with standard basis vectors in ascending order,
+    skipping the one of largest overlap modulus.
+    """
+    d = state.dim
+    skip = int(np.argmax(np.abs(state.vector)))
+    accepted = [state.vector]
+    for j in range(d):
+        if j == skip:
+            continue
+        v = np.zeros(d, dtype=complex)
+        v[j] = 1.0
+        for _ in range(2):
+            for b in accepted:
+                v = v - np.vdot(b, v) * b
+        accepted.append(v / np.linalg.norm(v))
+    return np.array(accepted[1:])
+
+
+def _haar(rng, d):
+    return normalize(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(2024)
+    cases = [(f"haar-d{d}-{k}", _haar(rng, d)) for d in (2, 3, 4, 8, 16, 64) for k in range(5)]
+    cases += [(f"basis-d{d}-{i}", basis_state(d, i)) for d in (2, 5, 64) for i in range(d)]
+    cases += [(f"equatorial-{alpha:.3f}", equatorial_state(alpha)) for alpha in ALPHAS]
+    cases += [(f"uniform-d{d}", QuantumState(np.full(d, 1.0 / np.sqrt(d), dtype=complex))) for d in (2, 3, 8, 64)]
+    zeros = np.zeros(8, dtype=complex)
+    zeros[[1, 4, 6]] = [0.6, 0.64j, -0.48]
+    cases.append(("exact-zeros-d8", QuantumState(zeros)))
+    tiny = _haar(rng, 16).vector.copy()
+    tiny[3] = 1e-8
+    tiny[[5, 9]] = 0.0
+    cases.append(("near-zero-d16", normalize(tiny)))
+    return cases
+
+
+REFERENCE_INPUTS = _reference_inputs()
+
+
 class TestComplementBasis:
     def test_ground_state_complement(self):
         (vec,) = orthonormal_complement_basis(basis_state(2, 0))
@@ -262,9 +306,8 @@ class TestComplementBasis:
         rng = np.random.default_rng(17)
         for _ in range(10):
             state = normalize(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            basis = orthonormal_complement_basis(state)
-            assert len(basis) == 4
-            mat = np.array([b.vector for b in basis])
+            mat = orthonormal_complement_basis(state)
+            assert mat.shape == (4, 5)
             gram = mat.conj() @ mat.T
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
             overlaps = mat.conj() @ state.vector
@@ -274,11 +317,22 @@ class TestComplementBasis:
         state = equatorial_state(2.2)
         first = orthonormal_complement_basis(state)
         second = orthonormal_complement_basis(state)
-        np.testing.assert_array_equal(first[0].vector, second[0].vector)
+        np.testing.assert_array_equal(first, second)
 
     def test_empty_complement(self):
         with pytest.raises(EmptyComplementError):
             orthonormal_complement_basis(QuantumState(np.array([1.0 + 0j])))
+
+    @pytest.mark.parametrize("name,state", REFERENCE_INPUTS, ids=[name for name, _ in REFERENCE_INPUTS])
+    def test_matches_gram_schmidt_reference(self, name, state):
+        d = state.dim
+        basis = orthonormal_complement_basis(state)
+        assert basis.shape == (d - 1, d)
+        assert basis.dtype == complex
+        assert not basis.flags.writeable
+        np.testing.assert_allclose(basis, gram_schmidt_complement(state), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis.conj() @ basis.T, np.eye(d - 1), rtol=0, atol=1e-13)
+        assert np.max(np.abs(basis.conj() @ state.vector)) < 1e-13
 
 
 class TestEigensystem:

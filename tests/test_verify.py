@@ -241,6 +241,11 @@ class TestInvariantSuite:
             "t2_symmetry",
         }
 
+    def test_suite_passes_up_to_max_dim(self):
+        report = run_invariant_suite(count=6, dims=(16, 32, 64))
+        assert report.passed
+        assert report.violations == []
+
     def test_report_serialization_deterministic(self):
         first = run_invariant_suite(count=25, dims=(2, 4), seed=9, tol=1e-9, perp_samples=30)
         second = run_invariant_suite(count=25, dims=(2, 4), seed=9, tol=1e-9, perp_samples=30)
