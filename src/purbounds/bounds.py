@@ -129,15 +129,16 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     Takes one vector or a stack of row vectors, and checks every row.
     """
     vec = xi_perp.vector if isinstance(xi_perp, QuantumState) else np.asarray(xi_perp, dtype=complex)
-    if vec.ndim not in (1, 2) or not np.all(np.isfinite(vec)):
+    if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
         raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
     _same_dim(state.dim, vec.shape[-1])
-    nrm = np.linalg.norm(vec, axis=-1, keepdims=True)
+    # np.linalg.norm(vec, axis=-1, keepdims=True), the same reduction without its dispatch
+    nrm = np.sqrt((vec.conj() * vec).real.sum(axis=-1, keepdims=True))
     off = np.abs(nrm - 1.0) > RENORM_WINDOW
-    if np.any(off):
+    if off.any():
         raise OrthogonalityError(f"xi_perp norm {float(nrm[off][0])!r} is not 1")
     vec = vec / nrm
-    overlap = float(np.max(np.abs(vec @ state.vector.conj())))
+    overlap = float(np.abs(vec @ state.vector.conj()).max())
     if overlap > TOL_EIG:
         raise OrthogonalityError(f"|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}")
     return vec
@@ -185,23 +186,21 @@ def _direction(dev: _Deviations, which: str, sign: int) -> np.ndarray:
     return dev.psi - sign * 1j * dev.phi
 
 
-def _candidate(dev: _Deviations, perp: QuantumState, which: str, sign: int, kind: str) -> OrthogonalCandidate:
+def _bound_value(dev: _Deviations, perp: np.ndarray, which: str, sign: int) -> float:
     """The bound `which` at `sign`, evaluated at a unit `perp` orthogonal to the state.
 
     The l2 value may be negative for the non-maximizing sign and is kept
     unclamped.
     """
-    element = abs(np.vdot(_direction(dev, which, sign), perp.vector)) ** 2
+    element = abs(np.vdot(_direction(dev, which, sign), perp)) ** 2
     if which == "l1":
-        value = 0.5 * element
-    else:
-        # s i <[A,B]> = s i (2i Im Cov) is real
-        value = -2.0 * sign * dev.overlap.imag + element
-    return OrthogonalCandidate(vector=perp, bound_value=float(value), sign=sign, kind=kind)
+        return float(0.5 * element)
+    # s i <[A,B]> = s i (2i Im Cov) is real
+    return float(-2.0 * sign * dev.overlap.imag + element)
 
 
-def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, null_tol: float) -> QuantumState:
-    """Normalized complement projection of the bound's direction.
+def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, null_tol: float) -> np.ndarray:
+    """Normalized complement projection of the bound's direction, as an array.
 
     When the projection is numerically null the matrix element vanishes for
     every admissible xi_perp, and the first complement-basis vector is taken.
@@ -216,8 +215,8 @@ def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, 
         projected = projected - np.vdot(xi, projected) * xi
     nrm = float(np.linalg.norm(projected))
     if nrm <= null_tol:
-        return QuantumState(orthonormal_complement_basis(state)[0])
-    return QuantumState(projected / nrm)
+        return orthonormal_complement_basis(state)[0]
+    return projected / nrm
 
 
 def _null_tol(a: Observable, b: Observable) -> float:
@@ -236,12 +235,12 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     _validate_sign(sign)
     dev = _deviations(a, b, state)
     perp = _optimal_perp(state, dev, which, sign, _null_tol(a, b))
-    return _candidate(dev, perp, which, sign, "analytic_optimum")
+    return OrthogonalCandidate(QuantumState(perp), _bound_value(dev, perp, which, sign), sign, "analytic_optimum")
 
 
-def _maximize_over_signs(plus: OrthogonalCandidate, minus: OrthogonalCandidate, tol: float = TOL_EIG) -> OrthogonalCandidate:
+def _maximizing_sign(plus: float, minus: float, tol: float = TOL_EIG) -> int:
     # values equal within tol count as a tie, which goes to +1 for determinism
-    return plus if plus.bound_value >= minus.bound_value - tol else minus
+    return 1 if plus >= minus - tol else -1
 
 
 def bound_report(
@@ -267,14 +266,19 @@ def bound_report(
     if user_xi_perp is None:
         null_tol = _null_tol(a, b)
         perps = {key: _optimal_perp(state, dev, *key, null_tol) for key in keys}
-        kind = "analytic_optimum"
+        user, kind = None, "analytic_optimum"
     else:
-        perps = dict.fromkeys(keys, QuantumState(_checked_perp(state, user_xi_perp)))
+        user = QuantumState(_checked_perp(state, user_xi_perp))
+        perps = dict.fromkeys(keys, user.vector)
         kind = "user_supplied"
-    cands = {key: _candidate(dev, perp, *key, kind) for key, perp in perps.items()}
-    l1_cand = _maximize_over_signs(cands["l1", 1], cands["l1", -1])
-    l2_cand = _maximize_over_signs(cands["l2", 1], cands["l2", -1])
+    values = {key: _bound_value(dev, perp, *key) for key, perp in perps.items()}
 
+    def candidate(which: str) -> OrthogonalCandidate:
+        # only the two returned vectors are wrapped (and validated) as states
+        sign = _maximizing_sign(values[which, 1], values[which, -1])
+        return OrthogonalCandidate(user or QuantumState(perps[which, sign]), values[which, sign], sign, kind)
+
+    l1_cand, l2_cand = candidate("l1"), candidate("l2")
     l1 = l1_cand.bound_value
     l2 = l2_cand.bound_value
     mpur = max(l1, l2)
@@ -291,8 +295,8 @@ def bound_report(
         l2=l2,
         l1_candidate=l1_cand,
         l2_candidate=l2_cand,
-        l1_by_sign=(cands["l1", 1].bound_value, cands["l1", -1].bound_value),
-        l2_by_sign=(cands["l2", 1].bound_value, cands["l2", -1].bound_value),
+        l1_by_sign=(values["l1", 1], values["l1", -1]),
+        l2_by_sign=(values["l2", 1], values["l2", -1]),
         mpur=mpur,
         hrsur_trivial=bool(t1 <= tol and t2 <= tol and sum_var > tol),
         common_eigenvector=bool(var_a <= tol and var_b <= tol),

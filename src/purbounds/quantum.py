@@ -9,6 +9,7 @@ every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +92,20 @@ def _as_vector(u) -> np.ndarray:
     vec = np.asarray(u, dtype=complex)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError("vector contains non-finite entries")
     return vec
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) bit for bit (Frobenius for a matrix), without its dispatch.
+
+    The same flattening and the same sqrt(re.re + im.im) that numpy uses for
+    complex input, so every tolerance and renormalization is unchanged.
+    """
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _same_dim(*dims: int) -> int:
@@ -119,7 +131,7 @@ class QuantumState:
         vec = _as_vector(self.vector)
         if not 1 <= vec.size <= MAX_DIM:
             raise ValueError(f"state dimension {vec.size} outside supported range [1, {MAX_DIM}]")
-        nrm = float(np.linalg.norm(vec))
+        nrm = _norm(vec)
         if abs(nrm - 1.0) > RENORM_WINDOW:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}")
         if abs(nrm - 1.0) > TOL_NORM:
@@ -152,19 +164,20 @@ class Observable:
             raise ValueError(f"observable must be a square matrix, got shape {mat.shape}")
         if not 1 <= mat.shape[0] <= MAX_DIM:
             raise ValueError(f"observable dimension {mat.shape[0]} outside supported range [1, {MAX_DIM}]")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("observable contains non-finite entries")
-        defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        scale = 1.0 + float(np.max(np.abs(mat)))
+        adjoint = mat.conj().T
+        defect = float(np.abs(mat - adjoint).max())
+        scale = 1.0 + float(np.abs(mat).max())
         if defect > self.tol_herm * scale:
             raise HermiticityError(
                 f"Hermiticity defect {defect:.3e} exceeds {self.tol_herm:.1e} * {scale:.3e}"
             )
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = 0.5 * (mat + adjoint)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         # every scale-relative tolerance reads the norm; the matrix never changes
-        object.__setattr__(self, "_frobenius", float(np.linalg.norm(mat)))
+        object.__setattr__(self, "_frobenius", _norm(mat))
 
     @property
     def dim(self) -> int:
@@ -183,13 +196,13 @@ def inner_product(u, v) -> complex:
 
 def norm(u) -> float:
     """sqrt(<u|u>)."""
-    return float(np.linalg.norm(_as_vector(u)))
+    return _norm(_as_vector(u))
 
 
 def normalize(u) -> QuantumState:
     """u / ||u|| as a QuantumState; the numerically null vector is rejected."""
     vec = _as_vector(u)
-    nrm = float(np.linalg.norm(vec))
+    nrm = _norm(vec)
     if vec.size == 0 or nrm <= TOL_NULL:
         raise NullVectorError("cannot normalize a null vector")
     return QuantumState(vec / nrm)
@@ -282,13 +295,14 @@ def orthonormal_complement_basis(state: QuantumState) -> np.ndarray:
     d = state.dim
     if d < 2:
         raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
-    skip = int(np.argmax(np.abs(state.vector)))
+    skip = int(np.abs(state.vector).argmax())
     order = np.arange(d)
     order[skip:-1] += 1
     order[-1] = skip
     y = state.vector[order]
-    tails = np.cumsum(np.abs(y[::-1]) ** 2)[::-1]
-    rows = np.triu(np.outer(-y[:-1].conj() / tails[:-1], y))
+    tails = (np.abs(y[::-1]) ** 2).cumsum()[::-1]
+    rows = (-y[:-1].conj() / tails[:-1])[:, None] * y
+    rows[np.tri(d - 1, d, -1, dtype=bool)] = 0
     rows[:, :-1] += np.eye(d - 1)
     rows *= np.sqrt(tails[:-1] / tails[1:])[:, None]
     basis = np.empty_like(rows)
@@ -306,7 +320,7 @@ def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    residual = float(np.linalg.norm(a.matrix - (vectors * values) @ vectors.conj().T))
+    residual = _norm(a.matrix - (vectors * values) @ vectors.conj().T)
     if residual > TOL_EIG * (1.0 + a.frobenius_norm()):
         raise EigensolverError(f"eigendecomposition residual {residual:.3e} above tolerance")
     return values, vectors

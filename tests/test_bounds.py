@@ -295,3 +295,20 @@ class TestBoundReport:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bound_report(pauli_x(), pauli_z(), basis_state(3, 0))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_candidates_are_read_only_unit_states_equal_to_optimal_xi_perp(self, dim):
+        rng = np.random.default_rng([89, dim])
+        diag = Observable(np.diag(rng.standard_normal(dim)))
+        cases = [random_instance(rng, dim) for _ in range(3)]
+        # common eigenvector: every direction is null and the fallback basis vector is returned
+        cases.append((basis_state(dim, dim // 2), diag, diag))
+        for state, a, b in cases:
+            rep = bound_report(a, b, state)
+            for which, cand in (("l1", rep.l1_candidate), ("l2", rep.l2_candidate)):
+                assert isinstance(cand.vector, QuantumState)
+                assert not cand.vector.vector.flags.writeable
+                assert abs(np.linalg.norm(cand.vector.vector) - 1.0) <= 1e-15
+                optimum = optimal_xi_perp(a, b, state, which, cand.sign)
+                assert cand.vector.vector.tobytes() == optimum.vector.vector.tobytes()
+                assert cand.bound_value == optimum.bound_value

@@ -215,6 +215,26 @@ class TestCmdRandom:
     def test_dims_garbage_is_usage_error(self, capsys):
         assert main(["random", "--count", "5", "--dims", "a,b"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_usage_error(self, tol, capsys):
+        # with --tol nan no comparison could fire, and the suite would print "passed": true
+        assert main(["random", "--count", "5", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite")
+
+    def test_non_finite_tol_exits_two_from_the_shell(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "purbounds", "random", "--count", "5", "--tol", "nan"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: tol must be finite, got nan"]
+
 
 class TestCmdMontecarlo:
     def test_quarter_turn_instance(self, quarter_turn_instance, capsys):

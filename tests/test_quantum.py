@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from purbounds.quantum import (
+    RENORM_WINDOW,
     TOL_EIG,
     DimensionMismatchError,
     EmptyComplementError,
@@ -30,6 +31,7 @@ from purbounds.quantum import (
     pauli_x,
     pauli_z,
     quantum_covariance,
+    _norm,
     variance,
 )
 
@@ -76,6 +78,88 @@ class TestQuantumState:
         vec[0] = 1.0
         with pytest.raises(ValueError):
             QuantumState(vec)
+
+
+class TestNormKernel:
+    """`_norm` stands in for np.linalg.norm in every validation, so it must agree bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_matches_numpy_bit_for_bit(self, dim):
+        rng = np.random.default_rng([5, dim])
+        for scale in (1.0, 1e-3, 1e3, 1e-160, 1e160):
+            vec = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            mat = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            # contiguous inputs and the strided views numpy flattens in memory order
+            for x in (vec, vec[::-1], vec[::2], mat, mat.T, mat.conj().T, mat[:, ::-1]):
+                with np.errstate(over="ignore"):  # 1e160 overflows to inf in both
+                    assert _norm(x).hex() == float(np.linalg.norm(x)).hex()
+
+
+# (input, exception class, message) as raised before the validation rewrite
+BAD_STATES = {
+    "nan": ([np.nan, 0.0], ValueError, "vector contains non-finite entries"),
+    "inf": ([np.inf, 0.0], ValueError, "vector contains non-finite entries"),
+    "neg_inf_imag": ([1.0, complex(0.0, -np.inf)], ValueError, "vector contains non-finite entries"),
+    "nan_imag": ([complex(1.0, np.nan), 0.0], ValueError, "vector contains non-finite entries"),
+    "nan_oversized": ([np.nan] + [0.0] * 64, ValueError, "vector contains non-finite entries"),
+    "matrix": ([[1.0, 0.0]], ValueError, "expected a 1-D vector, got shape (1, 2)"),
+    "scalar": (1.0, ValueError, "expected a 1-D vector, got shape ()"),
+    "empty": ([], ValueError, "state dimension 0 outside supported range [1, 64]"),
+    "oversized": ([1.0] + [0.0] * 64, ValueError, "state dimension 65 outside supported range [1, 64]"),
+    "norm_two": ([2.0, 0.0], NormalizationError, "state norm 2.0 differs from 1 by more than 1e-06"),
+    "norm_above_window": ([1.0 + 2e-6, 0.0], NormalizationError, "state norm 1.000002 differs from 1 by more than 1e-06"),
+    "norm_below_window": ([0.0, 1.0 - 2e-6], NormalizationError, "state norm 0.999998 differs from 1 by more than 1e-06"),
+    "zero": ([0.0, 0.0], NormalizationError, "state norm 0.0 differs from 1 by more than 1e-06"),
+    "norm_overflow": ([1e200, 1e200], NormalizationError, "state norm inf differs from 1 by more than 1e-06"),
+}
+
+BAD_OBSERVABLES = {
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], {}, ValueError, "observable contains non-finite entries"),
+    "inf_imag": (
+        [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]], {}, ValueError,
+        "observable contains non-finite entries",
+    ),
+    "vector": ([1.0, 0.0], {}, ValueError, "observable must be a square matrix, got shape (2,)"),
+    "non_square": (np.zeros((2, 3)), {}, ValueError, "observable must be a square matrix, got shape (2, 3)"),
+    "rank3": (np.zeros((2, 2, 2)), {}, ValueError, "observable must be a square matrix, got shape (2, 2, 2)"),
+    "empty": (np.zeros((0, 0)), {}, ValueError, "observable dimension 0 outside supported range [1, 64]"),
+    "oversized": (np.eye(65), {}, ValueError, "observable dimension 65 outside supported range [1, 64]"),
+    "oversized_nan": (np.full((65, 65), np.nan), {}, ValueError, "observable dimension 65 outside supported range [1, 64]"),
+    "anti_hermitian": (
+        [[0.0, 1j], [1j, 0.0]], {}, HermiticityError, "Hermiticity defect 2.000e+00 exceeds 1.0e-10 * 2.000e+00",
+    ),
+    "defect_above_tol": (
+        [[1.0, 1e-6], [0.0, 1.0]], {"tol_herm": 1e-8}, HermiticityError,
+        "Hermiticity defect 1.000e-06 exceeds 1.0e-08 * 2.000e+00",
+    ),
+    "scaled_defect": (
+        [[100.0, 1e-7], [0.0, 0.0]], {"tol_herm": 1e-10}, HermiticityError,
+        "Hermiticity defect 1.000e-07 exceeds 1.0e-10 * 1.010e+02",
+    ),
+}
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize("name", BAD_STATES)
+    def test_state_error_class_and_message(self, name):
+        vec, cls, message = BAD_STATES[name]
+        with pytest.raises(cls) as info, np.errstate(over="ignore"):
+            QuantumState(np.asarray(vec, dtype=complex))
+        assert type(info.value) is cls
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", BAD_OBSERVABLES)
+    def test_observable_error_class_and_message(self, name):
+        mat, kwargs, cls, message = BAD_OBSERVABLES[name]
+        with pytest.raises(cls) as info:
+            Observable(mat, **kwargs)
+        assert type(info.value) is cls
+        assert str(info.value) == message
+
+    def test_window_edges_accepted(self):
+        for nrm in (1.0 + 0.5 * RENORM_WINDOW, 1.0 - 0.5 * RENORM_WINDOW):
+            state = QuantumState(np.array([nrm, 0.0], dtype=complex))
+            assert abs(state.vector[0] - 1.0) <= 1e-15
 
 
 class TestInnerProductAndNorm:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from purbounds.bounds import bound_report, hrsur_product_bound, optimal_xi_perp
+from purbounds.instances import json_dumps
 from purbounds.quantum import (
     EmptyComplementError,
     basis_state,
@@ -18,7 +19,9 @@ from purbounds.quantum import (
     variance,
 )
 from purbounds.verify import (
+    REFERENCE_ROWS,
     RandomSpec,
+    _reference_values,
     check_csi,
     check_parallelogram,
     l1_bound,
@@ -266,6 +269,20 @@ class TestInvariantSuite:
         with pytest.raises(ValueError):
             run_invariant_suite(count=1, tol=0.0)
 
+    def test_rerun_gives_identical_json(self):
+        # the same seed reproduces the report byte for byte, at every default dimension and MAX_DIM
+        runs = [
+            json_dumps(run_invariant_suite(count=12, dims=(2, 3, 4, 6, 8, 64), seed=17).to_dict())
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tolerance compares false with every slack and defect, so nothing could fail
+        with pytest.raises(ValueError, match="tol must be finite"):
+            run_invariant_suite(count=5, tol=tol)
+
     def test_dims_cycle_in_order(self):
         report = run_invariant_suite(count=4, dims=(2, 3), seed=0, tol=1e-9, perp_samples=5)
         assert report.count == 4
@@ -333,3 +350,43 @@ class TestKernelAgainstReference:
                 assert stacked.shape == (4,)
                 for row, value in zip(perps, stacked):
                     assert value == pytest.approx(reference(a, b, state, row, sign), abs=1e-12)
+
+
+class TestStackedReference:
+    """`_reference_values` evaluates every (bound, sign) row in one product; each
+    column must agree with the one-row `l1_bound`/`l2_bound` call of that sign."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_rows_match_per_sign_calls(self, dim):
+        rng = np.random.default_rng([79, dim])
+        for _ in range(3):
+            state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
+            tol = 1e-12 * (1.0 + a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
+            perps = np.array([random_unit_in_complement(state, rng).vector for _ in range(6)])
+            for xi_perp in (perps[0], perps):
+                stacked = _reference_values(a, b, state, xi_perp)
+                assert stacked.shape == xi_perp.shape[:-1] + (len(REFERENCE_ROWS),)
+                for column, (which, sign) in enumerate(REFERENCE_ROWS):
+                    single = (l1_bound if which == "l1" else l2_bound)(a, b, state, xi_perp, sign)
+                    assert np.shape(single) == xi_perp.shape[:-1]
+                    np.testing.assert_allclose(stacked[..., column], single, rtol=0, atol=tol)
+
+    def test_rows_follow_bound_report_order(self):
+        # at the analytic optimum each column reproduces the report's by-sign value
+        rng = np.random.default_rng(83)
+        state, a, b = random_state(5, rng), random_observable(5, rng), random_observable(5, rng)
+        rep = bound_report(a, b, state)
+        tol = 1e-12 * (1.0 + a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
+        by_sign = {"l1": rep.l1_by_sign, "l2": rep.l2_by_sign}
+        for column, (which, sign) in enumerate(REFERENCE_ROWS):
+            cand = optimal_xi_perp(a, b, state, which, sign)
+            value = _reference_values(a, b, state, cand.vector)[column]
+            assert abs(value - by_sign[which][(1 - sign) // 2]) <= tol
+
+    def test_bad_rows_rejected(self):
+        state, a, b = random_state(3, 1), random_observable(3, 2), random_observable(3, 3)
+        perp = random_unit_in_complement(state, 4)
+        with pytest.raises(ValueError):
+            _reference_values(a, b, state, perp, (("l3", 1),))
+        with pytest.raises(ValueError):
+            _reference_values(a, b, state, perp, (("l1", 0),))
