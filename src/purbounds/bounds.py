@@ -52,8 +52,6 @@ __all__ = [
     "OrthogonalCandidate",
     "BoundReport",
     "OrthogonalityError",
-    "hrsur_product_bound",
-    "hrsur_sum_bound",
     "optimal_xi_perp",
     "bound_report",
 ]
@@ -159,22 +157,6 @@ def _deviations(a: Observable, b: Observable, state: QuantumState) -> _Deviation
     return _Deviations(psi, phi, complex(np.vdot(psi, phi)))
 
 
-def _hrsur(overlap: complex) -> tuple[float, float]:
-    """(t1, t2) from Cov(A,B): CovQ = Re Cov and |<[A,B]>| = 2 |Im Cov|."""
-    comm_abs = 2.0 * abs(overlap.imag)
-    return overlap.real * overlap.real + 0.25 * comm_abs**2, comm_abs
-
-
-def hrsur_product_bound(a: Observable, b: Observable, state: QuantumState) -> float:
-    """t1 = CovQ(A,B)^2 + |<[A,B]>|^2 / 4."""
-    return _hrsur(_deviations(a, b, state).overlap)[0]
-
-
-def hrsur_sum_bound(a: Observable, b: Observable, state: QuantumState) -> float:
-    """t2 = |<[A,B]>|."""
-    return _hrsur(_deviations(a, b, state).overlap)[1]
-
-
 def _direction(dev: _Deviations, which: str, sign: int) -> np.ndarray:
     """The vector whose overlap with xi_perp is the bound's matrix element.
 
@@ -238,18 +220,12 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     return OrthogonalCandidate(QuantumState(perp), _bound_value(dev, perp, which, sign), sign, "analytic_optimum")
 
 
-def _maximizing_sign(plus: float, minus: float, tol: float = TOL_EIG) -> int:
-    # values equal within tol count as a tie, which goes to +1 for determinism
-    return 1 if plus >= minus - tol else -1
+def _maximizing_sign(plus: float, minus: float) -> int:
+    # values equal within TOL_EIG count as a tie, which goes to +1 for determinism
+    return 1 if plus >= minus - TOL_EIG else -1
 
 
-def bound_report(
-    a: Observable,
-    b: Observable,
-    state: QuantumState,
-    user_xi_perp=None,
-    tol: float = TOL_EIG,
-) -> BoundReport:
+def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp=None) -> BoundReport:
     """All four bounds for one instance, with maximizing signs and candidates.
 
     Every field comes from the two deviation vectors. With `user_xi_perp` the
@@ -260,7 +236,10 @@ def bound_report(
     var_a = _squared_norm(dev.psi)
     var_b = _squared_norm(dev.phi)
     sum_var = var_a + var_b
-    t1, t2 = _hrsur(dev.overlap)
+    # CovQ = Re Cov(A,B) and |<[A,B]>| = 2 |Im Cov(A,B)|
+    covq = dev.overlap.real
+    t2 = 2.0 * abs(dev.overlap.imag)
+    t1 = covq * covq + 0.25 * t2**2
 
     keys = [(which, sign) for which in MP_BOUNDS for sign in (1, -1)]
     if user_xi_perp is None:
@@ -287,7 +266,7 @@ def bound_report(
         var_b=var_b,
         sum_var=sum_var,
         prod_var=var_a * var_b,
-        covq=dev.overlap.real,
+        covq=covq,
         comm_mean_abs=t2,
         t1=t1,
         t2=t2,
@@ -298,7 +277,7 @@ def bound_report(
         l1_by_sign=(values["l1", 1], values["l1", -1]),
         l2_by_sign=(values["l2", 1], values["l2", -1]),
         mpur=mpur,
-        hrsur_trivial=bool(t1 <= tol and t2 <= tol and sum_var > tol),
-        common_eigenvector=bool(var_a <= tol and var_b <= tol),
+        hrsur_trivial=bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
+        common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
         saturation_gap=sum_var - mpur,
     )

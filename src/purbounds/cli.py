@@ -15,23 +15,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from .bounds import OrthogonalityError, bound_report
+from .bounds import bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
-from .quantum import (
-    DimensionMismatchError,
-    HermiticityError,
-    NormalizationError,
-    equatorial_state,
-    pauli_x,
-    pauli_z,
-)
+from .quantum import HermiticityError, NormalizationError, equatorial_state, pauli_x, pauli_z
 from .verify import DEFAULT_SUITE_DIMS, DEFAULT_SUITE_TOL, run_invariant_suite
 
 __all__ = [
-    "SweepRow",
+    "SWEEP_FIELDS",
     "qubit_sweep",
     "write_sweep_csv",
     "main",
@@ -57,26 +49,11 @@ DEFAULT_MONTECARLO_SEED = 42
 TAU = 6.283185307179586476925287
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Bound values for X/Z on the equatorial qubit state at one phase."""
-
-    alpha: float
-    var_a: float
-    var_b: float
-    sum_var: float
-    prod_var: float
-    t1: float
-    t2: float
-    l1: float
-    l2: float
-
-
 SWEEP_FIELDS = ("alpha", "var_a", "var_b", "sum_var", "prod_var", "t1", "t2", "l1", "l2")
 
 
-def qubit_sweep(points: int) -> list[SweepRow]:
-    """Rows at alpha_k = 2 pi k / points for A = X, B = Z on the equatorial state."""
+def qubit_sweep(points: int) -> list[tuple[float, ...]]:
+    """Rows in SWEEP_FIELDS order at alpha_k = 2 pi k / points, for A = X, B = Z on the equatorial state."""
     if points < 2:
         raise ValueError("points must be at least 2")
     a, b = pauli_x(), pauli_z()
@@ -84,19 +61,7 @@ def qubit_sweep(points: int) -> list[SweepRow]:
     for k in range(points):
         alpha = TAU * k / points
         rep = bound_report(a, b, equatorial_state(alpha))
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                var_a=rep.var_a,
-                var_b=rep.var_b,
-                sum_var=rep.sum_var,
-                prod_var=rep.prod_var,
-                t1=rep.t1,
-                t2=rep.t2,
-                l1=rep.l1,
-                l2=rep.l2,
-            )
-        )
+        rows.append((alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])))
     return rows
 
 
@@ -105,10 +70,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_sweep_csv(rows: list[SweepRow], fh) -> None:
+def write_sweep_csv(rows: list[tuple[float, ...]], fh) -> None:
     fh.write(",".join(SWEEP_FIELDS) + "\n")
     for row in rows:
-        fh.write(",".join(_fmt(getattr(row, name)) for name in SWEEP_FIELDS) + "\n")
+        fh.write(",".join(_fmt(value) for value in row) + "\n")
 
 
 def _fail(message: str, code: int) -> int:
@@ -136,7 +101,7 @@ def cmd_bounds(args) -> int:
         return code
     try:
         report = bound_report(instance.a, instance.b, instance.state, user_xi_perp=instance.xi_perp)
-    except (OrthogonalityError, DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(f"invalid instance {args.file}: {exc}", EXIT_VALIDATION)
     print(json_dumps(report_to_dict(report)))
     return EXIT_OK
@@ -177,7 +142,7 @@ def cmd_montecarlo(args) -> int:
         return _fail("--samples must be at least 2 (variance needs n >= 2)", EXIT_VALIDATION)
     try:
         report = statistical_bound_check(instance.a, instance.b, instance.state, n=args.samples, seed=args.seed)
-    except (DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     print(json_dumps(report.to_dict()))
     return EXIT_OK if not report.violation else EXIT_VIOLATION

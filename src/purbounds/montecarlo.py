@@ -127,9 +127,13 @@ def sample_outcomes(dist: BornDistribution, n: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Sample variance with its large-n standard error.
+    """Sample variance with its standard error.
 
-    var_stderr uses the fourth-central-moment formula sqrt((m4 - m2^2)/n).
+    var_stderr is the finite-n standard deviation of the unbiased variance
+    estimator, sqrt((m4 - (n-3)/(n-1) m2^2)/n), from the sample's central
+    moments m2 and m4. It is positive for every non-constant sample, also for a
+    fair two-outcome one, where m4 = m2^2 and the large-n form
+    sqrt((m4 - m2^2)/n) reads 0.
     bound_checked/z_margin are filled when the estimate is compared against a
     reference value.
     """
@@ -153,7 +157,7 @@ def empirical_variance(samples) -> EstimateReport:
     m2 = float(np.mean(dev**2))
     m4 = float(np.mean(dev**4))
     var_hat = m2 * n / (n - 1)
-    stderr = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
+    stderr = math.sqrt(max(m4 - (n - 3) / (n - 1) * m2 * m2, 0.0) / n)
     return EstimateReport(n=n, mean_hat=mean, var_hat=var_hat, var_stderr=stderr)
 
 
@@ -186,13 +190,12 @@ def statistical_bound_check(
     state: QuantumState,
     n: int,
     seed,
-    sigma: float = SIGMA_MARGIN,
 ) -> StatisticalCheckReport:
     """Estimate Var(A) + Var(B) from sampled outcomes and check the bound.
 
     Each observable samples its own stream derived from (seed, 0) / (seed, 1).
     Flags a violation when the empirical sum undercuts the optimized
-    Maccone-Pati bound by more than `sigma` combined standard errors, or
+    Maccone-Pati bound by more than SIGMA_MARGIN combined standard errors, or
     exceeds the analytic sum by the same margin.
     """
     if n < 2:
@@ -220,9 +223,9 @@ def statistical_bound_check(
         mpur=rep.mpur,
         analytic_sum=rep.sum_var,
         z_margin=z_margin,
-        sigma_margin=sigma,
-        undercut_violation=bool(empirical_sum + sigma * combined < rep.mpur),
-        overshoot_violation=bool(empirical_sum - sigma * combined > rep.sum_var),
+        sigma_margin=SIGMA_MARGIN,
+        undercut_violation=bool(empirical_sum + SIGMA_MARGIN * combined < rep.mpur),
+        overshoot_violation=bool(empirical_sum - SIGMA_MARGIN * combined > rep.sum_var),
     )
 
 

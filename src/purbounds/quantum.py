@@ -1,10 +1,10 @@
 """Complex dense linear algebra and quantum-mechanical primitives.
 
 Pure vectors and Hermitian observables on small Hilbert spaces (2 <= d <= 64),
-with the inner products, expectations, variances, covariances, commutator
-means, eigensystems and orthogonal-complement bases that the bound
-computations are built from. All values are immutable after construction and
-every operation is a pure function of its inputs.
+with the expectations, deviation vectors, variances, commutator means,
+eigensystems and orthogonal-complement bases that the bound computations
+are built from. All values are immutable after construction and every
+operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -29,21 +29,15 @@ __all__ = [
     "EigensolverError",
     "QuantumState",
     "Observable",
-    "inner_product",
-    "norm",
     "normalize",
     "expectation",
     "deviation_vector",
     "variance",
-    "covariance",
-    "quantum_covariance",
     "commutator_mean",
     "anticommutator_mean",
     "orthonormal_complement_basis",
     "hermitian_eigensystem",
-    "is_eigenstate",
     "basis_state",
-    "identity_observable",
     "pauli_x",
     "pauli_z",
     "equatorial_state",
@@ -187,18 +181,6 @@ class Observable:
         return self._frobenius
 
 
-def inner_product(u, v) -> complex:
-    """<u|v> = u† v, conjugate-linear in the first argument."""
-    uv, vv = _as_vector(u), _as_vector(v)
-    _same_dim(uv.size, vv.size)
-    return complex(np.vdot(uv, vv))
-
-
-def norm(u) -> float:
-    """sqrt(<u|u>)."""
-    return _norm(_as_vector(u))
-
-
 def normalize(u) -> QuantumState:
     """u / ||u|| as a QuantumState; the numerically null vector is rejected."""
     vec = _as_vector(u)
@@ -241,19 +223,6 @@ def deviation_vector(a: Observable, state: QuantumState) -> np.ndarray:
 def variance(a: Observable, state: QuantumState) -> float:
     """Var(A) = ||(A - <A>)|state>||^2, nonnegative by construction."""
     return _squared_norm(deviation_vector(a, state))
-
-
-def covariance(x: Observable, y: Observable, state: QuantumState) -> complex:
-    """<XY> - <X><Y> (complex in general)."""
-    _same_dim(x.dim, y.dim, state.dim)
-    xy = complex(np.vdot(state.vector, x.matrix @ (y.matrix @ state.vector)))
-    return xy - expectation(x, state) * expectation(y, state)
-
-
-def quantum_covariance(a: Observable, b: Observable, state: QuantumState) -> float:
-    """(Cov(A,B) + Cov(B,A))/2; real by Hermiticity, equal to Cov when [A,B] = 0."""
-    z = 0.5 * (covariance(a, b, state) + covariance(b, a, state))
-    return z.real
 
 
 def _purity_tol(a: Observable, b: Observable) -> float:
@@ -326,11 +295,6 @@ def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def is_eigenstate(a: Observable, state: QuantumState, tol: float = TOL_EIG) -> bool:
-    """True iff Var(A) on the state is at most `tol`."""
-    return variance(a, state) <= tol
-
-
 def basis_state(dim: int, index: int) -> QuantumState:
     """Computational basis vector |index> in dimension `dim`."""
     if not 0 <= index < dim:
@@ -338,10 +302,6 @@ def basis_state(dim: int, index: int) -> QuantumState:
     vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0
     return QuantumState(vec)
-
-
-def identity_observable(dim: int) -> Observable:
-    return Observable(np.eye(dim, dtype=complex))
 
 
 def pauli_x() -> Observable:

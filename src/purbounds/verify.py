@@ -38,7 +38,6 @@ from .quantum import (
 )
 
 __all__ = [
-    "RandomSpec",
     "SearchResult",
     "SuiteReport",
     "random_state",
@@ -155,26 +154,6 @@ def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: i
     ("l2", sign) row of `_reference_values`.
     """
     return _reference_values(a, b, state, xi_perp, (("l2", sign),)).T[0]
-
-
-@dataclass(frozen=True)
-class RandomSpec:
-    """Deterministic batch of random instances at one dimension."""
-
-    dim: int
-    seed: int
-    count: int
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        if self.count < 1:
-            raise ValueError("count must be positive")
-
-    def instances(self):
-        """Yield (state, a, b) triples; stream k is derived from (seed, k)."""
-        for k in range(self.count):
-            rng = _rng([self.seed, k])
-            yield random_state(self.dim, rng), random_observable(self.dim, rng), random_observable(self.dim, rng)
 
 
 @dataclass(frozen=True)

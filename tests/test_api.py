@@ -1,6 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,21 @@ def test_package_reexports_only_module_exports():
         exported.update(importlib.import_module(f"purbounds.{name}").__all__)
     public = {k for k, v in vars(purbounds).items() if not k.startswith("_") and not inspect.ismodule(v)}
     assert sorted(public - exported) == []
+
+
+def _readme_imports():
+    """Names the README's Python blocks import from the package itself."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    names = set()
+    for block in re.findall(r"```python\n(.*?)```", text, flags=re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "purbounds":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_readme_lists_exactly_the_package_api():
+    documented = _readme_imports()
+    assert sorted(name for name in documented if not hasattr(purbounds, name)) == []
+    public = {k for k, v in vars(purbounds).items() if not k.startswith("_") and not inspect.ismodule(v)}
+    assert sorted(public ^ documented) == []

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from purbounds.bounds import (
-    OrthogonalityError,
-    bound_report,
-    hrsur_product_bound,
-    hrsur_sum_bound,
-    optimal_xi_perp,
-)
+from purbounds.bounds import OrthogonalityError, bound_report, optimal_xi_perp
 from purbounds.quantum import (
     DimensionMismatchError,
     Observable,
@@ -17,10 +11,9 @@ from purbounds.quantum import (
     normalize,
     pauli_x,
     pauli_z,
-    quantum_covariance,
     variance,
 )
-from purbounds.verify import l1_bound, l2_bound
+from purbounds.verify import l1_bound, l2_bound, random_unit_in_complement
 
 ALPHAS = [0.0, 0.4, np.pi / 4, 1.2, np.pi / 2, 2.8, np.pi, 4.4, 5.7]
 
@@ -41,18 +34,18 @@ def random_instance(rng, dim):
 class TestHrsurProductBound:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_qubit_family(self, alpha):
-        value = hrsur_product_bound(pauli_x(), pauli_z(), equatorial_state(alpha))
+        value = bound_report(pauli_x(), pauli_z(), equatorial_state(alpha)).t1
         assert value == pytest.approx(np.sin(alpha) ** 2, abs=1e-13)
 
     def test_triviality_on_eigenvector(self):
         # 0 * Var(X) >= 0: the bound reveals nothing although Var(X) = 1
         state = basis_state(2, 0)
-        assert hrsur_product_bound(pauli_z(), pauli_x(), state) == 0.0
+        assert bound_report(pauli_z(), pauli_x(), state).t1 == 0.0
         assert variance(pauli_z(), state) * variance(pauli_x(), state) == 0.0
 
     def test_same_observable_collapses_to_squared_variance(self):
         state = equatorial_state(0.8)
-        value = hrsur_product_bound(pauli_x(), pauli_x(), state)
+        value = bound_report(pauli_x(), pauli_x(), state).t1
         assert value == pytest.approx(variance(pauli_x(), state) ** 2, abs=1e-13)
 
     def test_validity_on_random_instances(self):
@@ -60,32 +53,32 @@ class TestHrsurProductBound:
         for dim in (2, 3, 5, 8):
             for _ in range(10):
                 state, a, b = random_instance(rng, dim)
-                t1 = hrsur_product_bound(a, b, state)
+                t1 = bound_report(a, b, state).t1
                 assert variance(a, state) * variance(b, state) >= t1 - 1e-9
 
 
 class TestHrsurSumBound:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_qubit_family(self, alpha):
-        value = hrsur_sum_bound(pauli_x(), pauli_z(), equatorial_state(alpha))
+        value = bound_report(pauli_x(), pauli_z(), equatorial_state(alpha)).t2
         assert value == pytest.approx(2.0 * abs(np.sin(alpha)), abs=1e-13)
 
     def test_eigenvector_gives_zero(self):
         # oracle: <0|[Z,X]|0> = 0 by direct 2x2 arithmetic
-        assert hrsur_sum_bound(pauli_z(), pauli_x(), basis_state(2, 0)) == 0.0
+        assert bound_report(pauli_z(), pauli_x(), basis_state(2, 0)).t2 == 0.0
 
     def test_commuting_pair_gives_zero(self):
         a = Observable(np.diag([1.0, -1.0, 2.0]).astype(complex))
         b = Observable(np.diag([0.5, 3.0, -1.0]).astype(complex))
         state = normalize(np.array([1.0, 1.0, 1.0]))
-        assert hrsur_sum_bound(a, b, state) == 0.0
+        assert bound_report(a, b, state).t2 == 0.0
 
     def test_chain_on_random_instances(self):
         rng = np.random.default_rng(4)
         for dim in (2, 4, 6):
             for _ in range(10):
                 state, a, b = random_instance(rng, dim)
-                t2 = hrsur_sum_bound(a, b, state)
+                t2 = bound_report(a, b, state).t2
                 sigma = 2.0 * np.sqrt(variance(a, state) * variance(b, state))
                 assert variance(a, state) + variance(b, state) >= sigma - 1e-9
                 assert sigma >= t2 - 1e-9
@@ -134,7 +127,7 @@ class TestL2Bound:
         state = basis_state(2, 0)
         best = max(l2_bound(pauli_z(), pauli_x(), state, basis_state(2, 1), s) for s in (1, -1))
         assert best == pytest.approx(1.0, abs=1e-15)
-        assert hrsur_product_bound(pauli_z(), pauli_x(), state) == 0.0
+        assert bound_report(pauli_z(), pauli_x(), state).t1 == 0.0
 
     def test_common_eigenvector_gives_zero(self):
         value = max(l2_bound(pauli_z(), pauli_z(), basis_state(2, 0), basis_state(2, 1), s) for s in (1, -1))
@@ -171,7 +164,7 @@ class TestOptimalXiPerpL1:
             for _ in range(10):
                 state, a, b = random_instance(rng, dim)
                 expected_base = 0.5 * (variance(a, state) + variance(b, state))
-                covq = quantum_covariance(a, b, state)
+                covq = bound_report(a, b, state).covq
                 for s in (1, -1):
                     cand = optimal_xi_perp(a, b, state, "l1", s)
                     assert cand.bound_value == pytest.approx(expected_base + s * covq, abs=1e-9)
@@ -312,3 +305,64 @@ class TestBoundReport:
                 optimum = optimal_xi_perp(a, b, state, which, cand.sign)
                 assert cand.vector.vector.tobytes() == optimum.vector.vector.tobytes()
                 assert cand.bound_value == optimum.bound_value
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def report_floats(rep):
+    """Every float of a report, by name; the per-sign pairs are unpacked."""
+    values = {}
+    for name, value in vars(rep).items():
+        if isinstance(value, float):
+            values[name] = value
+        elif isinstance(value, tuple):
+            values[f"{name}[0]"], values[f"{name}[1]"] = value
+    values["l1_candidate.bound_value"] = rep.l1_candidate.bound_value
+    values["l2_candidate.bound_value"] = rep.l2_candidate.bound_value
+    return values
+
+
+class TestInvariances:
+    """Unitary covariance and A <-> B swap symmetry of the whole report."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_unitary_covariance(self, dim):
+        rng = np.random.default_rng([41, dim])
+        for _ in range(4):
+            state, a, b = random_instance(rng, dim)
+            u = random_unitary(rng, dim)
+            ua = Observable(u @ a.matrix @ u.conj().T)
+            ub = Observable(u @ b.matrix @ u.conj().T)
+            ustate = QuantumState(u @ state.vector)
+            tol = 1e-12 * (1.0 + a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
+            perp = optimal_xi_perp(a, b, state, "l1", 1).vector
+            for xi_perp, uxi_perp in ((None, None), (perp, u @ perp.vector)):
+                rep = bound_report(a, b, state, user_xi_perp=xi_perp)
+                urep = bound_report(ua, ub, ustate, user_xi_perp=uxi_perp)
+                plain, rotated = report_floats(rep), report_floats(urep)
+                assert plain.keys() == rotated.keys()
+                for name in plain:
+                    assert abs(plain[name] - rotated[name]) <= tol, name
+                for cand, ucand in ((rep.l1_candidate, urep.l1_candidate), (rep.l2_candidate, urep.l2_candidate)):
+                    assert ucand.sign == cand.sign
+                    np.testing.assert_allclose(ucand.vector.vector, u @ cand.vector.vector, rtol=0, atol=1e-12)
+                assert (urep.hrsur_trivial, urep.common_eigenvector) == (rep.hrsur_trivial, rep.common_eigenvector)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_swap_symmetry(self, dim):
+        rng = np.random.default_rng([43, dim])
+        for _ in range(4):
+            state, a, b = random_instance(rng, dim)
+            tol = 1e-12 * (1.0 + a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
+            # at the analytic optimum both l2 signs equal sum_var; a user xi_perp tells them apart
+            for xi_perp in (None, random_unit_in_complement(state, rng)):
+                rep = bound_report(a, b, state, user_xi_perp=xi_perp)
+                swapped = bound_report(b, a, state, user_xi_perp=xi_perp)
+                for name in ("t1", "t2", "sum_var", "covq", "l1", "l2", "mpur"):
+                    assert abs(getattr(rep, name) - getattr(swapped, name)) <= tol, name
+                # the l2 direction of (B, A) at sign s is a phase times that of (A, B) at -s
+                for value, swapped_value in zip(rep.l2_by_sign, swapped.l2_by_sign[::-1]):
+                    assert abs(value - swapped_value) <= tol

@@ -194,7 +194,8 @@ class TestCmdSweep:
         # formatting is %.12g: spot-check one irrational value
         from purbounds.cli import _fmt
 
-        assert _fmt(rows[1].alpha) == f"{rows[1].alpha:.12g}"
+        alpha = rows[1][0]
+        assert _fmt(alpha) == f"{alpha:.12g}"
         assert len(_fmt(1.0 / 3.0).replace("0.", "")) <= 13
 
 

@@ -17,7 +17,6 @@ from purbounds.quantum import (
     basis_state,
     equatorial_state,
     expectation,
-    identity_observable,
     pauli_x,
     pauli_z,
     variance,
@@ -59,7 +58,7 @@ class TestBornDistribution:
             assert dist.variance() == pytest.approx(variance(a, state), abs=1e-10)
 
     def test_degenerate_eigenvalues_merged(self):
-        dist = born_distribution(identity_observable(3), basis_state(3, 1))
+        dist = born_distribution(Observable(np.eye(3)), basis_state(3, 1))
         np.testing.assert_allclose(dist.values, [1.0])
         np.testing.assert_allclose(dist.probabilities, [1.0])
 
@@ -129,6 +128,12 @@ class TestEmpiricalVariance:
         rep = empirical_variance(samples)
         assert rep.var_hat == pytest.approx(2.0)  # n-1 in the denominator
 
+    def test_fair_two_outcome_stderr_is_finite_n(self):
+        # m2 = m4 = 1, so sqrt((m4 - m2^2)/n) would read 0; the finite-n form
+        # gives sqrt((1 - (n-3)/(n-1))/n) = sqrt(2/(n(n-1)))
+        rep = empirical_variance(np.array([1.0, -1.0, 1.0, -1.0]))
+        assert rep.var_stderr == pytest.approx(np.sqrt(2.0 / 12.0), rel=1e-15)
+
 
 class TestStatisticalBoundCheck:
     def test_quarter_turn_instance(self):
@@ -163,3 +168,14 @@ class TestStatisticalBoundCheck:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "a,b,state",
+        [(pauli_x(), pauli_z(), equatorial_state(0.0)), (pauli_z(), pauli_x(), basis_state(2, 0))],
+        ids=["xz-alpha0", "zx-ground"],
+    )
+    def test_no_false_violation_on_triviality_instances(self, a, b, state):
+        # one observable is sharp and the other a fair coin; a stderr that
+        # vanishes with the sample mean flagged about 7% of these seeds
+        flagged = [seed for seed in range(200) if statistical_bound_check(a, b, state, n=2_000, seed=seed).violation]
+        assert flagged == []

@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from purbounds.bounds import bound_report, hrsur_product_bound, optimal_xi_perp
+from purbounds.bounds import bound_report, optimal_xi_perp
 from purbounds.instances import json_dumps
 from purbounds.quantum import (
     EmptyComplementError,
     basis_state,
     deviation_vector,
     equatorial_state,
-    inner_product,
     pauli_x,
     pauli_z,
     variance,
 )
 from purbounds.verify import (
     REFERENCE_ROWS,
-    RandomSpec,
     _reference_values,
     check_csi,
     check_parallelogram,
@@ -95,7 +93,7 @@ class TestRandomUnitInComplement:
         for k in range(20):
             state = random_state(8, rng)
             perp = random_unit_in_complement(state, k)
-            assert abs(inner_product(state, perp)) < 1e-10
+            assert abs(np.vdot(state.vector, perp.vector)) < 1e-10
             assert np.linalg.norm(perp.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_d1_rejected(self):
@@ -103,23 +101,6 @@ class TestRandomUnitInComplement:
 
         with pytest.raises(EmptyComplementError):
             random_unit_in_complement(QuantumState(np.array([1.0 + 0j])), 0)
-
-
-class TestRandomSpec:
-    def test_deterministic_instances(self):
-        spec = RandomSpec(dim=3, seed=11, count=4)
-        first = [(s.vector.copy(), a.matrix.copy(), b.matrix.copy()) for s, a, b in spec.instances()]
-        second = list(spec.instances())
-        for (v1, a1, b1), (s2, a2, b2) in zip(first, second):
-            np.testing.assert_array_equal(v1, s2.vector)
-            np.testing.assert_array_equal(a1, a2.matrix)
-            np.testing.assert_array_equal(b1, b2.matrix)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomSpec(dim=1, seed=0, count=1)
-        with pytest.raises(ValueError):
-            RandomSpec(dim=2, seed=0, count=0)
 
 
 class TestSearchOptimalXiPerp:
@@ -163,7 +144,7 @@ class TestSearchOptimalXiPerp:
     def test_best_vector_is_admissible(self):
         state = equatorial_state(1.7)
         res = search_optimal_xi_perp(pauli_x(), pauli_z(), state, "l1", -1, samples=50, seed=12)
-        assert abs(inner_product(state, res.best_vector)) < 1e-10
+        assert abs(np.vdot(state.vector, res.best_vector.vector)) < 1e-10
         assert res.samples_used == 50
 
 
@@ -206,9 +187,8 @@ class TestCheckCsi:
         psi = deviation_vector(pauli_x(), state)
         phi = deviation_vector(pauli_z(), state)
         slack = check_csi(psi, phi)
-        hrsur_slack = variance(pauli_x(), state) * variance(pauli_z(), state) - hrsur_product_bound(
-            pauli_x(), pauli_z(), state
-        )
+        t1 = bound_report(pauli_x(), pauli_z(), state).t1
+        hrsur_slack = variance(pauli_x(), state) * variance(pauli_z(), state) - t1
         assert slack == pytest.approx(hrsur_slack, abs=1e-13)
 
     @given(complex_vectors(3), complex_vectors(3))
