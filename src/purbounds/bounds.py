@@ -136,7 +136,7 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     if off.any():
         raise OrthogonalityError(f"xi_perp norm {float(nrm[off][0])!r} is not 1")
     vec = vec / nrm
-    overlap = float(np.abs(vec @ state.vector.conj()).max())
+    overlap = float(np.abs(vec @ state.vector.conj()).max(initial=0.0))
     if overlap > TOL_EIG:
         raise OrthogonalityError(f"|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}")
     return vec

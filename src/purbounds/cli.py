@@ -19,7 +19,7 @@ import sys
 from .bounds import bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
-from .quantum import HermiticityError, NormalizationError, equatorial_state, pauli_x, pauli_z
+from .quantum import equatorial_state, pauli_x, pauli_z
 from .verify import DEFAULT_SUITE_DIMS, DEFAULT_SUITE_TOL, run_invariant_suite
 
 __all__ = [
@@ -87,7 +87,7 @@ def _load_instance_checked(path: str):
         instance = load_instance(path)
     except OSError as exc:
         return None, _fail(f"cannot read {path}: {exc}", EXIT_IO)
-    except (InstanceFormatError, NormalizationError, HermiticityError) as exc:
+    except InstanceFormatError as exc:
         return None, _fail(f"invalid instance {path}: {exc}", EXIT_VALIDATION)
     except ValueError as exc:
         # from json.load: a decode error, or an integer literal past the interpreter's digit limit

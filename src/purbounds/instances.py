@@ -23,16 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, OrthogonalCandidate
-from .quantum import HermiticityError, NormalizationError, Observable, QuantumState
+from .quantum import HermiticityError, Observable, QuantumState
 
 __all__ = [
     "InstanceFormatError",
     "Instance",
     "parse_instance",
     "load_instance",
-    "complex_pair",
-    "vector_pairs",
-    "matrix_pairs",
     "instance_payload",
     "candidate_to_dict",
     "report_to_dict",
@@ -44,49 +41,39 @@ class InstanceFormatError(ValueError):
     """Instance file is malformed or violates a validity constraint."""
 
 
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _is_number(kind: type) -> bool:
+    # a JSON number: bool subclasses int, but true and false are not numbers
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
-def vector_pairs(vec) -> list[list[float]]:
-    arr = np.asarray(vec, dtype=complex)
-    return [complex_pair(z) for z in arr]
+def _decode(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Complex array of `shape` from nested [re, im] pairs, keeping every bit.
+
+    One pass over the whole field: an object array, one shape check, one
+    entry rule on the set of entry types, one cast. On failure the error
+    names the first malformed row or pair in row-major order (`A[3][4]`), or
+    the field itself.
+    """
+    arr = np.array(obj, dtype=object)
+    if arr.shape == shape + (2,) and all(map(_is_number, set(map(type, arr.flat)))):
+        try:
+            return arr.astype(float).view(complex).reshape(shape)
+        except OverflowError as exc:  # an integer literal beyond the double range
+            if not shape:
+                raise InstanceFormatError(f"{name}: {exc}") from exc
+    if not shape:
+        raise InstanceFormatError(f"{name}: expected a [re, im] pair, got {obj!r}")
+    # the field failed as a whole: the first row or pair that fails alone raises
+    if arr.ndim and len(arr) == shape[0]:
+        for k, item in enumerate(obj):
+            _decode(item, shape[1:], f"{name}[{k}]")
+    size = f"length-{shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))
+    raise InstanceFormatError(f"{name}: expected a {size} array of [re, im] pairs")
 
 
-def matrix_pairs(mat) -> list[list[list[float]]]:
-    arr = np.asarray(mat, dtype=complex)
-    return [[complex_pair(z) for z in row] for row in arr]
-
-
-def _pair_to_complex(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        raise InstanceFormatError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    try:
-        return complex(float(obj[0]), float(obj[1]))
-    except OverflowError as exc:  # an integer literal beyond the double range
-        raise InstanceFormatError(f"{where}: {exc}") from exc
-
-
-def _pairs_to_vector(obj, dim: int, name: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise InstanceFormatError(f"{name}: expected a length-{dim} array of [re, im] pairs")
-    return np.array([_pair_to_complex(entry, f"{name}[{k}]") for k, entry in enumerate(obj)])
-
-
-def _pairs_to_matrix(obj, dim: int, name: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise InstanceFormatError(f"{name}: expected a {dim}x{dim} array of [re, im] pairs")
-    rows = []
-    for j, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InstanceFormatError(f"{name}[{j}]: expected a length-{dim} row")
-        rows.append([_pair_to_complex(entry, f"{name}[{j}][{k}]") for k, entry in enumerate(row)])
-    return np.array(rows)
+def _pairs(arr: np.ndarray) -> list:
+    """Nested [re, im] pairs of a complex array, the inverse of `_decode`."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 @dataclass(frozen=True)
@@ -97,10 +84,6 @@ class Instance:
     a: Observable
     b: Observable
     xi_perp: QuantumState | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.state.dim
 
 
 def parse_instance(data) -> Instance:
@@ -116,34 +99,20 @@ def parse_instance(data) -> Instance:
         if key not in data:
             raise InstanceFormatError(f"missing required field {key!r}")
 
-    try:
-        state = QuantumState(_pairs_to_vector(data["state"], dim, "state"))
-    except (NormalizationError, ValueError) as exc:
-        if isinstance(exc, InstanceFormatError):
-            raise
-        raise InstanceFormatError(f"state: {exc}") from exc
-
-    observables = {}
-    for key in ("A", "B"):
-        try:
-            observables[key] = Observable(_pairs_to_matrix(data[key], dim, key))
-        except HermiticityError as exc:
-            raise InstanceFormatError(f"matrix {key} is not Hermitian: {exc}") from exc
-        except ValueError as exc:
-            if isinstance(exc, InstanceFormatError):
-                raise
-            raise InstanceFormatError(f"matrix {key}: {exc}") from exc
-
-    xi_perp = None
+    fields = [("state", QuantumState, (dim,)), ("A", Observable, (dim, dim)), ("B", Observable, (dim, dim))]
     if data.get("xi_perp") is not None:
+        fields.append(("xi_perp", QuantumState, (dim,)))
+    parsed = {}
+    for key, make, shape in fields:
+        value = _decode(data[key], shape, key)
+        label = key if make is QuantumState else f"matrix {key}"
         try:
-            xi_perp = QuantumState(_pairs_to_vector(data["xi_perp"], dim, "xi_perp"))
-        except (NormalizationError, ValueError) as exc:
-            if isinstance(exc, InstanceFormatError):
-                raise
-            raise InstanceFormatError(f"xi_perp: {exc}") from exc
-
-    return Instance(state=state, a=observables["A"], b=observables["B"], xi_perp=xi_perp)
+            parsed[key] = make(value)
+        except HermiticityError as exc:
+            raise InstanceFormatError(f"{label} is not Hermitian: {exc}") from exc
+        except ValueError as exc:
+            raise InstanceFormatError(f"{label}: {exc}") from exc
+    return Instance(state=parsed["state"], a=parsed["A"], b=parsed["B"], xi_perp=parsed.get("xi_perp"))
 
 
 def load_instance(path) -> Instance:
@@ -157,12 +126,12 @@ def instance_payload(state: QuantumState, a: Observable, b: Observable, xi_perp:
     """Instance as a JSON-ready dict (the replay format of violation records)."""
     payload = {
         "dim": state.dim,
-        "state": vector_pairs(state.vector),
-        "A": matrix_pairs(a.matrix),
-        "B": matrix_pairs(b.matrix),
+        "state": _pairs(state.vector),
+        "A": _pairs(a.matrix),
+        "B": _pairs(b.matrix),
     }
     if xi_perp is not None:
-        payload["xi_perp"] = vector_pairs(xi_perp.vector)
+        payload["xi_perp"] = _pairs(xi_perp.vector)
     return payload
 
 
@@ -171,7 +140,7 @@ def candidate_to_dict(candidate: OrthogonalCandidate) -> dict:
         "value": candidate.bound_value,
         "sign": candidate.sign,
         "kind": candidate.kind,
-        "xi_perp": vector_pairs(candidate.vector.vector),
+        "xi_perp": _pairs(candidate.vector.vector),
     }
 
 

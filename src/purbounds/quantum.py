@@ -10,7 +10,7 @@ operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,12 +145,11 @@ class Observable:
     """d x d Hermitian matrix; eigenvalues are the measurement outcomes.
 
     The stored matrix is symmetrized to (M + M†)/2 so Hermiticity is exact;
-    inputs whose Hermiticity defect exceeds tol_herm * (1 + max |M_ij|) are
+    inputs whose Hermiticity defect exceeds TOL_HERM * (1 + max |M_ij|) are
     rejected.
     """
 
     matrix: np.ndarray
-    tol_herm: float = field(default=TOL_HERM, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -163,10 +162,8 @@ class Observable:
         adjoint = mat.conj().T
         defect = float(np.abs(mat - adjoint).max())
         scale = 1.0 + float(np.abs(mat).max())
-        if defect > self.tol_herm * scale:
-            raise HermiticityError(
-                f"Hermiticity defect {defect:.3e} exceeds {self.tol_herm:.1e} * {scale:.3e}"
-            )
+        if defect > TOL_HERM * scale:
+            raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e} * {scale:.3e}")
         mat = 0.5 * (mat + adjoint)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

@@ -114,6 +114,14 @@ class TestL1Bound:
         with pytest.raises(ValueError):
             l1_bound(pauli_x(), pauli_z(), basis_state(2, 0), basis_state(2, 1), 2)
 
+    @pytest.mark.parametrize("bound", [l1_bound, l2_bound], ids=["l1", "l2"])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_empty_stack_gives_one_value_per_row(self, bound, dim):
+        state, a, b = random_instance(np.random.default_rng(dim), dim)
+        for sign in (1, -1):
+            values = bound(a, b, state, np.zeros((0, dim), dtype=complex), sign)
+            assert values.shape == (0,)
+
 
 class TestL2Bound:
     @pytest.mark.parametrize("alpha", ALPHAS)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -13,13 +14,15 @@ from purbounds.bounds import bound_report
 from purbounds.cli import main, qubit_sweep
 from purbounds.instances import (
     InstanceFormatError,
+    _decode,
     instance_payload,
     json_dumps,
     load_instance,
     parse_instance,
     report_to_dict,
 )
-from purbounds.quantum import basis_state, equatorial_state, pauli_x, pauli_z
+from purbounds.quantum import Observable, QuantumState, basis_state, equatorial_state, normalize, pauli_x, pauli_z
+from purbounds.verify import random_observable, random_state
 
 
 # the subprocess imports the same package as this process, installed or not
@@ -51,6 +54,73 @@ def trivial_instance(tmp_path):
 def quarter_turn_instance(tmp_path):
     payload = instance_dict(equatorial_state(np.pi / 2), pauli_x(), pauli_z())
     return write_instance(tmp_path, "quarter.json", payload)
+
+
+def corpus_instance(dim):
+    """(state, A, B, xi_perp) with -0.0 parts, integral entries and 1e-300 / 1e300 magnitudes."""
+    rng = np.random.default_rng(dim)
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vec[0], vec[1] = complex(-0.0, 1e-300), complex(3.0, -0.0)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = np.round(2.0 * (g + g.conj().T))
+    a[0, 0], a[0, 1], a[1, 0] = 1e300, complex(-0.0, 1e-300), complex(-0.0, -1e-300)
+    b = 1e-300 * (g + g.conj().T)
+    b[1, 1] = -0.0
+    perp = np.zeros(dim, dtype=complex)
+    perp[-1] = complex(-0.0, -1.0)
+    return normalize(vec), Observable(a), Observable(b), normalize(perp)
+
+
+def with_integers(obj):
+    """The payload with every nonzero integral float written as a JSON integer."""
+    if isinstance(obj, dict):
+        return {key: with_integers(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [with_integers(item) for item in obj]
+    return int(obj) if isinstance(obj, float) and obj.is_integer() and obj != 0.0 else obj
+
+
+def edited(payload, path, replace):
+    out = copy.deepcopy(payload)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = replace(parent[path[-1]])
+    return out
+
+
+# (entry path, replacement, the location the error names), all InstanceFormatError;
+# the locations are those the element-wise parser this one replaced reported
+MALFORMED = {
+    "bool": (("A", 1, 2, 0), lambda old: True, "A[1][2]"),
+    "bool_imag": (("state", 2, 1), lambda old: False, "state[2]"),
+    "string": (("B", 2, 0, 1), lambda old: "0.5", "B[2][0]"),
+    "null": (("state", 1, 0), lambda old: None, "state[1]"),
+    "null_pair": (("A", 2, 2), lambda old: None, "A[2][2]"),
+    "null_field": (("B",), lambda old: None, "B"),
+    "string_field": (("state",), lambda old: "abc", "state"),
+    "one_element_pair": (("A", 0, 1), lambda old: old[:1], "A[0][1]"),
+    "three_element_pair": (("B", 1, 1), lambda old: old + [0.0], "B[1][1]"),
+    "every_pair_three_elements": (("state",), lambda old: [pair + [0.0] for pair in old], "state[0]"),
+    "ragged_row": (("A", 2), lambda old: old[:2], "A[2]"),
+    "long_row": (("B", 0), lambda old: old + [[0.0, 0.0]], "B[0]"),
+    "row_not_a_list": (("A", 1), lambda old: 7, "A[1]"),
+    "bad_pair_before_short_row": (("A",), lambda old: [[[True, 0.0]] + old[0][1:], old[1], old[2][:2]], "A[0][0]"),
+    "wrong_length": (("state",), lambda old: old[:2], "state"),
+    "wrong_row_count": (("A",), lambda old: old[:2], "A"),
+    "huge_integer": (("A", 1, 1, 0), lambda old: 10 ** 400, "A[1][1]"),
+    "nested_too_deep": (("state", 1), lambda old: [old, old], "state[1]"),
+    "np_int64": (("A", 0, 0, 0), lambda old: np.int64(1), "A[0][0]"),
+    "xi_perp_bool": (("xi_perp", 1, 0), lambda old: True, "xi_perp[1]"),
+    "nan": (("A", 0, 0, 0), lambda old: float("nan"), "matrix A"),
+    "non_hermitian": (("B", 0, 1), lambda old: [5.0, 5.0], "matrix B is not Hermitian"),
+    "unnormalized": (("state", 0), lambda old: [3.0, 0.0], "state"),
+}
+
+
+def malformed_base():
+    state, a, b = random_state(3, 5), random_observable(3, 6), random_observable(3, 7)
+    return instance_payload(state, a, b, QuantumState(np.array([0.0, 0.0, 1.0])))
 
 
 class TestParseInstance:
@@ -93,6 +163,44 @@ class TestParseInstance:
     def test_dim_must_be_integer(self):
         with pytest.raises(InstanceFormatError, match="dim"):
             parse_instance({"dim": "2", "state": [], "A": [], "B": []})
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_round_trip_is_bit_identical(self, dim):
+        # the Frobenius norm of a 1e300 entry overflows to inf
+        with np.errstate(over="ignore"):
+            state, a, b, perp = corpus_instance(dim)
+            arrays = {"state": state.vector, "A": a.matrix, "B": b.matrix, "xi_perp": perp.vector}
+            for arr in arrays.values():
+                assert np.signbit(np.stack((arr.real, arr.imag))).any() and (arr != 0).any()
+            payload = instance_payload(state, a, b, perp)
+            assert payload["state"] == [[z.real, z.imag] for z in state.vector.tolist()]
+            assert payload["A"] == [[[z.real, z.imag] for z in row] for row in a.matrix.tolist()]
+            integral = with_integers(payload)
+            assert isinstance(integral["A"][0][0][0], int)
+            for data in (payload, integral, json.loads(json_dumps(integral))):
+                for key, arr in arrays.items():
+                    assert _decode(data[key], arr.shape, key).tobytes() == arr.tobytes()
+                inst = parse_instance(data)
+                assert inst.state.vector.tobytes() == state.vector.tobytes()
+                assert inst.xi_perp.vector.tobytes() == perp.vector.tobytes()
+                # Observable symmetrizes again, which can flip the sign of a zero real part
+                assert inst.a.matrix.tobytes() == Observable(a.matrix).matrix.tobytes()
+                assert inst.b.matrix.tobytes() == Observable(b.matrix).matrix.tobytes()
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_entry_names_first_offender(self, name):
+        path, replace, location = MALFORMED[name]
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(edited(malformed_base(), path, replace))
+        assert type(info.value) is InstanceFormatError
+        assert str(info.value).split(":")[0] == location
+
+    def test_numpy_float64_entries_accepted(self):
+        payload = malformed_base()
+        inst = parse_instance(payload)
+        as_numpy = edited(payload, ("A",), lambda old: [[list(map(np.float64, pair)) for pair in row] for row in old])
+        assert isinstance(as_numpy["A"][0][0][0], np.float64)
+        assert parse_instance(as_numpy).a.matrix.tobytes() == inst.a.matrix.tobytes()
 
 
 class TestCmdBounds:

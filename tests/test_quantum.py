@@ -109,26 +109,26 @@ BAD_STATES = {
 }
 
 BAD_OBSERVABLES = {
-    "nan": ([[np.nan, 0.0], [0.0, 1.0]], {}, ValueError, "observable contains non-finite entries"),
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], ValueError, "observable contains non-finite entries"),
     "inf_imag": (
-        [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]], {}, ValueError,
+        [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]], ValueError,
         "observable contains non-finite entries",
     ),
-    "vector": ([1.0, 0.0], {}, ValueError, "observable must be a square matrix, got shape (2,)"),
-    "non_square": (np.zeros((2, 3)), {}, ValueError, "observable must be a square matrix, got shape (2, 3)"),
-    "rank3": (np.zeros((2, 2, 2)), {}, ValueError, "observable must be a square matrix, got shape (2, 2, 2)"),
-    "empty": (np.zeros((0, 0)), {}, ValueError, "observable dimension 0 outside supported range [1, 64]"),
-    "oversized": (np.eye(65), {}, ValueError, "observable dimension 65 outside supported range [1, 64]"),
-    "oversized_nan": (np.full((65, 65), np.nan), {}, ValueError, "observable dimension 65 outside supported range [1, 64]"),
+    "vector": ([1.0, 0.0], ValueError, "observable must be a square matrix, got shape (2,)"),
+    "non_square": (np.zeros((2, 3)), ValueError, "observable must be a square matrix, got shape (2, 3)"),
+    "rank3": (np.zeros((2, 2, 2)), ValueError, "observable must be a square matrix, got shape (2, 2, 2)"),
+    "empty": (np.zeros((0, 0)), ValueError, "observable dimension 0 outside supported range [1, 64]"),
+    "oversized": (np.eye(65), ValueError, "observable dimension 65 outside supported range [1, 64]"),
+    "oversized_nan": (np.full((65, 65), np.nan), ValueError, "observable dimension 65 outside supported range [1, 64]"),
     "anti_hermitian": (
-        [[0.0, 1j], [1j, 0.0]], {}, HermiticityError, "Hermiticity defect 2.000e+00 exceeds 1.0e-10 * 2.000e+00",
+        [[0.0, 1j], [1j, 0.0]], HermiticityError, "Hermiticity defect 2.000e+00 exceeds 1.0e-10 * 2.000e+00",
     ),
     "defect_above_tol": (
-        [[1.0, 1e-6], [0.0, 1.0]], {"tol_herm": 1e-8}, HermiticityError,
-        "Hermiticity defect 1.000e-06 exceeds 1.0e-08 * 2.000e+00",
+        [[1.0, 1e-6], [0.0, 1.0]], HermiticityError,
+        "Hermiticity defect 1.000e-06 exceeds 1.0e-10 * 2.000e+00",
     ),
     "scaled_defect": (
-        [[100.0, 1e-7], [0.0, 0.0]], {"tol_herm": 1e-10}, HermiticityError,
+        [[100.0, 1e-7], [0.0, 0.0]], HermiticityError,
         "Hermiticity defect 1.000e-07 exceeds 1.0e-10 * 1.010e+02",
     ),
 }
@@ -145,9 +145,9 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("name", BAD_OBSERVABLES)
     def test_observable_error_class_and_message(self, name):
-        mat, kwargs, cls, message = BAD_OBSERVABLES[name]
+        mat, cls, message = BAD_OBSERVABLES[name]
         with pytest.raises(cls) as info:
-            Observable(mat, **kwargs)
+            Observable(mat)
         assert type(info.value) is cls
         assert str(info.value) == message
 
@@ -204,7 +204,7 @@ class TestValidateHermitian:
             Observable([[0.0, 1.0j], [1.0j, 0.0]])
 
     def test_tiny_defect_accepted_and_symmetrized(self):
-        obs = Observable([[1.0, 1e-14j], [0.0, 2.0]], tol_herm=1e-10)
+        obs = Observable([[1.0, 1e-14j], [0.0, 2.0]])
         defect = np.max(np.abs(obs.matrix - obs.matrix.conj().T))
         assert defect == 0.0
         # symmetrization averages the off-diagonal pair
