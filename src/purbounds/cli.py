@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 I/O error, 2 validation or usage error, 3 invariant
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import bound_report
@@ -46,9 +47,6 @@ DEFAULT_SWEEP_POINTS = 241
 
 DEFAULT_MONTECARLO_SEED = 42
 
-TAU = 6.283185307179586476925287
-
-
 SWEEP_FIELDS = ("alpha", "var_a", "var_b", "sum_var", "prod_var", "t1", "t2", "l1", "l2")
 
 
@@ -59,7 +57,7 @@ def qubit_sweep(points: int) -> list[tuple[float, ...]]:
     a, b = pauli_x(), pauli_z()
     rows = []
     for k in range(points):
-        alpha = TAU * k / points
+        alpha = math.tau * k / points
         rep = bound_report(a, b, equatorial_state(alpha))
         rows.append((alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])))
     return rows

@@ -1,7 +1,7 @@
 """Complex dense linear algebra and quantum-mechanical primitives.
 
 Pure vectors and Hermitian observables on small Hilbert spaces (2 <= d <= 64),
-with the expectations, deviation vectors, variances, commutator means,
+with the expectations, deviation vectors, variances, the commutator mean,
 eigensystems and orthogonal-complement bases that the bound computations
 are built from. All values are immutable after construction and every
 operation is a pure function of its inputs.
@@ -34,7 +34,6 @@ __all__ = [
     "deviation_vector",
     "variance",
     "commutator_mean",
-    "anticommutator_mean",
     "orthonormal_complement_basis",
     "hermitian_eigensystem",
     "basis_state",
@@ -164,7 +163,10 @@ class Observable:
         scale = 1.0 + float(np.abs(mat).max())
         if defect > TOL_HERM * scale:
             raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e} * {scale:.3e}")
-        mat = 0.5 * (mat + adjoint)
+        # halved part by part: 0.5 * z is a complex multiply that can turn a -0.0 part into +0.0
+        mat = mat + adjoint
+        mat.real *= 0.5
+        mat.imag *= 0.5
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         # every scale-relative tolerance reads the norm; the matrix never changes
@@ -222,27 +224,13 @@ def variance(a: Observable, state: QuantumState) -> float:
     return _squared_norm(deviation_vector(a, state))
 
 
-def _purity_tol(a: Observable, b: Observable) -> float:
-    return TOL_EIG * (1.0 + a.frobenius_norm() * b.frobenius_norm())
-
-
 def commutator_mean(a: Observable, b: Observable, state: QuantumState) -> complex:
     """<[A,B]> = <AB> - <BA>; purely imaginary for Hermitian inputs (asserted)."""
     _same_dim(a.dim, b.dim, state.dim)
     xi = state.vector
     mean = complex(np.vdot(xi, a.matrix @ (b.matrix @ xi)) - np.vdot(xi, b.matrix @ (a.matrix @ xi)))
-    if abs(mean.real) > _purity_tol(a, b):
+    if abs(mean.real) > TOL_EIG * (1.0 + a.frobenius_norm() * b.frobenius_norm()):
         raise HermiticityError(f"commutator mean has real part {mean.real:.3e}; inputs not Hermitian")
-    return mean
-
-
-def anticommutator_mean(a: Observable, b: Observable, state: QuantumState) -> complex:
-    """<{A,B}> = <AB> + <BA>; purely real for Hermitian inputs (asserted)."""
-    _same_dim(a.dim, b.dim, state.dim)
-    xi = state.vector
-    mean = complex(np.vdot(xi, a.matrix @ (b.matrix @ xi)) + np.vdot(xi, b.matrix @ (a.matrix @ xi)))
-    if abs(mean.imag) > _purity_tol(a, b):
-        raise HermiticityError(f"anticommutator mean has imaginary part {mean.imag:.3e}; inputs not Hermitian")
     return mean
 
 

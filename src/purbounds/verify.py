@@ -17,6 +17,7 @@ evaluation order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ from .quantum import (
     _as_vector,
     _norm,
     _same_dim,
-    anticommutator_mean,
     commutator_mean,
     deviation_vector,
     normalize,
@@ -239,92 +239,76 @@ class SuiteReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _check_instance(
-    report: SuiteReport,
-    index: int,
-    state: QuantumState,
-    a: Observable,
-    b: Observable,
-    perps: np.ndarray,
-    theta: float,
-):
-    tol = report.tol
-    ctx = {"index": index, "dim": state.dim}
+# the suite's checks in report order: a slack is violated below -tol, a defect above tol
+SLACK_CHECKS = (
+    "hrsur_product", "hrsur_sum_vs_sigma", "sigma_vs_t2", "csi",
+    "mpur_l1_random_perp", "mpur_l2_random_perp", "dominance_l1", "dominance_l2",
+)
+DEFECT_CHECKS = (
+    "parallelogram", "commutator_mean_realpart", "anticommutator_mean_imagpart", "tightness_l2",
+    "l1_identity", "t1_symmetry", "t2_symmetry", "phase_invariance",
+)
 
-    def context():
-        # serialized lazily: only violations carry the full instance
-        return {**ctx, "instance": instance_payload(state, a, b)}
 
+def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np.ndarray, theta: float):
+    """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order."""
     rep = bound_report(a, b, state)
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     psi = deviation_vector(a, state)
     phi = deviation_vector(b, state)
 
-    slack_checks = {
-        "hrsur_product": rep.prod_var - rep.t1,
-        "hrsur_sum_vs_sigma": rep.sum_var - sigma_term,
-        "sigma_vs_t2": sigma_term - rep.t2,
-        "csi": check_csi(psi, phi),
-    }
-    defect_checks = {
-        "parallelogram": check_parallelogram(psi, phi),
-        "commutator_mean_realpart": abs(commutator_mean(a, b, state).real),
-        "anticommutator_mean_imagpart": abs(anticommutator_mean(a, b, state).imag),
-        "tightness_l2": max(abs(v - rep.sum_var) for v in rep.l2_by_sign),
-        "l1_identity": max(
-            abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq))
-            for i, s in ((0, 1), (1, -1))
-        ),
-    }
+    # <xi|AB|xi> and <xi|BA|xi> once: <[A,B]> must be imaginary, <{A,B}> real
+    xi = state.vector
+    ab = np.vdot(xi, a.matrix @ (b.matrix @ xi))
+    ba = np.vdot(xi, b.matrix @ (a.matrix @ xi))
 
     # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp:
     # columns (+1, -1) of each bound, against the optimum of the same sign
     values = _reference_values(a, b, state, perps)
     l1_vals, l2_vals = values[:, :2], values[:, 2:]
-    slack_checks["mpur_l1_random_perp"] = float((rep.sum_var - l1_vals).min())
-    slack_checks["mpur_l2_random_perp"] = float((rep.sum_var - l2_vals).min())
-    slack_checks["dominance_l1"] = float((np.array(rep.l1_by_sign) - l1_vals).min())
-    slack_checks["dominance_l2"] = float((np.array(rep.l2_by_sign) - l2_vals).min())
 
     # swapping the observables must not change the HRSUR bounds
     swapped = bound_report(b, a, state)
-    defect_checks["t1_symmetry"] = abs(rep.t1 - swapped.t1)
-    defect_checks["t2_symmetry"] = abs(rep.t2 - swapped.t2)
 
     # every computed quantity is invariant under a global phase on the state
     phased = QuantumState(np.exp(1j * theta) * state.vector)
     rep_phased = bound_report(a, b, phased)
-    defect_checks["phase_invariance"] = max(
-        abs(rep.var_a - rep_phased.var_a),
-        abs(rep.var_b - rep_phased.var_b),
-        abs(rep.t1 - rep_phased.t1),
-        abs(rep.t2 - rep_phased.t2),
-        abs(rep.l1 - rep_phased.l1),
-        abs(rep.l2 - rep_phased.l2),
-        abs(rep.mpur - rep_phased.mpur),
+
+    slacks = (
+        rep.prod_var - rep.t1,
+        rep.sum_var - sigma_term,
+        sigma_term - rep.t2,
+        check_csi(psi, phi),
+        float((rep.sum_var - l1_vals).min()),
+        float((rep.sum_var - l2_vals).min()),
+        float((np.array(rep.l1_by_sign) - l1_vals).min()),
+        float((np.array(rep.l2_by_sign) - l2_vals).min()),
     )
+    defects = (
+        check_parallelogram(psi, phi),
+        abs(complex(ab - ba).real),
+        abs(complex(ab + ba).imag),
+        max(abs(v - rep.sum_var) for v in rep.l2_by_sign),
+        max(
+            abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq))
+            for i, s in ((0, 1), (1, -1))
+        ),
+        abs(rep.t1 - swapped.t1),
+        abs(rep.t2 - swapped.t2),
+        max(
+            abs(getattr(rep, name) - getattr(rep_phased, name))
+            for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")
+        ),
+    )
+    return rep, slacks, defects
 
-    for name, slack in slack_checks.items():
-        if slack < -tol:
-            report.violations.append({**context(), "check": name, "slack": slack})
-        prev = report.min_slacks.get(name)
-        if prev is None or slack < prev:
-            report.min_slacks[name] = slack
-    for name, defect in defect_checks.items():
-        if defect > tol:
-            report.violations.append({**context(), "check": name, "defect": defect})
-        prev = report.max_defects.get(name)
-        if prev is None or defect > prev:
-            report.max_defects[name] = defect
 
-    # zero bounds only at (numerical) common eigenvectors, and conversely
-    if rep.mpur <= tol and (rep.var_a > tol or rep.var_b > tol):
-        report.violations.append(
-            {**context(), "check": "nontriviality", "defect": max(rep.var_a, rep.var_b)}
-        )
-    if rep.common_eigenvector and rep.mpur > tol:
-        report.violations.append({**context(), "check": "nontriviality_converse", "defect": rep.mpur})
+def _integer(name: str, value) -> int:
+    # int() would read 2.9 as 2 and True as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def run_invariant_suite(
@@ -339,11 +323,13 @@ def run_invariant_suite(
     Instance k draws its own PCG64 stream from (seed, k): state, observable A,
     observable B, `perp_samples` complement vectors, then the test phase.
     """
+    count, seed = _integer("count", count), _integer("seed", seed)
+    perp_samples = _integer("perp_samples", perp_samples)
     if count < 1:
         raise ValueError("count must be positive")
     if perp_samples < 1:
         raise ValueError("perp_samples must be positive")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer("dims", d) for d in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
     for d in dims:
@@ -355,6 +341,8 @@ def run_invariant_suite(
         raise ValueError("tol must be positive")
 
     report = SuiteReport(count=count, dims=dims, seed=seed, tol=tol, perp_samples=perp_samples)
+    slacks = np.empty((count, len(SLACK_CHECKS)))
+    defects = np.empty((count, len(DEFECT_CHECKS)))
     for index in range(count):
         dim = dims[index % len(dims)]
         rng = _rng([seed, index])
@@ -364,5 +352,20 @@ def run_invariant_suite(
         basis = orthonormal_complement_basis(state)
         perps = _complement_samples(basis, perp_samples, rng)
         theta = 2.0 * math.pi * rng.random()
-        _check_instance(report, index, state, a, b, perps, theta)
+        rep, slack_row, defect_row = _check_instance(state, a, b, perps, theta)
+        slacks[index], defects[index] = slack_row, defect_row
+        failed = [(name, "slack", v) for name, v in zip(SLACK_CHECKS, slack_row) if v < -tol]
+        failed += [(name, "defect", v) for name, v in zip(DEFECT_CHECKS, defect_row) if v > tol]
+        # zero bounds only at (numerical) common eigenvectors, and conversely
+        if rep.mpur <= tol and (rep.var_a > tol or rep.var_b > tol):
+            failed.append(("nontriviality", "defect", max(rep.var_a, rep.var_b)))
+        if rep.common_eigenvector and rep.mpur > tol:
+            failed.append(("nontriviality_converse", "defect", rep.mpur))
+        if failed:
+            # serialized only for a failing instance, once for all its records
+            context = {"index": index, "dim": dim, "instance": instance_payload(state, a, b)}
+            report.violations += [{**context, "check": name, kind: value} for name, kind, value in failed]
+
+    report.min_slacks = dict(zip(SLACK_CHECKS, slacks.min(axis=0).tolist()))
+    report.max_defects = dict(zip(DEFECT_CHECKS, defects.max(axis=0).tolist()))
     return report

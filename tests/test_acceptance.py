@@ -15,7 +15,14 @@ from purbounds.bounds import bound_report, optimal_xi_perp
 from purbounds.cli import main
 from purbounds.montecarlo import statistical_bound_check
 from purbounds.quantum import Observable, basis_state, equatorial_state, pauli_x, pauli_z
-from purbounds.verify import random_observable, random_state, run_invariant_suite, search_optimal_xi_perp
+from purbounds.verify import (
+    DEFECT_CHECKS,
+    SLACK_CHECKS,
+    random_observable,
+    random_state,
+    run_invariant_suite,
+    search_optimal_xi_perp,
+)
 
 SUITE_COUNT = 1000
 SUITE_DIMS = (2, 3, 4, 6, 8)
@@ -93,26 +100,8 @@ def test_criterion_3_random_invariant_suite(suite_run):
     report, elapsed = suite_run
     assert report.count == SUITE_COUNT
     assert report.violations == []
-    required_slacks = {
-        "hrsur_product",
-        "hrsur_sum_vs_sigma",
-        "sigma_vs_t2",
-        "mpur_l1_random_perp",
-        "mpur_l2_random_perp",
-        "csi",
-        "dominance_l1",
-        "dominance_l2",
-    }
-    required_defects = {
-        "parallelogram",
-        "commutator_mean_realpart",
-        "anticommutator_mean_imagpart",
-        "phase_invariance",
-        "tightness_l2",
-        "l1_identity",
-    }
-    assert required_slacks <= set(report.min_slacks)
-    assert required_defects <= set(report.max_defects)
+    assert tuple(report.min_slacks) == SLACK_CHECKS
+    assert tuple(report.max_defects) == DEFECT_CHECKS
     assert min(report.min_slacks.values()) >= -SUITE_TOL
     assert elapsed < 30.0
     print(

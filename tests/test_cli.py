@@ -183,9 +183,8 @@ class TestParseInstance:
                 inst = parse_instance(data)
                 assert inst.state.vector.tobytes() == state.vector.tobytes()
                 assert inst.xi_perp.vector.tobytes() == perp.vector.tobytes()
-                # Observable symmetrizes again, which can flip the sign of a zero real part
-                assert inst.a.matrix.tobytes() == Observable(a.matrix).matrix.tobytes()
-                assert inst.b.matrix.tobytes() == Observable(b.matrix).matrix.tobytes()
+                assert inst.a.matrix.tobytes() == a.matrix.tobytes()
+                assert inst.b.matrix.tobytes() == b.matrix.tobytes()
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_entry_names_first_offender(self, name):
@@ -314,6 +313,13 @@ class TestCmdRandom:
         assert out["passed"] is True
         assert out["violations"] == []
         assert "hrsur_product" in out["min_slacks"]
+
+    def test_violations_exit_three(self, capsys):
+        # rounding-level slacks and defects exceed tol 1e-30
+        assert main(["random", "--count", "5", "--tol", "1e-30"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert out["violations"]
 
     def test_count_zero_is_usage_error(self, capsys):
         assert main(["random", "--count", "0"]) == 2

@@ -15,7 +15,6 @@ from purbounds.quantum import (
     NullVectorError,
     Observable,
     QuantumState,
-    anticommutator_mean,
     basis_state,
     commutator_mean,
     deviation_vector,
@@ -210,6 +209,12 @@ class TestValidateHermitian:
         # symmetrization averages the off-diagonal pair
         assert obs.matrix[0, 1] == pytest.approx(0.5e-14j + 0.0)
 
+    def test_symmetrizing_keeps_signed_zeros(self):
+        # halving by a complex multiply, 0.5 * z, would turn these -0.0 real parts into +0.0
+        obs = Observable([[1.0, complex(-0.0, 1e-300)], [complex(-0.0, -1e-300), 2.0]])
+        assert np.signbit(obs.matrix[[0, 1], [1, 0]].real).all()
+        assert Observable(obs.matrix).matrix.tobytes() == obs.matrix.tobytes()
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             Observable(np.zeros((2, 3)))
@@ -320,7 +325,9 @@ class TestCommutatorMeans:
             a, b = mats
             tol = 1e-12 * (1.0 + a.frobenius_norm() * b.frobenius_norm())
             assert abs(commutator_mean(a, b, state).real) < tol
-            assert abs(anticommutator_mean(a, b, state).imag) < tol
+            xi = state.vector
+            anticommutator = np.vdot(xi, a.matrix @ (b.matrix @ xi)) + np.vdot(xi, b.matrix @ (a.matrix @ xi))
+            assert abs(anticommutator.imag) < tol
 
 
 def gram_schmidt_complement(state: QuantumState) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from purbounds.bounds import bound_report, optimal_xi_perp
-from purbounds.instances import json_dumps
+from purbounds.instances import json_dumps, parse_instance
 from purbounds.quantum import (
     EmptyComplementError,
     basis_state,
@@ -18,7 +18,9 @@ from purbounds.quantum import (
     variance,
 )
 from purbounds.verify import (
+    DEFECT_CHECKS,
     REFERENCE_ROWS,
+    SLACK_CHECKS,
     _reference_values,
     check_csi,
     check_parallelogram,
@@ -203,26 +205,8 @@ class TestInvariantSuite:
         report = run_invariant_suite(count=50, dims=(2, 3, 4, 6, 8), seed=42, tol=1e-9)
         assert report.passed
         assert report.violations == []
-        assert set(report.min_slacks) >= {
-            "hrsur_product",
-            "hrsur_sum_vs_sigma",
-            "sigma_vs_t2",
-            "csi",
-            "mpur_l1_random_perp",
-            "mpur_l2_random_perp",
-            "dominance_l1",
-            "dominance_l2",
-        }
-        assert set(report.max_defects) >= {
-            "parallelogram",
-            "commutator_mean_realpart",
-            "anticommutator_mean_imagpart",
-            "tightness_l2",
-            "l1_identity",
-            "phase_invariance",
-            "t1_symmetry",
-            "t2_symmetry",
-        }
+        assert tuple(report.min_slacks) == SLACK_CHECKS
+        assert tuple(report.max_defects) == DEFECT_CHECKS
 
     def test_suite_passes_up_to_max_dim(self):
         report = run_invariant_suite(count=6, dims=(16, 32, 64))
@@ -263,10 +247,86 @@ class TestInvariantSuite:
         with pytest.raises(ValueError, match="tol must be finite"):
             run_invariant_suite(count=5, tol=tol)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dims": (2.9, 3.5)},
+            {"dims": (True, 3)},
+            {"count": True},
+            {"count": 2.0},
+            {"perp_samples": True},
+            {"perp_samples": 2.5},
+            {"seed": True},
+            {"seed": 2.5},
+        ],
+        ids=[
+            "float_dims",
+            "bool_dim",
+            "bool_count",
+            "float_count",
+            "bool_perp_samples",
+            "float_perp_samples",
+            "bool_seed",
+            "float_seed",
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, kwargs):
+        # int() would run (2.9, 3.5) at (2, 3), and True would be written as "count": true
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_invariant_suite(**{"count": 1, "perp_samples": 3, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        report = run_invariant_suite(count=np.int64(2), dims=(np.int64(3),), seed=np.int64(5), perp_samples=np.int64(4))
+        assert json.loads(json_dumps(report.to_dict()))["count"] == 2
+        assert report.dims == (3,)
+
     def test_dims_cycle_in_order(self):
         report = run_invariant_suite(count=4, dims=(2, 3), seed=0, tol=1e-9, perp_samples=5)
         assert report.count == 4
         assert report.dims == (2, 3)
+
+
+class TestSuiteViolations:
+    """At tol 1e-30 rounding-level slacks and defects fail: the violation records."""
+
+    TOL = 1e-30
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_invariant_suite(count=50, tol=self.TOL)
+
+    def test_records_in_index_then_table_order(self, report):
+        order = SLACK_CHECKS + DEFECT_CHECKS + ("nontriviality", "nontriviality_converse")
+        assert all(v["check"] in order for v in report.violations)
+        keys = [(v["index"], order.index(v["check"])) for v in report.violations]
+        assert keys and keys == sorted(set(keys))
+        assert not report.passed
+
+    def test_extremes_fail_exactly_when_a_record_exists(self, report):
+        for names, kind, extremes, fails in (
+            (SLACK_CHECKS, "slack", report.min_slacks, lambda x: x < -self.TOL),
+            (DEFECT_CHECKS, "defect", report.max_defects, lambda x: x > self.TOL),
+        ):
+            for name in names:
+                values = [v[kind] for v in report.violations if v["check"] == name]
+                assert fails(extremes[name]) == bool(values), name
+                assert all(fails(x) for x in values)
+                if values:
+                    best = min(values) if kind == "slack" else max(values)
+                    assert best == extremes[name]
+        # both outcomes occur, so the equivalence is tested each way
+        assert {v["check"] for v in report.violations} < set(SLACK_CHECKS + DEFECT_CHECKS)
+
+    def test_payloads_replay_the_instance_bit_for_bit(self, report):
+        for v in report.violations:
+            assert v["dim"] == report.dims[v["index"] % len(report.dims)]
+            rng = np.random.default_rng([report.seed, v["index"]])
+            state = random_state(v["dim"], rng)
+            a, b = random_observable(v["dim"], rng), random_observable(v["dim"], rng)
+            inst = parse_instance(json.loads(json_dumps(v["instance"])))
+            assert inst.state.vector.tobytes() == state.vector.tobytes()
+            assert inst.a.matrix.tobytes() == a.matrix.tobytes()
+            assert inst.b.matrix.tobytes() == b.matrix.tobytes()
 
 
 class TestAnalyticOptimaAgainstSearch:
