@@ -42,10 +42,10 @@ from .quantum import (
     EmptyComplementError,
     Observable,
     QuantumState,
+    _complement_projection,
     _same_dim,
     _squared_norm,
     deviation_vector,
-    orthonormal_complement_basis,
 )
 
 __all__ = [
@@ -185,7 +185,9 @@ def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, 
     """Normalized complement projection of the bound's direction, as an array.
 
     When the projection is numerically null the matrix element vanishes for
-    every admissible xi_perp, and the first complement-basis vector is taken.
+    every admissible xi_perp, and the normalized complement projection of e_k
+    is taken, with k the first index other than that of the largest |xi_k|.
+    Then |xi_k|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
     """
     if state.dim < 2:
         raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
@@ -197,7 +199,11 @@ def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, 
         projected = projected - np.vdot(xi, projected) * xi
     nrm = float(np.linalg.norm(projected))
     if nrm <= null_tol:
-        return orthonormal_complement_basis(state)[0]
+        # e_k with k = 0, or k = 1 when |xi_0| is the largest
+        e_k = np.zeros(state.dim, dtype=complex)
+        e_k[int(np.abs(xi).argmax() == 0)] = 1.0
+        fallback = _complement_projection(state, e_k)
+        return fallback / np.linalg.norm(fallback)
     return projected / nrm
 
 
@@ -210,8 +216,9 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
 
     The vector is the normalized complement projection of psi + sign phi (l1)
     or psi - sign i phi (l2), the Cauchy-Schwarz-saturating choice. When the
-    projection is numerically null the first complement-basis vector is
-    reported, with the value it attains.
+    projection is numerically null a fixed complement vector, the normalized
+    projection of the first standard basis vector other than the one of the
+    largest |xi_k|, is reported, with the value it attains.
     """
     _validate_which(which)
     _validate_sign(sign)

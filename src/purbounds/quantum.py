@@ -2,9 +2,9 @@
 
 Pure vectors and Hermitian observables on small Hilbert spaces (2 <= d <= 64),
 with the expectations, deviation vectors, variances, the commutator mean,
-eigensystems and orthogonal-complement bases that the bound computations
-are built from. All values are immutable after construction and every
-operation is a pure function of its inputs.
+eigensystems and the orthogonal-complement projection that the bound
+computations are built from. All values are immutable after construction
+and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "deviation_vector",
     "variance",
     "commutator_mean",
-    "orthonormal_complement_basis",
     "hermitian_eigensystem",
     "basis_state",
     "pauli_x",
@@ -52,6 +51,10 @@ TOL_NULL = 1e-12
 
 # States further than this from unit norm are rejected instead of renormalized.
 RENORM_WINDOW = 1e-6
+
+# Observable entries up to this modulus (~1.5e152) keep the squared Frobenius
+# norm, at most d^2 max |M_ij|^2, below half the largest double at every d.
+_MAX_ENTRY = math.sqrt(np.finfo(float).max / 2) / MAX_DIM
 
 
 class DimensionMismatchError(ValueError):
@@ -145,7 +148,8 @@ class Observable:
 
     The stored matrix is symmetrized to (M + M†)/2 so Hermiticity is exact;
     inputs whose Hermiticity defect exceeds TOL_HERM * (1 + max |M_ij|) are
-    rejected.
+    rejected, and so are entries of modulus above ~1.5e152, before any
+    arithmetic on them can overflow.
     """
 
     matrix: np.ndarray
@@ -158,9 +162,12 @@ class Observable:
             raise ValueError(f"observable dimension {mat.shape[0]} outside supported range [1, {MAX_DIM}]")
         if not np.isfinite(mat).all():
             raise ValueError("observable contains non-finite entries")
+        peak = float(np.abs(mat).max())
+        if peak > _MAX_ENTRY:
+            raise ValueError(f"observable entry modulus {peak:.3e} exceeds {_MAX_ENTRY:.3e}")
         adjoint = mat.conj().T
         defect = float(np.abs(mat - adjoint).max())
-        scale = 1.0 + float(np.abs(mat).max())
+        scale = 1.0 + peak
         if defect > TOL_HERM * scale:
             raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e} * {scale:.3e}")
         # halved part by part: 0.5 * z is a complex multiply that can turn a -0.0 part into +0.0
@@ -234,35 +241,16 @@ def commutator_mean(a: Observable, b: Observable, state: QuantumState) -> comple
     return mean
 
 
-def orthonormal_complement_basis(state: QuantumState) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of |state>, as rows.
+def _complement_projection(state: QuantumState, vecs: np.ndarray) -> np.ndarray:
+    """One vector, or a stack of rows, with the component along |state> removed.
 
-    Row k is the Gram-Schmidt orthogonalization of the k-th standard basis
-    vector, taken in ascending order and skipping index k* of the largest
-    |xi_k|, against the state and the rows before it. In closed form: with y
-    the state reordered to (ascending indices without k*, then k*) and
-    T_k = sum_{i >= k} |y_i|^2, row k is
-    sqrt(T_k / T_{k+1}) (e_k - conj(y_k) / T_k * y restricted to i >= k),
-    mapped back to the original order. Every T_k holds |xi_{k*}|^2 >= 1/d, so
-    no division is by a small number. Returns a read-only (d-1, d) array.
+    Two passes keep the result orthogonal even when the projection nearly
+    annihilates a vector.
     """
-    d = state.dim
-    if d < 2:
-        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
-    skip = int(np.abs(state.vector).argmax())
-    order = np.arange(d)
-    order[skip:-1] += 1
-    order[-1] = skip
-    y = state.vector[order]
-    tails = (np.abs(y[::-1]) ** 2).cumsum()[::-1]
-    rows = (-y[:-1].conj() / tails[:-1])[:, None] * y
-    rows[np.tri(d - 1, d, -1, dtype=bool)] = 0
-    rows[:, :-1] += np.eye(d - 1)
-    rows *= np.sqrt(tails[:-1] / tails[1:])[:, None]
-    basis = np.empty_like(rows)
-    basis[:, order] = rows
-    basis.setflags(write=False)
-    return basis
+    xi = state.vector
+    for _ in range(2):
+        vecs = vecs - (vecs @ xi.conj())[..., None] * xi
+    return vecs
 
 
 def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:

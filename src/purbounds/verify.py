@@ -26,15 +26,16 @@ from .bounds import _checked_perp, _validate_sign, _validate_which, bound_report
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
+    EmptyComplementError,
     Observable,
     QuantumState,
     _as_vector,
+    _complement_projection,
     _norm,
     _same_dim,
     commutator_mean,
     deviation_vector,
     normalize,
-    orthonormal_complement_basis,
 )
 
 __all__ = [
@@ -91,58 +92,60 @@ def random_observable(dim: int, seed) -> Observable:
     return Observable(0.5 * (g + g.conj().T))
 
 
-def _complement_samples(basis: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` unit vectors uniform on the complement sphere, as rows."""
-    vecs = _complex_normal(rng, (count, basis.shape[0])) @ basis
+def _complement_samples(state: QuantumState, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` unit vectors uniform on the complement sphere of the state, as rows.
+
+    A standard complex Gaussian projected onto the complement is a standard
+    complex Gaussian there, so each normalized row is uniform on its sphere.
+    """
+    if state.dim < 2:
+        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
+    vecs = _complement_projection(state, _complex_normal(rng, (count, state.dim)))
     # np.linalg.norm(vecs, axis=1, keepdims=True), the same reduction without its dispatch
     return vecs / np.sqrt((vecs.conj() * vecs).real.sum(axis=1, keepdims=True))
 
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
-    """Uniform unit vector orthogonal to the state (Gaussian over the complement basis)."""
-    basis = orthonormal_complement_basis(state)
-    return QuantumState(_complement_samples(basis, 1, _rng(seed))[0])
+    """Uniform unit vector orthogonal to the state (a projected complex Gaussian)."""
+    return QuantumState(_complement_samples(state, 1, _rng(seed))[0])
 
 
-# the (bound, sign) rows of the reference, in the order of BoundReport's by-sign pairs
+# the (bound, sign) columns of the reference, in the order of BoundReport's by-sign pairs
 REFERENCE_ROWS = (("l1", 1), ("l1", -1), ("l2", 1), ("l2", -1))
+# column k reads the image (A + c_k B)|xi>: c = s for l1, and c = -s i for l2,
+# since <xi|(A + s i B)|xi_perp> = <(A - s i B) xi | xi_perp>
+_REFERENCE_COEFFS = np.array([sign if which == "l1" else -sign * 1j for which, sign in REFERENCE_ROWS])
+_REFERENCE_SCALE = np.array([0.5 if which == "l1" else 1.0 for which, _ in REFERENCE_ROWS])
 
 
-def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp, rows=REFERENCE_ROWS) -> np.ndarray:
-    """The per-xi_perp bounds of every (bound, sign) in `rows`, one column each.
+def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp) -> np.ndarray:
+    """The per-xi_perp bounds of every (bound, sign) in REFERENCE_ROWS, one column each.
 
     l1(s) = |<xi|(A + s B)|xi_perp>|^2 / 2 and
     l2(s) = s i<[A,B]> + |<xi|(A + s i B)|xi_perp>|^2, from the images
-    (A + s B)|xi> and (A - s i B)|xi>, never from the deviation vectors. xi_perp
-    is checked once and <[A,B]> computed once, and one (n, d) @ (d, len(rows))
-    product evaluates every row at every xi_perp. One vector gives shape
-    (len(rows),), a stack of n vectors (n, len(rows)).
+    A|xi> + c B|xi> of (A + s B)|xi> and (A - s i B)|xi>, never from the
+    deviation vectors. xi_perp is checked once and <[A,B]> computed once, and
+    one (n, d) @ (d, 4) product evaluates every column at every xi_perp. One
+    vector gives shape (4,), a stack of n vectors (n, 4).
     """
-    for which, sign in rows:
-        _validate_which(which)
-        _validate_sign(sign)
     _same_dim(a.dim, b.dim, state.dim)
     perps = _checked_perp(state, xi_perp)
-    # image k is (A + c_k B)|xi>: c = s for l1, and c = -s i for l2, since
-    # <xi|(A + s i B)|xi_perp> = <(A - s i B) xi | xi_perp>
-    coeffs = np.array([sign if which == "l1" else -sign * 1j for which, sign in rows])
-    images = (a.matrix + coeffs[:, None, None] * b.matrix) @ state.vector
-    scale = np.array([0.5 if which == "l1" else 1.0 for which, _ in rows])
-    offset = np.zeros(len(rows))
-    if "l2" in (which for which, _ in rows):
-        # s i <[A,B]> is real: the commutator mean is purely imaginary
-        comm = commutator_mean(a, b, state)
-        offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in rows])
-    return np.abs(perps @ images.conj().T) ** 2 * scale + offset
+    xi = state.vector
+    images = a.matrix @ xi + _REFERENCE_COEFFS[:, None] * (b.matrix @ xi)
+    # s i <[A,B]> is real: the commutator mean is purely imaginary
+    comm = commutator_mean(a, b, state)
+    offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
+    return np.abs(perps @ images.conj().T) ** 2 * _REFERENCE_SCALE + offset
 
 
 def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
     """|<xi|(A + sign B)|xi_perp>|^2 / 2 for a unit xi_perp orthogonal to xi.
 
     `xi_perp` is one vector (one value) or a stack of row vectors (one value
-    per row). The ("l1", sign) row of `_reference_values`.
+    per row). The ("l1", sign) column of `_reference_values`.
     """
-    return _reference_values(a, b, state, xi_perp, (("l1", sign),)).T[0]
+    _validate_sign(sign)
+    return _reference_values(a, b, state, xi_perp).T[(1 - sign) // 2]
 
 
 def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
@@ -151,9 +154,10 @@ def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: i
     Takes one xi_perp or a stack of rows, as `l1_bound`. The first term is
     real because the commutator mean is purely imaginary; the value may be
     negative for the non-maximizing sign and is returned unclamped. The
-    ("l2", sign) row of `_reference_values`.
+    ("l2", sign) column of `_reference_values`.
     """
-    return _reference_values(a, b, state, xi_perp, (("l2", sign),)).T[0]
+    _validate_sign(sign)
+    return _reference_values(a, b, state, xi_perp).T[2 + (1 - sign) // 2]
 
 
 @dataclass(frozen=True)
@@ -189,8 +193,7 @@ def search_optimal_xi_perp(
     if samples < 1:
         raise ValueError("samples must be positive")
     _same_dim(a.dim, b.dim, state.dim)
-    basis = orthonormal_complement_basis(state)
-    perps = _complement_samples(basis, samples, _rng(seed))
+    perps = _complement_samples(state, samples, _rng(seed))
     values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
     analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
     best = int(np.argmax(values))
@@ -349,8 +352,7 @@ def run_invariant_suite(
         state = random_state(dim, rng)
         a = random_observable(dim, rng)
         b = random_observable(dim, rng)
-        basis = orthonormal_complement_basis(state)
-        perps = _complement_samples(basis, perp_samples, rng)
+        perps = _complement_samples(state, perp_samples, rng)
         theta = 2.0 * math.pi * rng.random()
         rep, slack_row, defect_row = _check_instance(state, a, b, perps, theta)
         slacks[index], defects[index] = slack_row, defect_row

@@ -111,8 +111,10 @@ class TestL1Bound:
             l1_bound(pauli_x(), pauli_z(), basis_state(2, 0), bad, 1)
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            l1_bound(pauli_x(), pauli_z(), basis_state(2, 0), basis_state(2, 1), 2)
+        for bound in (l1_bound, l2_bound):
+            for sign in (2, 0):
+                with pytest.raises(ValueError):
+                    bound(pauli_x(), pauli_z(), basis_state(2, 0), basis_state(2, 1), sign)
 
     @pytest.mark.parametrize("bound", [l1_bound, l2_bound], ids=["l1", "l2"])
     @pytest.mark.parametrize("dim", [2, 8])

@@ -57,13 +57,13 @@ def quarter_turn_instance(tmp_path):
 
 
 def corpus_instance(dim):
-    """(state, A, B, xi_perp) with -0.0 parts, integral entries and 1e-300 / 1e300 magnitudes."""
+    """(state, A, B, xi_perp) with -0.0 parts, integral entries and 1e-300 / 1e150 magnitudes."""
     rng = np.random.default_rng(dim)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec[0], vec[1] = complex(-0.0, 1e-300), complex(3.0, -0.0)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = np.round(2.0 * (g + g.conj().T))
-    a[0, 0], a[0, 1], a[1, 0] = 1e300, complex(-0.0, 1e-300), complex(-0.0, -1e-300)
+    a[0, 0], a[0, 1], a[1, 0] = 1e150, complex(-0.0, 1e-300), complex(-0.0, -1e-300)
     b = 1e-300 * (g + g.conj().T)
     b[1, 1] = -0.0
     perp = np.zeros(dim, dtype=complex)
@@ -166,25 +166,23 @@ class TestParseInstance:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_round_trip_is_bit_identical(self, dim):
-        # the Frobenius norm of a 1e300 entry overflows to inf
-        with np.errstate(over="ignore"):
-            state, a, b, perp = corpus_instance(dim)
-            arrays = {"state": state.vector, "A": a.matrix, "B": b.matrix, "xi_perp": perp.vector}
-            for arr in arrays.values():
-                assert np.signbit(np.stack((arr.real, arr.imag))).any() and (arr != 0).any()
-            payload = instance_payload(state, a, b, perp)
-            assert payload["state"] == [[z.real, z.imag] for z in state.vector.tolist()]
-            assert payload["A"] == [[[z.real, z.imag] for z in row] for row in a.matrix.tolist()]
-            integral = with_integers(payload)
-            assert isinstance(integral["A"][0][0][0], int)
-            for data in (payload, integral, json.loads(json_dumps(integral))):
-                for key, arr in arrays.items():
-                    assert _decode(data[key], arr.shape, key).tobytes() == arr.tobytes()
-                inst = parse_instance(data)
-                assert inst.state.vector.tobytes() == state.vector.tobytes()
-                assert inst.xi_perp.vector.tobytes() == perp.vector.tobytes()
-                assert inst.a.matrix.tobytes() == a.matrix.tobytes()
-                assert inst.b.matrix.tobytes() == b.matrix.tobytes()
+        state, a, b, perp = corpus_instance(dim)
+        arrays = {"state": state.vector, "A": a.matrix, "B": b.matrix, "xi_perp": perp.vector}
+        for arr in arrays.values():
+            assert np.signbit(np.stack((arr.real, arr.imag))).any() and (arr != 0).any()
+        payload = instance_payload(state, a, b, perp)
+        assert payload["state"] == [[z.real, z.imag] for z in state.vector.tolist()]
+        assert payload["A"] == [[[z.real, z.imag] for z in row] for row in a.matrix.tolist()]
+        integral = with_integers(payload)
+        assert isinstance(integral["A"][0][0][0], int)
+        for data in (payload, integral, json.loads(json_dumps(integral))):
+            for key, arr in arrays.items():
+                assert _decode(data[key], arr.shape, key).tobytes() == arr.tobytes()
+            inst = parse_instance(data)
+            assert inst.state.vector.tobytes() == state.vector.tobytes()
+            assert inst.xi_perp.vector.tobytes() == perp.vector.tobytes()
+            assert inst.a.matrix.tobytes() == a.matrix.tobytes()
+            assert inst.b.matrix.tobytes() == b.matrix.tobytes()
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_entry_names_first_offender(self, name):
@@ -234,6 +232,24 @@ class TestCmdBounds:
         path = write_instance(tmp_path, "nonherm.json", payload)
         assert main(["bounds", path]) == 2
         assert "matrix A" in capsys.readouterr().err
+
+    def test_overflowing_entry_exits_two_with_one_error_line(self, tmp_path):
+        # M + M^dagger of this entry overflows to inf
+        payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_x())
+        payload["A"][0][0] = [1.7e308, 0.0]
+        path = write_instance(tmp_path, "overflow.json", payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "purbounds", "bounds", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "matrix A" in lines[0]
 
     def test_user_xi_perp(self, tmp_path, capsys):
         payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_x(), basis_state(2, 1))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from purbounds.bounds import bound_report
+from purbounds.bounds import bound_report, optimal_xi_perp
 from purbounds.quantum import (
     RENORM_WINDOW,
     TOL_EIG,
@@ -22,12 +22,13 @@ from purbounds.quantum import (
     expectation,
     hermitian_eigensystem,
     normalize,
-    orthonormal_complement_basis,
     pauli_x,
     pauli_z,
+    _MAX_ENTRY,
     _norm,
     variance,
 )
+from purbounds.verify import _complement_samples
 
 ALPHAS = [0.0, 0.3, np.pi / 4, np.pi / 3, 1.1, np.pi / 2, 2.5, np.pi, 4.0, 5.9]
 
@@ -130,6 +131,15 @@ BAD_OBSERVABLES = {
         [[100.0, 1e-7], [0.0, 0.0]], HermiticityError,
         "Hermiticity defect 1.000e-07 exceeds 1.0e-10 * 1.010e+02",
     ),
+    # M + M^dagger would overflow to inf
+    "entry_overflow": ([[1.7e308, 0.0], [0.0, 1.0]], ValueError, "observable entry modulus 1.700e+308 exceeds 1.481e+152"),
+    # finite once symmetrized, but the squared Frobenius norm would overflow
+    "norm_overflow": ([[1e300, 0.0], [0.0, 1.0]], ValueError, "observable entry modulus 1.000e+300 exceeds 1.481e+152"),
+    # the modulus itself overflows to inf
+    "modulus_overflow": (
+        [[0.0, complex(1.5e308, 1.5e308)], [complex(1.5e308, -1.5e308), 0.0]], ValueError,
+        "observable entry modulus inf exceeds 1.481e+152",
+    ),
 }
 
 
@@ -149,6 +159,13 @@ class TestValidationErrors:
             Observable(mat)
         assert type(info.value) is cls
         assert str(info.value) == message
+
+    def test_large_entries_accepted_with_finite_norm(self):
+        obs = Observable([[1e150, 0.0], [0.0, 1.0]])
+        assert obs.matrix[0, 0] == 1e150
+        assert obs.frobenius_norm() == pytest.approx(1e150, rel=1e-15)
+        # the limit holds at the largest dimension, with every entry at it
+        assert np.isfinite(Observable(np.full((64, 64), _MAX_ENTRY)).frobenius_norm())
 
     def test_window_edges_accepted(self):
         for nrm in (1.0 + 0.5 * RENORM_WINDOW, 1.0 - 0.5 * RENORM_WINDOW):
@@ -374,47 +391,70 @@ def _reference_inputs():
 REFERENCE_INPUTS = _reference_inputs()
 
 
+def fallback_vector(state: QuantumState) -> np.ndarray:
+    """The null-projection fallback of `optimal_xi_perp`: zero observables null every projection."""
+    zero = Observable(np.zeros((state.dim, state.dim)))
+    return optimal_xi_perp(zero, zero, state, "l1", 1).vector.vector
+
+
 class TestComplementBasis:
+    """The complement of a state without a stored basis, against the Gram-Schmidt
+    basis built here: the null-projection fallback is its first row, and the
+    sampled rows are unit vectors in its span."""
+
     def test_ground_state_complement(self):
-        (vec,) = orthonormal_complement_basis(basis_state(2, 0))
-        assert abs(np.vdot(vec, basis_state(2, 1).vector)) == pytest.approx(1.0)
+        excited = basis_state(2, 1).vector
+        assert abs(np.vdot(fallback_vector(basis_state(2, 0)), excited)) == pytest.approx(1.0)
+        (vec,) = _complement_samples(basis_state(2, 0), 1, np.random.default_rng(0))
+        assert abs(np.vdot(vec, excited)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_equatorial_complement_collinear_with_unique_direction(self, alpha):
-        (vec,) = orthonormal_complement_basis(equatorial_state(alpha))
-        assert abs(np.vdot(vec, perp_of(alpha))) == pytest.approx(1.0, abs=1e-12)
+        state = equatorial_state(alpha)
+        for vec in (fallback_vector(state), *_complement_samples(state, 3, np.random.default_rng(1))):
+            assert abs(np.vdot(vec, perp_of(alpha))) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_d5_gram_identity(self):
+        # each sample's coordinates in the reference basis have unit norm, so it lies in its span
         rng = np.random.default_rng(17)
         for _ in range(10):
             state = normalize(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            mat = orthonormal_complement_basis(state)
-            assert mat.shape == (4, 5)
-            gram = mat.conj() @ mat.T
-            np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
-            overlaps = mat.conj() @ state.vector
-            assert np.max(np.abs(overlaps)) < 1e-10
+            samples = _complement_samples(state, 20, rng)
+            assert samples.shape == (20, 5)
+            coords = samples @ gram_schmidt_complement(state).conj().T
+            np.testing.assert_allclose(np.linalg.norm(coords, axis=1), 1.0, atol=1e-10)
+            assert np.max(np.abs(samples @ state.vector.conj())) < 1e-10
 
     def test_deterministic(self):
         state = equatorial_state(2.2)
-        first = orthonormal_complement_basis(state)
-        second = orthonormal_complement_basis(state)
+        np.testing.assert_array_equal(fallback_vector(state), fallback_vector(state))
+        first = _complement_samples(state, 5, np.random.default_rng(7))
+        second = _complement_samples(state, 5, np.random.default_rng(7))
         np.testing.assert_array_equal(first, second)
 
     def test_empty_complement(self):
         with pytest.raises(EmptyComplementError):
-            orthonormal_complement_basis(QuantumState(np.array([1.0 + 0j])))
+            _complement_samples(QuantumState(np.array([1.0 + 0j])), 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name,state", REFERENCE_INPUTS, ids=[name for name, _ in REFERENCE_INPUTS])
     def test_matches_gram_schmidt_reference(self, name, state):
-        d = state.dim
-        basis = orthonormal_complement_basis(state)
-        assert basis.shape == (d - 1, d)
-        assert basis.dtype == complex
-        assert not basis.flags.writeable
-        np.testing.assert_allclose(basis, gram_schmidt_complement(state), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(basis.conj() @ basis.T, np.eye(d - 1), rtol=0, atol=1e-13)
-        assert np.max(np.abs(basis.conj() @ state.vector)) < 1e-13
+        reference = gram_schmidt_complement(state)
+        np.testing.assert_allclose(fallback_vector(state), reference[0], rtol=0, atol=1e-13)
+        samples = _complement_samples(state, 16, np.random.default_rng(3))
+        np.testing.assert_allclose(np.linalg.norm(samples, axis=1), 1.0, rtol=0, atol=1e-13)
+        assert np.max(np.abs(samples @ state.vector.conj())) < 1e-13
+
+    @pytest.mark.parametrize("dim", [3, 8, 64])
+    def test_samples_are_isotropic_in_the_complement(self, dim):
+        # |<u|v>|^2 for v uniform on the unit sphere of C^n, n = d - 1, is Beta(1, n - 1):
+        # mean 1/n, variance (n - 1) / (n^2 (n + 1))
+        rng = np.random.default_rng([29, dim])
+        state = _haar(rng, dim)
+        u = gram_schmidt_complement(state)[-1]
+        count, n = 20_000, dim - 1
+        overlaps = np.abs(_complement_samples(state, count, rng) @ u.conj()) ** 2
+        sigma = np.sqrt((n - 1) / (n * n * (n + 1)) / count)
+        assert abs(overlaps.mean() - 1.0 / n) < 5.0 * sigma
 
 
 class TestEigensystem:

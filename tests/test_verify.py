@@ -393,15 +393,14 @@ class TestKernelAgainstReference:
 
 
 class TestStackedReference:
-    """`_reference_values` evaluates every (bound, sign) row in one product; each
-    column must agree with the one-row `l1_bound`/`l2_bound` call of that sign."""
+    """`_reference_values` evaluates every (bound, sign) column in one product;
+    `l1_bound`/`l2_bound` are views of its columns, so they agree exactly."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_rows_match_per_sign_calls(self, dim):
         rng = np.random.default_rng([79, dim])
         for _ in range(3):
             state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
-            tol = 1e-12 * (1.0 + a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
             perps = np.array([random_unit_in_complement(state, rng).vector for _ in range(6)])
             for xi_perp in (perps[0], perps):
                 stacked = _reference_values(a, b, state, xi_perp)
@@ -409,7 +408,7 @@ class TestStackedReference:
                 for column, (which, sign) in enumerate(REFERENCE_ROWS):
                     single = (l1_bound if which == "l1" else l2_bound)(a, b, state, xi_perp, sign)
                     assert np.shape(single) == xi_perp.shape[:-1]
-                    np.testing.assert_allclose(stacked[..., column], single, rtol=0, atol=tol)
+                    np.testing.assert_array_equal(stacked[..., column], single)
 
     def test_rows_follow_bound_report_order(self):
         # at the analytic optimum each column reproduces the report's by-sign value
@@ -422,11 +421,3 @@ class TestStackedReference:
             cand = optimal_xi_perp(a, b, state, which, sign)
             value = _reference_values(a, b, state, cand.vector)[column]
             assert abs(value - by_sign[which][(1 - sign) // 2]) <= tol
-
-    def test_bad_rows_rejected(self):
-        state, a, b = random_state(3, 1), random_observable(3, 2), random_observable(3, 3)
-        perp = random_unit_in_complement(state, 4)
-        with pytest.raises(ValueError):
-            _reference_values(a, b, state, perp, (("l3", 1),))
-        with pytest.raises(ValueError):
-            _reference_values(a, b, state, perp, (("l1", 0),))
