@@ -60,6 +60,11 @@ CANDIDATE_KINDS = ("user_supplied", "analytic_optimum")
 
 MP_BOUNDS = ("l1", "l2")
 
+# Below this Var(A) Var(B), prod_var, t1 <= prod_var and t2^2 <= 4 prod_var are
+# finite, and so is every degree-2 quantity, since Observable caps each variance
+# at half the largest double.
+_MAX_VAR_PRODUCT = float(np.finfo(float).max) / 8
+
 
 class OrthogonalityError(ValueError):
     """Proposed xi_perp is not orthogonal to the state within tolerance."""
@@ -232,21 +237,44 @@ def _maximizing_sign(plus: float, minus: float) -> int:
     return 1 if plus >= minus - TOL_EIG else -1
 
 
-def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp=None) -> BoundReport:
-    """All four bounds for one instance, with maximizing signs and candidates.
+class _Hrsur(NamedTuple):
+    """The HRSUR half of the kernel: deviation vectors, variances and their product, CovQ, t1 and t2."""
 
-    Every field comes from the two deviation vectors. With `user_xi_perp` the
-    Maccone-Pati bounds are evaluated at that vector for both signs;
-    otherwise each bound and sign is evaluated at its own analytic optimum.
+    dev: _Deviations
+    var_a: float
+    var_b: float
+    prod_var: float
+    covq: float
+    t1: float
+    t2: float
+
+
+def _hrsur(a: Observable, b: Observable, state: QuantumState) -> _Hrsur:
+    """The Heisenberg-Robertson-Schrodinger bounds from the two deviation vectors.
+
+    Raises ValueError when Var(A) Var(B) exceeds _MAX_VAR_PRODUCT, where the
+    degree-4 quantities (prod_var, t1, t2^2) would leave the double range.
     """
     dev = _deviations(a, b, state)
     var_a = _squared_norm(dev.psi)
     var_b = _squared_norm(dev.phi)
-    sum_var = var_a + var_b
+    prod_var = var_a * var_b
+    if prod_var > _MAX_VAR_PRODUCT:
+        raise ValueError(
+            f"operand scale too large: Var(A) Var(B) = {prod_var:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
+            f"(|A|_F = {a.frobenius_norm():.3e}, |B|_F = {b.frobenius_norm():.3e})"
+        )
     # CovQ = Re Cov(A,B) and |<[A,B]>| = 2 |Im Cov(A,B)|
     covq = dev.overlap.real
     t2 = 2.0 * abs(dev.overlap.imag)
     t1 = covq * covq + 0.25 * t2**2
+    return _Hrsur(dev, var_a, var_b, prod_var, covq, t1, t2)
+
+
+def _report(a: Observable, b: Observable, state: QuantumState, hrsur: _Hrsur, user_xi_perp=None) -> BoundReport:
+    """The Maccone-Pati half of the kernel, completing `hrsur` into the full report."""
+    dev, var_a, var_b, prod_var, covq, t1, t2 = hrsur
+    sum_var = var_a + var_b
 
     keys = [(which, sign) for which in MP_BOUNDS for sign in (1, -1)]
     if user_xi_perp is None:
@@ -272,7 +300,7 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
         var_a=var_a,
         var_b=var_b,
         sum_var=sum_var,
-        prod_var=var_a * var_b,
+        prod_var=prod_var,
         covq=covq,
         comm_mean_abs=t2,
         t1=t1,
@@ -288,3 +316,15 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
         common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
         saturation_gap=sum_var - mpur,
     )
+
+
+def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp=None) -> BoundReport:
+    """All four bounds for one instance, with maximizing signs and candidates.
+
+    Every field comes from the two deviation vectors. With `user_xi_perp` the
+    Maccone-Pati bounds are evaluated at that vector for both signs;
+    otherwise each bound and sign is evaluated at its own analytic optimum.
+    Raises ValueError when the operand scale puts Var(A) Var(B) above an
+    eighth of the largest double, where prod_var and t1 would overflow.
+    """
+    return _report(a, b, state, _hrsur(a, b, state), user_xi_perp)

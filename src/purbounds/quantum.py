@@ -160,10 +160,12 @@ class Observable:
             raise ValueError(f"observable must be a square matrix, got shape {mat.shape}")
         if not 1 <= mat.shape[0] <= MAX_DIM:
             raise ValueError(f"observable dimension {mat.shape[0]} outside supported range [1, {MAX_DIM}]")
-        if not np.isfinite(mat).all():
-            raise ValueError("observable contains non-finite entries")
+        # one pass: a NaN or infinite entry makes the peak NaN or infinite
         peak = float(np.abs(mat).max())
-        if peak > _MAX_ENTRY:
+        if not peak <= _MAX_ENTRY:
+            # a finite entry whose modulus overflows also reads inf, so look once more
+            if not np.isfinite(mat).all():
+                raise ValueError("observable contains non-finite entries")
             raise ValueError(f"observable entry modulus {peak:.3e} exceeds {_MAX_ENTRY:.3e}")
         adjoint = mat.conj().T
         defect = float(np.abs(mat - adjoint).max())

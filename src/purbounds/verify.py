@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import _checked_perp, _validate_sign, _validate_which, bound_report, optimal_xi_perp
+from .bounds import _checked_perp, _hrsur, _report, _validate_sign, _validate_which, bound_report, optimal_xi_perp
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
@@ -34,7 +34,6 @@ from .quantum import (
     _norm,
     _same_dim,
     commutator_mean,
-    deviation_vector,
     normalize,
 )
 
@@ -255,11 +254,11 @@ DEFECT_CHECKS = (
 
 def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np.ndarray, theta: float):
     """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order."""
-    rep = bound_report(a, b, state)
+    # the report's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
+    own = _hrsur(a, b, state)
+    rep = _report(a, b, state, own)
+    psi, phi = own.dev.psi, own.dev.phi
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
-
-    psi = deviation_vector(a, state)
-    phi = deviation_vector(b, state)
 
     # <xi|AB|xi> and <xi|BA|xi> once: <[A,B]> must be imaginary, <{A,B}> real
     xi = state.vector
@@ -271,8 +270,9 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     values = _reference_values(a, b, state, perps)
     l1_vals, l2_vals = values[:, :2], values[:, 2:]
 
-    # swapping the observables must not change the HRSUR bounds
-    swapped = bound_report(b, a, state)
+    # swapping the observables must not change the HRSUR bounds, which only
+    # the HRSUR half of the kernel computes
+    swapped = _hrsur(b, a, state)
 
     # every computed quantity is invariant under a global phase on the state
     phased = QuantumState(np.exp(1j * theta) * state.vector)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from purbounds.bounds import OrthogonalityError, bound_report, optimal_xi_perp
+from purbounds.bounds import OrthogonalityError, _hrsur, bound_report, optimal_xi_perp
 from purbounds.quantum import (
     DimensionMismatchError,
     Observable,
@@ -376,3 +378,48 @@ class TestInvariances:
                 # the l2 direction of (B, A) at sign s is a phase times that of (A, B) at -s
                 for value, swapped_value in zip(rep.l2_by_sign, swapped.l2_by_sign[::-1]):
                     assert abs(value - swapped_value) <= tol
+
+
+class TestKernelHalves:
+    """bound_report is the Maccone-Pati half completing the HRSUR half, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_shared_fields_equal_by_hex(self, dim):
+        rng = np.random.default_rng([47, dim])
+        for _ in range(4):
+            state, a, b = random_instance(rng, dim)
+            hrsur = _hrsur(a, b, state)
+            for xi_perp in (None, random_unit_in_complement(state, rng)):
+                rep = bound_report(a, b, state, user_xi_perp=xi_perp)
+                for name in ("var_a", "var_b", "prod_var", "covq", "t1", "t2"):
+                    assert getattr(rep, name).hex() == getattr(hrsur, name).hex(), name
+                assert rep.comm_mean_abs.hex() == hrsur.t2.hex()
+
+
+class TestOperandScale:
+    """Past the operand scale where Var(A) Var(B) leaves the double range,
+    bound_report raises ValueError; below it every float is finite."""
+
+    @pytest.mark.parametrize("scale", [1e70, 1e80, 1e100, 1e150])
+    def test_finite_report_or_value_error(self, scale):
+        rng = np.random.default_rng([53, 4])
+        state, a, b = random_instance(rng, 4)
+        big_a, big_b = Observable(scale * a.matrix), Observable(scale * b.matrix)
+        for xi_perp in (None, random_unit_in_complement(state, rng)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rep = bound_report(big_a, big_b, state, user_xi_perp=xi_perp)
+                except ValueError as exc:
+                    assert type(exc) is ValueError
+                    assert "operand scale" in str(exc)
+                    continue
+            assert all(np.isfinite(v) for v in report_floats(rep).values())
+
+    def test_both_sides_of_the_limit(self):
+        rng = np.random.default_rng([53, 4])
+        state, a, b = random_instance(rng, 4)
+        rep = bound_report(Observable(1e70 * a.matrix), Observable(1e70 * b.matrix), state)
+        assert rep.t1 > 0.0 and np.isfinite(rep.prod_var)
+        with pytest.raises(ValueError, match=r"operand scale too large: Var\(A\) Var\(B\) = .* \(\|A\|_F = "):
+            bound_report(Observable(1e80 * a.matrix), Observable(1e80 * b.matrix), state)

@@ -415,6 +415,32 @@ class TestHugeIntegerLiterals:
         assert "Traceback" not in proc.stderr
 
 
+
+class TestOperandScale:
+    """A d = 4 pair scaled by 1e80 passes Observable's entry limit, but its
+    variance product overflows: a validation error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["bounds", "montecarlo"])
+    def test_exit_two_with_one_error_line(self, tmp_path, command):
+        state = random_state(4, 1)
+        a = Observable(1e80 * random_observable(4, 2).matrix)
+        b = Observable(1e80 * random_observable(4, 3).matrix)
+        path = write_instance(tmp_path, "scaled.json", instance_dict(state, a, b))
+        argv = [path] if command == "bounds" else ["--file", path, "--samples", "100"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "purbounds", command, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "operand scale too large" in lines[0]
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

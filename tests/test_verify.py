@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from purbounds import bounds, verify
 from purbounds.bounds import bound_report, optimal_xi_perp
 from purbounds.instances import json_dumps, parse_instance
 from purbounds.quantum import (
@@ -421,3 +423,45 @@ class TestStackedReference:
             cand = optimal_xi_perp(a, b, state, which, sign)
             value = _reference_values(a, b, state, cand.vector)[column]
             assert abs(value - by_sign[which][(1 - sign) // 2]) <= tol
+
+
+class TestReroutedChecksFire:
+    """The swap checks read the HRSUR half on (B, A) and the phase check a full
+    report on the phased state: a kernel that breaks either invariance fails."""
+
+    @staticmethod
+    def _patch_both(monkeypatch, name, patched):
+        # bound_report looks the half up in bounds, the suite in verify
+        monkeypatch.setattr(bounds, name, patched)
+        monkeypatch.setattr(verify, name, patched)
+
+    @staticmethod
+    def _failed_checks():
+        report = run_invariant_suite(count=8, dims=(2, 8, 64))
+        return {v["check"] for v in report.violations}
+
+    @pytest.mark.parametrize("field", ["t1", "t2"])
+    def test_operand_order_dependence_fires_symmetry(self, monkeypatch, field):
+        original = bounds._hrsur
+
+        def order_dependent(a, b, state):
+            hrsur = original(a, b, state)
+            if a.frobenius_norm() > b.frobenius_norm():
+                return hrsur._replace(**{field: getattr(hrsur, field) + 1.0})
+            return hrsur
+
+        self._patch_both(monkeypatch, "_hrsur", order_dependent)
+        assert f"{field}_symmetry" in self._failed_checks()
+
+    def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
+        original = bounds._report
+
+        def phase_dependent(a, b, state, hrsur, user_xi_perp=None):
+            rep = original(a, b, state, hrsur, user_xi_perp)
+            return dataclasses.replace(rep, l1=rep.l1 + abs(state.vector[0].imag))
+
+        self._patch_both(monkeypatch, "_report", phase_dependent)
+        assert "phase_invariance" in self._failed_checks()
+
+    def test_unpatched_kernel_passes(self):
+        assert self._failed_checks() == set()
