@@ -43,6 +43,8 @@ from .quantum import (
     Observable,
     QuantumState,
     _complement_projection,
+    _norm,
+    _row_norms,
     _same_dim,
     _squared_norm,
     deviation_vector,
@@ -135,8 +137,7 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
         raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
     _same_dim(state.dim, vec.shape[-1])
-    # np.linalg.norm(vec, axis=-1, keepdims=True), the same reduction without its dispatch
-    nrm = np.sqrt((vec.conj() * vec).real.sum(axis=-1, keepdims=True))
+    nrm = _row_norms(vec)
     off = np.abs(nrm - 1.0) > RENORM_WINDOW
     if off.any():
         raise OrthogonalityError(f"xi_perp norm {float(nrm[off][0])!r} is not 1")
@@ -162,54 +163,40 @@ def _deviations(a: Observable, b: Observable, state: QuantumState) -> _Deviation
     return _Deviations(psi, phi, complex(np.vdot(psi, phi)))
 
 
-def _direction(dev: _Deviations, which: str, sign: int) -> np.ndarray:
-    """The vector whose overlap with xi_perp is the bound's matrix element.
+def _row(
+    state: QuantumState, dev: _Deviations, null_tol: float, which: str, sign: int, xi_perp=None
+) -> tuple[np.ndarray, float]:
+    """One (bound, sign) row: a unit `xi_perp` orthogonal to the state and the bound's value there.
 
-    psi + s phi for l1 (<xi|(A + s B)|xi_perp>) and psi - s i phi for l2
-    (<xi|(A + s i B)|xi_perp>).
-    """
-    if which == "l1":
-        return dev.psi + sign * dev.phi
-    return dev.psi - sign * 1j * dev.phi
-
-
-def _bound_value(dev: _Deviations, perp: np.ndarray, which: str, sign: int) -> float:
-    """The bound `which` at `sign`, evaluated at a unit `perp` orthogonal to the state.
-
+    The bound is the square of one matrix element, <psi + s phi|xi_perp> for
+    l1 (<xi|(A + s B)|xi_perp>) and <psi - s i phi|xi_perp> for l2
+    (<xi|(A + s i B)|xi_perp>). Without `xi_perp` the row takes the normalized
+    complement projection of that direction, the Cauchy-Schwarz optimum.
+    When the projection is numerically null the element vanishes for every
+    admissible xi_perp, and the normalized complement projection of e_k is
+    taken, with k the first index other than that of the largest |xi_k|.
+    Then |xi_k|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
     The l2 value may be negative for the non-maximizing sign and is kept
     unclamped.
     """
-    element = abs(np.vdot(_direction(dev, which, sign), perp)) ** 2
+    direction = dev.psi + sign * dev.phi if which == "l1" else dev.psi - sign * 1j * dev.phi
+    if xi_perp is None:
+        if state.dim < 2:
+            raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
+        xi_perp = _complement_projection(state, direction)
+        nrm = _norm(xi_perp)
+        if nrm <= null_tol:
+            # e_k with k = 0, or k = 1 when |xi_0| is the largest
+            e_k = np.zeros(state.dim, dtype=complex)
+            e_k[int(np.abs(state.vector).argmax() == 0)] = 1.0
+            xi_perp = _complement_projection(state, e_k)
+            nrm = _norm(xi_perp)
+        xi_perp = xi_perp / nrm
+    element = abs(np.vdot(direction, xi_perp)) ** 2
     if which == "l1":
-        return float(0.5 * element)
+        return xi_perp, float(0.5 * element)
     # s i <[A,B]> = s i (2i Im Cov) is real
-    return float(-2.0 * sign * dev.overlap.imag + element)
-
-
-def _optimal_perp(state: QuantumState, dev: _Deviations, which: str, sign: int, null_tol: float) -> np.ndarray:
-    """Normalized complement projection of the bound's direction, as an array.
-
-    When the projection is numerically null the matrix element vanishes for
-    every admissible xi_perp, and the normalized complement projection of e_k
-    is taken, with k the first index other than that of the largest |xi_k|.
-    Then |xi_k|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
-    """
-    if state.dim < 2:
-        raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-    xi = state.vector
-    projected = _direction(dev, which, sign)
-    # two passes keep the normalized direction orthogonal even when the
-    # projection nearly annihilates the vector
-    for _ in range(2):
-        projected = projected - np.vdot(xi, projected) * xi
-    nrm = float(np.linalg.norm(projected))
-    if nrm <= null_tol:
-        # e_k with k = 0, or k = 1 when |xi_0| is the largest
-        e_k = np.zeros(state.dim, dtype=complex)
-        e_k[int(np.abs(xi).argmax() == 0)] = 1.0
-        fallback = _complement_projection(state, e_k)
-        return fallback / np.linalg.norm(fallback)
-    return projected / nrm
+    return xi_perp, float(-2.0 * sign * dev.overlap.imag + element)
 
 
 def _null_tol(a: Observable, b: Observable) -> float:
@@ -227,9 +214,8 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     """
     _validate_which(which)
     _validate_sign(sign)
-    dev = _deviations(a, b, state)
-    perp = _optimal_perp(state, dev, which, sign, _null_tol(a, b))
-    return OrthogonalCandidate(QuantumState(perp), _bound_value(dev, perp, which, sign), sign, "analytic_optimum")
+    perp, value = _row(state, _deviations(a, b, state), _null_tol(a, b), which, sign)
+    return OrthogonalCandidate(QuantumState(perp), value, sign, "analytic_optimum")
 
 
 def _maximizing_sign(plus: float, minus: float) -> int:
@@ -276,23 +262,23 @@ def _report(a: Observable, b: Observable, state: QuantumState, hrsur: _Hrsur, us
     dev, var_a, var_b, prod_var, covq, t1, t2 = hrsur
     sum_var = var_a + var_b
 
-    keys = [(which, sign) for which in MP_BOUNDS for sign in (1, -1)]
+    null_tol = _null_tol(a, b)
     if user_xi_perp is None:
-        null_tol = _null_tol(a, b)
-        perps = {key: _optimal_perp(state, dev, *key, null_tol) for key in keys}
-        user, kind = None, "analytic_optimum"
+        user, xi_perp, kind = None, None, "analytic_optimum"
     else:
         user = QuantumState(_checked_perp(state, user_xi_perp))
-        perps = dict.fromkeys(keys, user.vector)
-        kind = "user_supplied"
-    values = {key: _bound_value(dev, perp, *key) for key, perp in perps.items()}
+        xi_perp, kind = user.vector, "user_supplied"
 
-    def candidate(which: str) -> OrthogonalCandidate:
+    def candidate(which: str) -> tuple[OrthogonalCandidate, tuple[float, float]]:
+        """The candidate of bound `which` at its maximizing sign, and its values at (+1, -1)."""
+        rows = {sign: _row(state, dev, null_tol, which, sign, xi_perp) for sign in (1, -1)}
+        by_sign = (rows[1][1], rows[-1][1])
+        sign = _maximizing_sign(*by_sign)
+        perp, value = rows[sign]
         # only the two returned vectors are wrapped (and validated) as states
-        sign = _maximizing_sign(values[which, 1], values[which, -1])
-        return OrthogonalCandidate(user or QuantumState(perps[which, sign]), values[which, sign], sign, kind)
+        return OrthogonalCandidate(user or QuantumState(perp), value, sign, kind), by_sign
 
-    l1_cand, l2_cand = candidate("l1"), candidate("l2")
+    (l1_cand, l1_by_sign), (l2_cand, l2_by_sign) = candidate("l1"), candidate("l2")
     l1 = l1_cand.bound_value
     l2 = l2_cand.bound_value
     mpur = max(l1, l2)
@@ -309,8 +295,8 @@ def _report(a: Observable, b: Observable, state: QuantumState, hrsur: _Hrsur, us
         l2=l2,
         l1_candidate=l1_cand,
         l2_candidate=l2_cand,
-        l1_by_sign=(values["l1", 1], values["l1", -1]),
-        l2_by_sign=(values["l2", 1], values["l2", -1]),
+        l1_by_sign=l1_by_sign,
+        l2_by_sign=l2_by_sign,
         mpur=mpur,
         hrsur_trivial=bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
         common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),

@@ -104,6 +104,11 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(vecs, axis=-1, keepdims=True), the same reduction without its dispatch."""
+    return np.sqrt((vecs.conj() * vecs).real.sum(axis=-1, keepdims=True))
+
+
 def _same_dim(*dims: int) -> int:
     first = dims[0]
     for d in dims[1:]:

@@ -32,9 +32,9 @@ from .quantum import (
     _as_vector,
     _complement_projection,
     _norm,
+    _row_norms,
     _same_dim,
     commutator_mean,
-    normalize,
 )
 
 __all__ = [
@@ -81,7 +81,8 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def random_state(dim: int, seed) -> QuantumState:
     """Haar-distributed state: standard complex Gaussian components, normalized."""
     _check_dim(dim)
-    return normalize(_complex_normal(_rng(seed), dim))
+    vec = _complex_normal(_rng(seed), dim)
+    return QuantumState(vec / _norm(vec))
 
 
 def random_observable(dim: int, seed) -> Observable:
@@ -100,8 +101,7 @@ def _complement_samples(state: QuantumState, count: int, rng: np.random.Generato
     if state.dim < 2:
         raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
     vecs = _complement_projection(state, _complex_normal(rng, (count, state.dim)))
-    # np.linalg.norm(vecs, axis=1, keepdims=True), the same reduction without its dispatch
-    return vecs / np.sqrt((vecs.conj() * vecs).real.sum(axis=1, keepdims=True))
+    return vecs / _row_norms(vecs)
 
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:

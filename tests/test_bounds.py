@@ -15,7 +15,7 @@ from purbounds.quantum import (
     pauli_z,
     variance,
 )
-from purbounds.verify import l1_bound, l2_bound, random_unit_in_complement
+from purbounds.verify import l1_bound, l2_bound, random_unit_in_complement, search_optimal_xi_perp
 
 ALPHAS = [0.0, 0.4, np.pi / 4, 1.2, np.pi / 2, 2.8, np.pi, 4.4, 5.7]
 
@@ -317,6 +317,10 @@ class TestBoundReport:
                 optimum = optimal_xi_perp(a, b, state, which, cand.sign)
                 assert cand.vector.vector.tobytes() == optimum.vector.vector.tobytes()
                 assert cand.bound_value == optimum.bound_value
+                # every (bound, sign) row, not only the maximizing one
+                by_sign = getattr(rep, f"{which}_by_sign")
+                for i, sign in enumerate((1, -1)):
+                    assert optimal_xi_perp(a, b, state, which, sign).bound_value == by_sign[i]
 
 
 def random_unitary(rng, dim):
@@ -415,6 +419,24 @@ class TestOperandScale:
                     assert "operand scale" in str(exc)
                     continue
             assert all(np.isfinite(v) for v in report_floats(rep).values())
+
+    @pytest.mark.parametrize("scale", [1e70, 1e80, 1e100, 1e150])
+    def test_degree_two_entry_points_stay_finite(self, scale):
+        # none of these reads Var(A) Var(B), so none goes through the report's scale limit
+        rng = np.random.default_rng([59, 4])
+        state, a, b = random_instance(rng, 4)
+        big_a, big_b = Observable(scale * a.matrix), Observable(scale * b.matrix)
+        perp = random_unit_in_complement(state, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [l1_bound(big_a, big_b, state, perp, s) for s in (1, -1)]
+            values += [l2_bound(big_a, big_b, state, perp, s) for s in (1, -1)]
+            for which in ("l1", "l2"):
+                for sign in (1, -1):
+                    values.append(optimal_xi_perp(big_a, big_b, state, which, sign).bound_value)
+                    search = search_optimal_xi_perp(big_a, big_b, state, which, sign, samples=16, seed=5)
+                    values += [search.best_value, search.analytic_value]
+        assert all(isinstance(v, float) and np.isfinite(v) for v in values)
 
     def test_both_sides_of_the_limit(self):
         rng = np.random.default_rng([53, 4])
