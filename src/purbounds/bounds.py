@@ -47,6 +47,7 @@ from .quantum import (
     _row_norms,
     _same_dim,
     _squared_norm,
+    _trusted_state,
     deviation_vector,
 )
 
@@ -215,7 +216,7 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     _validate_which(which)
     _validate_sign(sign)
     perp, value = _row(state, _deviations(a, b, state), _null_tol(a, b), which, sign)
-    return OrthogonalCandidate(QuantumState(perp), value, sign, "analytic_optimum")
+    return OrthogonalCandidate(_trusted_state(perp), value, sign, "analytic_optimum")
 
 
 def _maximizing_sign(plus: float, minus: float) -> int:
@@ -275,8 +276,8 @@ def _report(a: Observable, b: Observable, state: QuantumState, hrsur: _Hrsur, us
         by_sign = (rows[1][1], rows[-1][1])
         sign = _maximizing_sign(*by_sign)
         perp, value = rows[sign]
-        # only the two returned vectors are wrapped (and validated) as states
-        return OrthogonalCandidate(user or QuantumState(perp), value, sign, kind), by_sign
+        # only the two returned vectors are wrapped as states; each is a fresh unit vector from _row
+        return OrthogonalCandidate(user or _trusted_state(perp), value, sign, kind), by_sign
 
     (l1_cand, l1_by_sign), (l2_cand, l2_by_sign) = candidate("l1"), candidate("l2")
     l1 = l1_cand.bound_value

@@ -20,6 +20,7 @@ from .quantum import (
     TOL_NORM,
     Observable,
     QuantumState,
+    _integer,
     _same_dim,
     hermitian_eigensystem,
 )
@@ -116,6 +117,7 @@ def _merged_value(vals: list[float], weights: list[float]) -> float:
 
 def sample_outcomes(dist: BornDistribution, n: int, seed) -> np.ndarray:
     """n i.i.d. outcomes by inverse CDF; deterministic per seed."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
@@ -198,6 +200,7 @@ def statistical_bound_check(
     Maccone-Pati bound by more than SIGMA_MARGIN combined standard errors, or
     exceeds the analytic sum by the same margin.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("variance estimation needs n >= 2")
     _same_dim(a.dim, b.dim, state.dim)

@@ -10,6 +10,7 @@ and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,14 @@ def _row_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt((vecs.conj() * vecs).real.sum(axis=-1, keepdims=True))
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; numpy integers pass, a bool or a non-integral number raises ValueError."""
+    # int() would read 2.9 as 2 and True as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _same_dim(*dims: int) -> int:
     first = dims[0]
     for d in dims[1:]:
@@ -177,14 +186,7 @@ class Observable:
         scale = 1.0 + peak
         if defect > TOL_HERM * scale:
             raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e} * {scale:.3e}")
-        # halved part by part: 0.5 * z is a complex multiply that can turn a -0.0 part into +0.0
-        mat = mat + adjoint
-        mat.real *= 0.5
-        mat.imag *= 0.5
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        # every scale-relative tolerance reads the norm; the matrix never changes
-        object.__setattr__(self, "_frobenius", _norm(mat))
+        _store_hermitian_part(self, mat, adjoint)
 
     @property
     def dim(self) -> int:
@@ -192,6 +194,40 @@ class Observable:
 
     def frobenius_norm(self) -> float:
         return self._frobenius
+
+
+def _store_hermitian_part(obs: Observable, mat: np.ndarray, adjoint: np.ndarray) -> Observable:
+    """Store (M + M†)/2, exactly Hermitian, read-only, with its Frobenius norm."""
+    # halved part by part: 0.5 * z is a complex multiply that can turn a -0.0 part into +0.0
+    mat = mat + adjoint
+    mat.real *= 0.5
+    mat.imag *= 0.5
+    mat.setflags(write=False)
+    object.__setattr__(obs, "matrix", mat)
+    # every scale-relative tolerance reads the norm; the matrix never changes
+    object.__setattr__(obs, "_frobenius", _norm(mat))
+    return obs
+
+
+def _trusted_state(vec: np.ndarray) -> QuantumState:
+    """A unit vector the package normalized itself, wrapped without re-validation.
+
+    `vec` must be a fresh 1-D complex array of unit norm to rounding, so that
+    `QuantumState(vec)` would store it unchanged. It is made read-only in place.
+    """
+    state = object.__new__(QuantumState)
+    vec.setflags(write=False)
+    object.__setattr__(state, "vector", vec)
+    return state
+
+
+def _trusted_observable(g: np.ndarray) -> Observable:
+    """(G + G†)/2 of a square complex draw `g`, wrapped without re-validation.
+
+    G + G† is exactly Hermitian in floating point, so this stores what
+    `Observable` would store for the same matrix, without its checks.
+    """
+    return _store_hermitian_part(object.__new__(Observable), g, g.conj().T)
 
 
 def normalize(u) -> QuantumState:
@@ -242,7 +278,14 @@ def commutator_mean(a: Observable, b: Observable, state: QuantumState) -> comple
     """<[A,B]> = <AB> - <BA>; purely imaginary for Hermitian inputs (asserted)."""
     _same_dim(a.dim, b.dim, state.dim)
     xi = state.vector
-    mean = complex(np.vdot(xi, a.matrix @ (b.matrix @ xi)) - np.vdot(xi, b.matrix @ (a.matrix @ xi)))
+    ab = np.vdot(xi, a.matrix @ (b.matrix @ xi))
+    ba = np.vdot(xi, b.matrix @ (a.matrix @ xi))
+    return _commutator_of_means(a, b, ab, ba)
+
+
+def _commutator_of_means(a: Observable, b: Observable, ab, ba) -> complex:
+    """<[A,B]> from <AB> and <BA>, with the guard that its real part vanishes within tolerance."""
+    mean = complex(ab - ba)
     if abs(mean.real) > TOL_EIG * (1.0 + a.frobenius_norm() * b.frobenius_norm()):
         raise HermiticityError(f"commutator mean has real part {mean.real:.3e}; inputs not Hermitian")
     return mean

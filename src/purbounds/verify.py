@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +31,14 @@ from .quantum import (
     Observable,
     QuantumState,
     _as_vector,
+    _commutator_of_means,
     _complement_projection,
+    _integer,
     _norm,
     _row_norms,
     _same_dim,
-    commutator_mean,
+    _trusted_observable,
+    _trusted_state,
 )
 
 __all__ = [
@@ -82,14 +86,13 @@ def random_state(dim: int, seed) -> QuantumState:
     """Haar-distributed state: standard complex Gaussian components, normalized."""
     _check_dim(dim)
     vec = _complex_normal(_rng(seed), dim)
-    return QuantumState(vec / _norm(vec))
+    return _trusted_state(vec / _norm(vec))
 
 
 def random_observable(dim: int, seed) -> Observable:
     """GUE-style observable: (G + G†)/2 for G with standard complex Gaussian entries."""
     _check_dim(dim)
-    g = _complex_normal(_rng(seed), (dim, dim))
-    return Observable(0.5 * (g + g.conj().T))
+    return _trusted_observable(_complex_normal(_rng(seed), (dim, dim)))
 
 
 def _complement_samples(state: QuantumState, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,7 +109,7 @@ def _complement_samples(state: QuantumState, count: int, rng: np.random.Generato
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
     """Uniform unit vector orthogonal to the state (a projected complex Gaussian)."""
-    return QuantumState(_complement_samples(state, 1, _rng(seed))[0])
+    return _trusted_state(_complement_samples(state, 1, _rng(seed))[0])
 
 
 # the (bound, sign) columns of the reference, in the order of BoundReport's by-sign pairs
@@ -115,6 +118,31 @@ REFERENCE_ROWS = (("l1", 1), ("l1", -1), ("l2", 1), ("l2", -1))
 # since <xi|(A + s i B)|xi_perp> = <(A - s i B) xi | xi_perp>
 _REFERENCE_COEFFS = np.array([sign if which == "l1" else -sign * 1j for which, sign in REFERENCE_ROWS])
 _REFERENCE_SCALE = np.array([0.5 if which == "l1" else 1.0 for which, _ in REFERENCE_ROWS])
+
+
+class _Images(NamedTuple):
+    """A|xi>, B|xi> and the means <xi|AB|xi>, <xi|BA|xi>, from four matrix-vector products."""
+
+    ax: np.ndarray
+    bx: np.ndarray
+    ab: complex
+    ba: complex
+
+
+def _images(a: Observable, b: Observable, state: QuantumState) -> _Images:
+    _same_dim(a.dim, b.dim, state.dim)
+    xi = state.vector
+    ax, bx = a.matrix @ xi, b.matrix @ xi
+    return _Images(ax, bx, np.vdot(xi, a.matrix @ bx), np.vdot(xi, b.matrix @ ax))
+
+
+def _reference_columns(a: Observable, b: Observable, images: _Images, perps: np.ndarray) -> np.ndarray:
+    """The columns of `_reference_values` at checked unit rows `perps`, from the instance's images."""
+    # s i <[A,B]> is real: the commutator mean is purely imaginary
+    comm = _commutator_of_means(a, b, images.ab, images.ba)
+    offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
+    columns = images.ax + _REFERENCE_COEFFS[:, None] * images.bx
+    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + offset
 
 
 def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp) -> np.ndarray:
@@ -127,14 +155,8 @@ def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp
     one (n, d) @ (d, 4) product evaluates every column at every xi_perp. One
     vector gives shape (4,), a stack of n vectors (n, 4).
     """
-    _same_dim(a.dim, b.dim, state.dim)
-    perps = _checked_perp(state, xi_perp)
-    xi = state.vector
-    images = a.matrix @ xi + _REFERENCE_COEFFS[:, None] * (b.matrix @ xi)
-    # s i <[A,B]> is real: the commutator mean is purely imaginary
-    comm = commutator_mean(a, b, state)
-    offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
-    return np.abs(perps @ images.conj().T) ** 2 * _REFERENCE_SCALE + offset
+    images = _images(a, b, state)
+    return _reference_columns(a, b, images, _checked_perp(state, xi_perp))
 
 
 def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
@@ -189,6 +211,7 @@ def search_optimal_xi_perp(
     complement is a single phase circle so the gap vanishes.
     """
     _validate_which(which)
+    samples = _integer("samples", samples)
     if samples < 1:
         raise ValueError("samples must be positive")
     _same_dim(a.dim, b.dim, state.dim)
@@ -198,26 +221,36 @@ def search_optimal_xi_perp(
     best = int(np.argmax(values))
     return SearchResult(
         best_value=float(values[best]),
-        best_vector=QuantumState(perps[best]),
+        best_vector=_trusted_state(perps[best].copy()),
         samples_used=samples,
         analytic_value=analytic,
     )
 
 
-def check_parallelogram(u, v) -> float:
-    """|2(||u||^2 + ||v||^2) - ||u+v||^2 - ||u-v||^2|, zero in exact arithmetic."""
+def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     uv, vv = _as_vector(u), _as_vector(v)
     _same_dim(uv.size, vv.size)
-    lhs = 2.0 * (_norm(uv) ** 2 + _norm(vv) ** 2)
-    rhs = _norm(uv + vv) ** 2 + _norm(uv - vv) ** 2
+    return uv, vv
+
+
+def _parallelogram(u: np.ndarray, v: np.ndarray) -> float:
+    lhs = 2.0 * (_norm(u) ** 2 + _norm(v) ** 2)
+    rhs = _norm(u + v) ** 2 + _norm(u - v) ** 2
     return abs(lhs - rhs)
+
+
+def _csi(u: np.ndarray, v: np.ndarray) -> float:
+    return float(_norm(u) ** 2 * _norm(v) ** 2 - abs(np.vdot(u, v)) ** 2)
+
+
+def check_parallelogram(u, v) -> float:
+    """|2(||u||^2 + ||v||^2) - ||u+v||^2 - ||u-v||^2|, zero in exact arithmetic."""
+    return _parallelogram(*_checked_pair(u, v))
 
 
 def check_csi(u, v) -> float:
     """Cauchy-Schwarz slack <u|u><v|v> - |<u|v>|^2; zero iff collinear (or null)."""
-    uv, vv = _as_vector(u), _as_vector(v)
-    _same_dim(uv.size, vv.size)
-    return float(_norm(uv) ** 2 * _norm(vv) ** 2 - abs(np.vdot(uv, vv)) ** 2)
+    return _csi(*_checked_pair(u, v))
 
 
 @dataclass
@@ -253,21 +286,24 @@ DEFECT_CHECKS = (
 
 
 def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np.ndarray, theta: float):
-    """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order."""
+    """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order.
+
+    Values the suite built itself go through the private array forms unchecked,
+    except the sampled `perps`, which the reference checks as it checks any xi_perp.
+    """
     # the report's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
     own = _hrsur(a, b, state)
     rep = _report(a, b, state, own)
     psi, phi = own.dev.psi, own.dev.phi
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
-    # <xi|AB|xi> and <xi|BA|xi> once: <[A,B]> must be imaginary, <{A,B}> real
-    xi = state.vector
-    ab = np.vdot(xi, a.matrix @ (b.matrix @ xi))
-    ba = np.vdot(xi, b.matrix @ (a.matrix @ xi))
+    # A|xi>, B|xi>, <xi|AB|xi> and <xi|BA|xi> once, for the reference and for the
+    # Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
+    images = _images(a, b, state)
 
     # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp:
     # columns (+1, -1) of each bound, against the optimum of the same sign
-    values = _reference_values(a, b, state, perps)
+    values = _reference_columns(a, b, images, _checked_perp(state, perps))
     l1_vals, l2_vals = values[:, :2], values[:, 2:]
 
     # swapping the observables must not change the HRSUR bounds, which only
@@ -275,23 +311,23 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     swapped = _hrsur(b, a, state)
 
     # every computed quantity is invariant under a global phase on the state
-    phased = QuantumState(np.exp(1j * theta) * state.vector)
+    phased = _trusted_state(np.exp(1j * theta) * state.vector)
     rep_phased = bound_report(a, b, phased)
 
     slacks = (
         rep.prod_var - rep.t1,
         rep.sum_var - sigma_term,
         sigma_term - rep.t2,
-        check_csi(psi, phi),
+        _csi(psi, phi),
         float((rep.sum_var - l1_vals).min()),
         float((rep.sum_var - l2_vals).min()),
         float((np.array(rep.l1_by_sign) - l1_vals).min()),
         float((np.array(rep.l2_by_sign) - l2_vals).min()),
     )
     defects = (
-        check_parallelogram(psi, phi),
-        abs(complex(ab - ba).real),
-        abs(complex(ab + ba).imag),
+        _parallelogram(psi, phi),
+        abs(complex(images.ab - images.ba).real),
+        abs(complex(images.ab + images.ba).imag),
         max(abs(v - rep.sum_var) for v in rep.l2_by_sign),
         max(
             abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq))
@@ -305,13 +341,6 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         ),
     )
     return rep, slacks, defects
-
-
-def _integer(name: str, value) -> int:
-    # int() would read 2.9 as 2 and True as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def run_invariant_suite(
@@ -337,6 +366,10 @@ def run_invariant_suite(
         raise ValueError("dims must be nonempty")
     for d in dims:
         _check_dim(d)
+    # True would be written as "tol": true, and a numpy float fails only at serialization
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
+    tol = float(tol)
     if not math.isfinite(tol):
         # NaN compares false with every slack and defect, so no check could fire
         raise ValueError(f"tol must be finite, got {tol!r}")

@@ -169,6 +169,19 @@ class TestStatisticalBoundCheck:
         with pytest.raises(ValueError):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=1, seed=0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 1000.0], ids=["bool", "fraction", "integral_float"])
+    def test_non_integer_n_rejected(self, n):
+        # numpy raised TypeError on the sample count
+        with pytest.raises(ValueError, match="n must be an integer"):
+            statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=n, seed=0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_outcomes(BornDistribution(np.array([1.0]), np.array([1.0])), n, 0)
+
+    def test_numpy_integer_n_accepted(self):
+        rep = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.9), n=np.int64(2_000), seed=3)
+        assert rep.estimate_a.n == 2_000
+        assert rep.to_dict() == statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.9), n=2_000, seed=3).to_dict()
+
     @pytest.mark.parametrize(
         "a,b,state",
         [(pauli_x(), pauli_z(), equatorial_state(0.0)), (pauli_z(), pauli_x(), basis_state(2, 0))],

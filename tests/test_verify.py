@@ -11,8 +11,13 @@ from purbounds import bounds, verify
 from purbounds.bounds import bound_report, optimal_xi_perp
 from purbounds.instances import json_dumps, parse_instance
 from purbounds.quantum import (
+    MAX_DIM,
+    TOL_EIG,
     EmptyComplementError,
+    Observable,
+    QuantumState,
     basis_state,
+    commutator_mean,
     deviation_vector,
     equatorial_state,
     pauli_x,
@@ -151,6 +156,16 @@ class TestSearchOptimalXiPerp:
         assert abs(np.vdot(state.vector, res.best_vector.vector)) < 1e-10
         assert res.samples_used == 50
 
+    @pytest.mark.parametrize("samples", [True, 2.5, 10.0], ids=["bool", "fraction", "integral_float"])
+    def test_non_integer_samples_rejected(self, samples):
+        # numpy would raise TypeError on the sample shape, or read True as 1
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            search_optimal_xi_perp(pauli_x(), pauli_z(), equatorial_state(0.4), "l1", 1, samples, 0)
+
+    def test_numpy_integer_samples_stored_as_int(self):
+        res = search_optimal_xi_perp(pauli_x(), pauli_z(), equatorial_state(0.4), "l2", 1, np.int64(7), 0)
+        assert type(res.samples_used) is int and res.samples_used == 7
+
 
 class TestCheckParallelogram:
     def test_orthonormal_pair(self):
@@ -277,6 +292,18 @@ class TestInvariantSuite:
         with pytest.raises(ValueError, match="must be an integer"):
             run_invariant_suite(**{"count": 1, "perp_samples": 3, **kwargs})
 
+    @pytest.mark.parametrize("tol", [True, "1e-9", None, 1e-9j], ids=["bool", "str", "none", "complex"])
+    def test_non_real_tol_rejected(self, tol):
+        # True ran and was written as "tol": true; a string raised TypeError
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            run_invariant_suite(count=1, tol=tol)
+
+    def test_numpy_float_tol_stored_as_float(self):
+        # a float32 tol ran the whole suite, then failed to serialize
+        report = run_invariant_suite(count=2, dims=(3,), perp_samples=4, tol=np.float32(1e-9))
+        assert type(report.tol) is float and report.tol == float(np.float32(1e-9))
+        assert json.loads(json_dumps(report.to_dict()))["tol"] == report.tol
+
     def test_numpy_integers_accepted(self):
         report = run_invariant_suite(count=np.int64(2), dims=(np.int64(3),), seed=np.int64(5), perp_samples=np.int64(4))
         assert json.loads(json_dumps(report.to_dict()))["count"] == 2
@@ -329,6 +356,146 @@ class TestSuiteViolations:
             assert inst.state.vector.tobytes() == state.vector.tobytes()
             assert inst.a.matrix.tobytes() == a.matrix.tobytes()
             assert inst.b.matrix.tobytes() == b.matrix.tobytes()
+
+
+def assert_as_validated_state(state):
+    """The vector is read-only and is what QuantumState builds from it, bit for bit."""
+    vec = state.vector
+    assert not vec.flags.writeable
+    assert vec.tobytes() == QuantumState(vec).vector.tobytes()
+
+
+def assert_as_validated_observable(obs):
+    """The matrix is read-only and is what Observable builds from it, bit for bit, norm included."""
+    again = Observable(obs.matrix)
+    assert not obs.matrix.flags.writeable
+    assert obs.matrix.tobytes() == again.matrix.tobytes()
+    assert obs.frobenius_norm().hex() == again.frobenius_norm().hex()
+
+
+class TestTrustedWraps:
+    """Values the package builds itself are wrapped without re-validation. Each
+    must be what the validating constructor would build from it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_instances_at_every_dimension(self, seed):
+        for dim in range(2, MAX_DIM + 1):
+            state = random_state(dim, [seed, dim])
+            assert_as_validated_state(state)
+            obs = random_observable(dim, [seed, dim])
+            assert_as_validated_observable(obs)
+            # the same draw through the validating route stores the same bits
+            g = verify._complex_normal(np.random.default_rng([seed, dim]), (dim, dim))
+            assert obs.matrix.tobytes() == Observable(0.5 * (g + g.conj().T)).matrix.tobytes()
+            assert_as_validated_state(random_unit_in_complement(state, seed))
+
+    def test_suite_phased_states_and_candidates(self, monkeypatch):
+        # the suite passes its phased state only to bound_report
+        seen = []
+
+        def recording(a, b, state, user_xi_perp=None):
+            rep = bound_report(a, b, state, user_xi_perp)
+            seen.append((state, rep))
+            return rep
+
+        monkeypatch.setattr(verify, "bound_report", recording)
+        run_invariant_suite(count=2 * (MAX_DIM - 1), dims=tuple(range(2, MAX_DIM + 1)), perp_samples=2)
+        assert len(seen) == 2 * (MAX_DIM - 1)
+        for state, rep in seen:
+            assert_as_validated_state(state)
+            assert_as_validated_state(rep.l1_candidate.vector)
+            assert_as_validated_state(rep.l2_candidate.vector)
+
+    @staticmethod
+    def _candidates(a, b, state, perp):
+        reports = [bound_report(a, b, state), bound_report(a, b, state, user_xi_perp=perp)]
+        cands = [c for rep in reports for c in (rep.l1_candidate, rep.l2_candidate)]
+        cands += [optimal_xi_perp(a, b, state, which, sign) for which in ("l1", "l2") for sign in (1, -1)]
+        search = search_optimal_xi_perp(a, b, state, "l1", 1, samples=3, seed=0)
+        return [c.vector for c in cands] + [search.best_vector]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_analytic_and_user_candidates(self, dim):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, dim])
+            state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
+            for cand in self._candidates(a, b, state, random_unit_in_complement(state, rng)):
+                assert_as_validated_state(cand)
+
+    @pytest.mark.parametrize("dim", [2, 4, 64])
+    def test_null_projection_fallback_candidates(self, dim):
+        # a common eigenvector: every projection is null, every candidate the e_k fallback
+        state = basis_state(dim, dim - 1)
+        a = Observable(np.diag(np.arange(1.0, dim + 1.0)).astype(complex))
+        b = Observable(np.diag(np.linspace(-1.0, 2.0, dim)).astype(complex))
+        rep = bound_report(a, b, state)
+        assert rep.common_eigenvector
+        np.testing.assert_array_equal(rep.l1_candidate.vector.vector, basis_state(dim, 0).vector)
+        for cand in self._candidates(a, b, state, basis_state(dim, 0)):
+            assert_as_validated_state(cand)
+
+    @pytest.mark.parametrize("scale", [1e70, 1e80, 1e100, 1e150])
+    def test_candidates_at_large_operand_scale(self, scale):
+        rng = np.random.default_rng([53, 4])
+        state = random_state(4, rng)
+        a, b = (Observable(scale * random_observable(4, rng).matrix) for _ in range(2))
+        perp = random_unit_in_complement(state, rng)
+        cands = [optimal_xi_perp(a, b, state, w, s).vector for w in ("l1", "l2") for s in (1, -1)]
+        try:
+            cands = self._candidates(a, b, state, perp)
+        except ValueError as exc:
+            # past the report's scale limit only optimal_xi_perp has candidates
+            assert "operand scale" in str(exc) and scale > 1e70
+        for cand in cands:
+            assert_as_validated_state(cand)
+
+
+class TestCheckInstanceRoutes:
+    """The suite's rows read private array forms and shared products; each value
+    must equal, bit for bit, what the public routes compute on the same instance."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_rows_equal_public_routes_by_hex(self, dim):
+        for index in range(4):
+            # the suite's draw order
+            rng = np.random.default_rng([31, dim, index])
+            state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
+            perps = verify._complement_samples(state, 20, rng)
+            theta = 2.0 * np.pi * rng.random()
+            _, slacks, defects = verify._check_instance(state, a, b, perps, theta)
+
+            rep = bound_report(a, b, state)
+            psi, phi = deviation_vector(a, state), deviation_vector(b, state)
+            l1 = np.stack([l1_bound(a, b, state, perps, s) for s in (1, -1)], axis=1)
+            l2 = np.stack([l2_bound(a, b, state, perps, s) for s in (1, -1)], axis=1)
+            xi = state.vector
+            ab, ba = np.vdot(xi, a.matrix @ (b.matrix @ xi)), np.vdot(xi, b.matrix @ (a.matrix @ xi))
+            sigma = 2.0 * np.sqrt(rep.var_a) * np.sqrt(rep.var_b)
+            swapped = bound_report(b, a, state)
+            phased = bound_report(a, b, QuantumState(np.exp(1j * theta) * xi))
+            expected_slacks = (
+                rep.prod_var - rep.t1,
+                rep.sum_var - sigma,
+                sigma - rep.t2,
+                check_csi(psi, phi),
+                float((rep.sum_var - l1).min()),
+                float((rep.sum_var - l2).min()),
+                float((np.array(rep.l1_by_sign) - l1).min()),
+                float((np.array(rep.l2_by_sign) - l2).min()),
+            )
+            expected_defects = (
+                check_parallelogram(psi, phi),
+                abs(commutator_mean(a, b, state).real),
+                abs(complex(ab + ba).imag),
+                max(abs(v - rep.sum_var) for v in rep.l2_by_sign),
+                max(abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq)) for i, s in ((0, 1), (1, -1))),
+                abs(rep.t1 - swapped.t1),
+                abs(rep.t2 - swapped.t2),
+                max(abs(getattr(rep, n) - getattr(phased, n)) for n in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
+            )
+            for names, row, expected in ((SLACK_CHECKS, slacks, expected_slacks), (DEFECT_CHECKS, defects, expected_defects)):
+                for name, value, public in zip(names, row, expected):
+                    assert float(value).hex() == float(public).hex(), name
 
 
 class TestAnalyticOptimaAgainstSearch:
@@ -462,6 +629,20 @@ class TestReroutedChecksFire:
 
         self._patch_both(monkeypatch, "_report", phase_dependent)
         assert "phase_invariance" in self._failed_checks()
+
+    def test_non_hermitian_trusted_observable_fires_residues(self, monkeypatch):
+        original = verify._trusted_observable
+
+        def non_hermitian(g):
+            # A + i eps I: Im<A> = eps stays inside the expectation guard TOL_EIG (1 + |A|_F),
+            # while Im<{A,B}> moves by 2 eps <B>
+            obs = original(g)
+            eps = 0.5 * TOL_EIG * (1.0 + obs.frobenius_norm())
+            object.__setattr__(obs, "matrix", obs.matrix + 1j * eps * np.eye(obs.dim))
+            return obs
+
+        monkeypatch.setattr(verify, "_trusted_observable", non_hermitian)
+        assert self._failed_checks() & {"commutator_mean_realpart", "anticommutator_mean_imagpart"}
 
     def test_unpatched_kernel_passes(self):
         assert self._failed_checks() == set()
