@@ -26,6 +26,10 @@ search is needed. The optimized l2 always equals Var(A) + Var(B); the
 optimized l1 equals (Var(A) + Var(B))/2 + |CovQ(A,B)|. The per-xi_perp
 formulas evaluated from (A + s B)|xi> and (A - s i B)|xi> directly live in
 `verify`, as the independent reference this module is checked against.
+
+The kernel's two private halves take a stack of states with shared A and B,
+and every row of a stacked call is bit for bit the one-state result:
+`bound_report` and `optimal_xi_perp` are their one-row views.
 """
 
 from __future__ import annotations
@@ -42,13 +46,11 @@ from .quantum import (
     EmptyComplementError,
     Observable,
     QuantumState,
-    _complement_projection,
-    _norm,
+    _deviation_vectors,
+    _norms,
     _row_norms,
     _same_dim,
-    _squared_norm,
     _trusted_state,
-    deviation_vector,
 )
 
 __all__ = [
@@ -150,54 +152,80 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
 
 
 class _Deviations(NamedTuple):
-    """psi = (A - <A>)|xi>, phi = (B - <B>)|xi> and Cov(A,B) = <psi|phi>."""
+    """psi = (A - <A>)|xi>, phi = (B - <B>)|xi> (n, d) and Cov(A,B) = <psi|phi> (n,), one row per state."""
 
     psi: np.ndarray
     phi: np.ndarray
-    overlap: complex
+    overlap: np.ndarray
 
 
-def _deviations(a: Observable, b: Observable, state: QuantumState) -> _Deviations:
-    _same_dim(a.dim, b.dim, state.dim)
-    psi = deviation_vector(a, state)
-    phi = deviation_vector(b, state)
-    return _Deviations(psi, phi, complex(np.vdot(psi, phi)))
+def _deviations(a: Observable, b: Observable, xi: np.ndarray) -> _Deviations:
+    _same_dim(a.dim, b.dim, xi.shape[-1])
+    psi = _deviation_vectors(a, xi)
+    phi = _deviation_vectors(b, xi)
+    return _Deviations(psi, phi, np.vecdot(psi, phi))
 
 
-def _row(
-    state: QuantumState, dev: _Deviations, null_tol: float, which: str, sign: int, xi_perp=None
-) -> tuple[np.ndarray, float]:
-    """One (bound, sign) row: a unit `xi_perp` orthogonal to the state and the bound's value there.
+def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Each row of `vecs` with the component along its own state row of `xi` removed.
+
+    Two passes keep the result orthogonal even when the projection nearly
+    annihilates a vector.
+    """
+    for _ in range(2):
+        vecs = vecs - np.vecdot(xi, vecs)[..., None] * xi
+    return vecs
+
+
+_SIGNS = np.array([1, -1])
+# the (bound, sign) direction is psi + c phi for l1 and psi - c phi for l2, with c = s and s i
+_L1_COEFFS = _SIGNS.astype(complex)[:, None]
+_L2_COEFFS = (_SIGNS * 1j)[:, None]
+# s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
+_L2_OFFSETS = -2.0 * _SIGNS
+
+
+def _signs(xi: np.ndarray, dev: _Deviations, null_tol: float, which: str, xi_perp=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both signs of bound `which` for the n states `xi`: unit `xi_perp` rows (n, 2, d) and values (n, 2).
 
     The bound is the square of one matrix element, <psi + s phi|xi_perp> for
     l1 (<xi|(A + s B)|xi_perp>) and <psi - s i phi|xi_perp> for l2
-    (<xi|(A + s i B)|xi_perp>). Without `xi_perp` the row takes the normalized
-    complement projection of that direction, the Cauchy-Schwarz optimum.
-    When the projection is numerically null the element vanishes for every
-    admissible xi_perp, and the normalized complement projection of e_k is
-    taken, with k the first index other than that of the largest |xi_k|.
-    Then |xi_k|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
+    (<xi|(A + s i B)|xi_perp>), with s = +1 in column 0 and -1 in column 1.
+    Without `xi_perp` each row takes the normalized complement projection of
+    its direction, the Cauchy-Schwarz optimum. Where that projection is
+    numerically null the element vanishes for every admissible xi_perp, and
+    the row takes the normalized complement projection of e_k instead, with
+    k the first index other than that of the largest |xi_k|. Then
+    |xi_k|^2 <= 1/2, so that projection has norm at least 1/sqrt(2). With
+    `xi_perp` (n, d), checked unit rows orthogonal to their states, both
+    signs are evaluated there, and those rows are returned as (n, 1, d).
     The l2 value may be negative for the non-maximizing sign and is kept
     unclamped.
     """
-    direction = dev.psi + sign * dev.phi if which == "l1" else dev.psi - sign * 1j * dev.phi
+    psi, phi = dev.psi[:, None], dev.phi[:, None]
+    direction = psi + _L1_COEFFS * phi if which == "l1" else psi - _L2_COEFFS * phi
     if xi_perp is None:
-        if state.dim < 2:
+        if xi.shape[-1] < 2:
             raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-        xi_perp = _complement_projection(state, direction)
-        nrm = _norm(xi_perp)
-        if nrm <= null_tol:
-            # e_k with k = 0, or k = 1 when |xi_0| is the largest
-            e_k = np.zeros(state.dim, dtype=complex)
-            e_k[int(np.abs(state.vector).argmax() == 0)] = 1.0
-            xi_perp = _complement_projection(state, e_k)
-            nrm = _norm(xi_perp)
-        xi_perp = xi_perp / nrm
-    element = abs(np.vdot(direction, xi_perp)) ** 2
+        perp = _project(xi[:, None], direction)
+        nrm = _norms(perp)
+        null = nrm <= null_tol
+        if np.count_nonzero(null):
+            # e_k with k = 0, or k = 1 where |xi_0| is the largest
+            e_k = np.eye(xi.shape[-1], dtype=complex)[(np.abs(xi).argmax(axis=-1) == 0).astype(int)]
+            fallback = _project(xi, e_k)[:, None]
+            perp = np.where(null[..., None], fallback, perp)
+            nrm = np.where(null, _norms(fallback), nrm)
+        perp = perp / nrm[..., None]
+    else:
+        perp = xi_perp[:, None]
+    # |z| by hypot, as abs() of one complex scalar takes it; np.abs of a complex array may round differently
+    element = np.vecdot(direction, perp)
+    element = np.hypot(element.real, element.imag)
+    element = element * element
     if which == "l1":
-        return xi_perp, float(0.5 * element)
-    # s i <[A,B]> = s i (2i Im Cov) is real
-    return xi_perp, float(-2.0 * sign * dev.overlap.imag + element)
+        return perp, 0.5 * element
+    return perp, _L2_OFFSETS * dev.overlap.imag[:, None] + element
 
 
 def _null_tol(a: Observable, b: Observable) -> float:
@@ -215,94 +243,109 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     """
     _validate_which(which)
     _validate_sign(sign)
-    perp, value = _row(state, _deviations(a, b, state), _null_tol(a, b), which, sign)
-    return OrthogonalCandidate(_trusted_state(perp), value, sign, "analytic_optimum")
-
-
-def _maximizing_sign(plus: float, minus: float) -> int:
-    # values equal within TOL_EIG count as a tie, which goes to +1 for determinism
-    return 1 if plus >= minus - TOL_EIG else -1
+    xi = state.vector[None]
+    perps, values = _signs(xi, _deviations(a, b, xi), _null_tol(a, b), which)
+    column = (1 - sign) // 2
+    return OrthogonalCandidate(_trusted_state(perps[0, column]), float(values[0, column]), sign, "analytic_optimum")
 
 
 class _Hrsur(NamedTuple):
-    """The HRSUR half of the kernel: deviation vectors, variances and their product, CovQ, t1 and t2."""
+    """The HRSUR half of the kernel for n states: the deviation vectors, and one float per
+    state, in row order, for each of the variances, their product, CovQ, t1 and t2."""
 
     dev: _Deviations
-    var_a: float
-    var_b: float
-    prod_var: float
-    covq: float
-    t1: float
-    t2: float
+    var_a: list[float]
+    var_b: list[float]
+    prod_var: list[float]
+    covq: list[float]
+    t1: list[float]
+    t2: list[float]
 
 
-def _hrsur(a: Observable, b: Observable, state: QuantumState) -> _Hrsur:
-    """The Heisenberg-Robertson-Schrodinger bounds from the two deviation vectors.
+def _hrsur(a: Observable, b: Observable, xi: np.ndarray) -> _Hrsur:
+    """The Heisenberg-Robertson-Schrodinger bounds of each state in `xi` (..., d), rows in C order.
 
-    Raises ValueError when Var(A) Var(B) exceeds _MAX_VAR_PRODUCT, where the
-    degree-4 quantities (prod_var, t1, t2^2) would leave the double range.
+    The deviation vectors and their inner products are one array pass over
+    the stack; the closed forms are then taken per row in Python floats.
+    Raises ValueError when Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in any row,
+    where the degree-4 quantities (prod_var, t1, t2^2) would leave the double
+    range.
     """
-    dev = _deviations(a, b, state)
-    var_a = _squared_norm(dev.psi)
-    var_b = _squared_norm(dev.phi)
-    prod_var = var_a * var_b
-    if prod_var > _MAX_VAR_PRODUCT:
-        raise ValueError(
-            f"operand scale too large: Var(A) Var(B) = {prod_var:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
-            f"(|A|_F = {a.frobenius_norm():.3e}, |B|_F = {b.frobenius_norm():.3e})"
-        )
+    dev = _deviations(a, b, xi.reshape(-1, xi.shape[-1]))
+    var_a = np.vecdot(dev.psi, dev.psi).real.tolist()
+    var_b = np.vecdot(dev.phi, dev.phi).real.tolist()
+    prod_var = [x * y for x, y in zip(var_a, var_b)]
+    for product in prod_var:
+        if product > _MAX_VAR_PRODUCT:
+            raise ValueError(
+                f"operand scale too large: Var(A) Var(B) = {product:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
+                f"(|A|_F = {a.frobenius_norm():.3e}, |B|_F = {b.frobenius_norm():.3e})"
+            )
     # CovQ = Re Cov(A,B) and |<[A,B]>| = 2 |Im Cov(A,B)|
-    covq = dev.overlap.real
-    t2 = 2.0 * abs(dev.overlap.imag)
-    t1 = covq * covq + 0.25 * t2**2
+    covq = dev.overlap.real.tolist()
+    t2 = [2.0 * abs(im) for im in dev.overlap.imag.tolist()]
+    t1 = [c * c + 0.25 * t**2 for c, t in zip(covq, t2)]
     return _Hrsur(dev, var_a, var_b, prod_var, covq, t1, t2)
 
 
-def _report(a: Observable, b: Observable, state: QuantumState, hrsur: _Hrsur, user_xi_perp=None) -> BoundReport:
-    """The Maccone-Pati half of the kernel, completing `hrsur` into the full report."""
-    dev, var_a, var_b, prod_var, covq, t1, t2 = hrsur
-    sum_var = var_a + var_b
+def _report(a: Observable, b: Observable, xi: np.ndarray, hrsur: _Hrsur, user_xi_perp=None) -> list[BoundReport]:
+    """The Maccone-Pati half of the kernel: the report of each state in `xi` (..., d), rows in C order.
 
+    Each bound's two signs come from one `_signs` pass over every row; each
+    row then keeps its maximizing sign. `user_xi_perp` (..., d) holds checked
+    unit rows, one per state.
+    """
+    dim = xi.shape[-1]
+    xi = xi.reshape(-1, dim)
     null_tol = _null_tol(a, b)
     if user_xi_perp is None:
-        user, xi_perp, kind = None, None, "analytic_optimum"
+        kind, users = "analytic_optimum", None
     else:
-        user = QuantumState(_checked_perp(state, user_xi_perp))
-        xi_perp, kind = user.vector, "user_supplied"
+        user_xi_perp = user_xi_perp.reshape(-1, dim)
+        kind, users = "user_supplied", [_trusted_state(row) for row in user_xi_perp]
 
-    def candidate(which: str) -> tuple[OrthogonalCandidate, tuple[float, float]]:
-        """The candidate of bound `which` at its maximizing sign, and its values at (+1, -1)."""
-        rows = {sign: _row(state, dev, null_tol, which, sign, xi_perp) for sign in (1, -1)}
-        by_sign = (rows[1][1], rows[-1][1])
-        sign = _maximizing_sign(*by_sign)
-        perp, value = rows[sign]
-        # only the two returned vectors are wrapped as states; each is a fresh unit vector from _row
-        return OrthogonalCandidate(user or _trusted_state(perp), value, sign, kind), by_sign
+    passes = []
+    for which in MP_BOUNDS:
+        perps, by_sign = _signs(xi, hrsur.dev, null_tol, which, user_xi_perp)
+        passes.append((perps, by_sign.tolist()))
 
-    (l1_cand, l1_by_sign), (l2_cand, l2_by_sign) = candidate("l1"), candidate("l2")
-    l1 = l1_cand.bound_value
-    l2 = l2_cand.bound_value
-    mpur = max(l1, l2)
-    return BoundReport(
-        var_a=var_a,
-        var_b=var_b,
-        sum_var=sum_var,
-        prod_var=prod_var,
-        covq=covq,
-        comm_mean_abs=t2,
-        t1=t1,
-        t2=t2,
-        l1=l1,
-        l2=l2,
-        l1_candidate=l1_cand,
-        l2_candidate=l2_cand,
-        l1_by_sign=l1_by_sign,
-        l2_by_sign=l2_by_sign,
-        mpur=mpur,
-        hrsur_trivial=bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
-        common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
-        saturation_gap=sum_var - mpur,
-    )
+    reports = []
+    for i, (var_a, var_b, prod_var, covq, t1, t2) in enumerate(zip(*hrsur[1:])):
+        candidates, by_signs = [], []
+        for perps, by_sign in passes:
+            values = tuple(by_sign[i])
+            # values equal within TOL_EIG count as a tie, which goes to +1 for determinism
+            column = 0 if values[0] >= values[1] - TOL_EIG else 1
+            vector = users[i] if users else _trusted_state(perps[i, column])
+            candidates.append(OrthogonalCandidate(vector, values[column], 1 - 2 * column, kind))
+            by_signs.append(values)
+        l1_cand, l2_cand = candidates
+        l1, l2 = l1_cand.bound_value, l2_cand.bound_value
+        sum_var = var_a + var_b
+        mpur = max(l1, l2)
+        reports.append(
+            BoundReport(
+                var_a=var_a,
+                var_b=var_b,
+                sum_var=sum_var,
+                prod_var=prod_var,
+                covq=covq,
+                comm_mean_abs=t2,
+                t1=t1,
+                t2=t2,
+                l1=l1,
+                l2=l2,
+                l1_candidate=l1_cand,
+                l2_candidate=l2_cand,
+                l1_by_sign=by_signs[0],
+                l2_by_sign=by_signs[1],
+                mpur=mpur,
+                hrsur_trivial=bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
+                common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
+                saturation_gap=sum_var - mpur,
+            )
+        )
+    return reports
 
 
 def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp=None) -> BoundReport:
@@ -314,4 +357,14 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     Raises ValueError when the operand scale puts Var(A) Var(B) above an
     eighth of the largest double, where prod_var and t1 would overflow.
     """
-    return _report(a, b, state, _hrsur(a, b, state), user_xi_perp)
+    # the one-row view of the stacked kernel
+    xi = state.vector[None]
+    hrsur = _hrsur(a, b, xi)
+    if user_xi_perp is not None:
+        user_xi_perp = _checked_perp(state, user_xi_perp)
+        if user_xi_perp.ndim != 1:
+            # the candidate is a state, so one vector, as QuantumState requires
+            raise ValueError(f"expected a 1-D vector, got shape {user_xi_perp.shape}")
+        user_xi_perp = user_xi_perp[None]
+    (report,) = _report(a, b, xi, hrsur, user_xi_perp)
+    return report

@@ -17,7 +17,9 @@ import argparse
 import math
 import sys
 
-from .bounds import bound_report
+import numpy as np
+
+from .bounds import _hrsur, _report, bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
 from .quantum import equatorial_state, pauli_x, pauli_z
@@ -55,12 +57,11 @@ def qubit_sweep(points: int) -> list[tuple[float, ...]]:
     if points < 2:
         raise ValueError("points must be at least 2")
     a, b = pauli_x(), pauli_z()
-    rows = []
-    for k in range(points):
-        alpha = math.tau * k / points
-        rep = bound_report(a, b, equatorial_state(alpha))
-        rows.append((alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])))
-    return rows
+    alphas = [math.tau * k / points for k in range(points)]
+    # every point is one row of a single kernel call
+    xi = np.array([equatorial_state(alpha).vector for alpha in alphas])
+    reports = _report(a, b, xi, _hrsur(a, b, xi))
+    return [(alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])) for alpha, rep in zip(alphas, reports)]
 
 
 def _fmt(x: float) -> str:

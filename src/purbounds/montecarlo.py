@@ -203,13 +203,15 @@ def statistical_bound_check(
     n = _integer("n", n)
     if n < 2:
         raise ValueError("variance estimation needs n >= 2")
+    # an integer, so that (seed, 0) and (seed, 1) seed the two streams
+    seed = _integer("seed", seed)
     _same_dim(a.dim, b.dim, state.dim)
     rep = bound_report(a, b, state)
 
     estimates = []
     for stream, obs, analytic in ((0, a, rep.var_a), (1, b, rep.var_b)):
         dist = born_distribution(obs, state)
-        outcomes = sample_outcomes(dist, n, np.random.default_rng([_seed_entropy(seed), stream]))
+        outcomes = sample_outcomes(dist, n, np.random.default_rng([seed, stream]))
         est = empirical_variance(outcomes)
         z = (est.var_hat - analytic) / max(est.var_stderr, _Z_FLOOR)
         estimates.append(replace(est, bound_checked=analytic, z_margin=z))
@@ -231,8 +233,3 @@ def statistical_bound_check(
         overshoot_violation=bool(empirical_sum - SIGMA_MARGIN * combined > rep.sum_var),
     )
 
-
-def _seed_entropy(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise TypeError("statistical_bound_check needs an integer seed to derive per-observable streams")

@@ -1,10 +1,10 @@
 """Complex dense linear algebra and quantum-mechanical primitives.
 
 Pure vectors and Hermitian observables on small Hilbert spaces (2 <= d <= 64),
-with the expectations, deviation vectors, variances, the commutator mean,
-eigensystems and the orthogonal-complement projection that the bound
-computations are built from. All values are immutable after construction
-and every operation is a pure function of its inputs.
+with the expectations, deviation vectors, variances, the commutator mean and
+eigensystems that the bound computations are built from. All values are
+immutable after construction and every operation is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -103,6 +103,12 @@ def _norm(x: np.ndarray) -> float:
     flat = x.ravel(order="K")
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """The norm of each row of a stack, each bit for bit the `_norm` of that row alone."""
+    re, im = vecs.real, vecs.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _row_norms(vecs: np.ndarray) -> np.ndarray:
@@ -212,7 +218,8 @@ def _store_hermitian_part(obs: Observable, mat: np.ndarray, adjoint: np.ndarray)
 def _trusted_state(vec: np.ndarray) -> QuantumState:
     """A unit vector the package normalized itself, wrapped without re-validation.
 
-    `vec` must be a fresh 1-D complex array of unit norm to rounding, so that
+    `vec` must be a 1-D complex array of unit norm to rounding that nothing
+    else writes to (a fresh array, or a row of one), so that
     `QuantumState(vec)` would store it unchanged. It is made read-only in place.
     """
     state = object.__new__(QuantumState)
@@ -239,39 +246,51 @@ def normalize(u) -> QuantumState:
     return QuantumState(vec / nrm)
 
 
-def _mean_of_image(a: Observable, state: QuantumState, image: np.ndarray) -> float:
-    """Re<state|image> for image = A|state>; the imaginary residue must vanish within tolerance."""
-    raw = complex(np.vdot(state.vector, image))
+def _means(a: Observable, xi: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Re<xi|A|xi> for each of the n states `xi` (n, d), from their `images` A|xi>.
+
+    Every row's imaginary residue must vanish within tolerance.
+    """
+    raw = np.vecdot(xi, images)
     tol = TOL_EIG * (1.0 + a.frobenius_norm())
-    if abs(raw.imag) > tol:
-        raise HermiticityError(f"expectation has imaginary part {raw.imag:.3e} above tolerance")
+    for residue in raw.imag.tolist():
+        if abs(residue) > tol:
+            raise HermiticityError(f"expectation has imaginary part {residue:.3e} above tolerance")
     return raw.real
 
 
-def _squared_norm(vec: np.ndarray) -> float:
-    return float(np.vdot(vec, vec).real)
+def _deviation_vectors(a: Observable, xi: np.ndarray) -> np.ndarray:
+    """(A - <A> I)|xi> for each of the n states `xi` (n, d), one matrix-vector product per row.
+
+    `np.matmul` on (d, 1) columns runs the same product per row as `A @ x`, so
+    every row is bit for bit what one state gives.
+    """
+    images = np.matmul(a.matrix, xi[:, :, None])[:, :, 0]
+    return images - _means(a, xi, images)[:, None] * xi
 
 
 def expectation(a: Observable, state: QuantumState) -> float:
     """Re<state|A|state>; the imaginary residue must vanish within tolerance."""
     _same_dim(a.dim, state.dim)
-    return _mean_of_image(a, state, a.matrix @ state.vector)
+    xi = state.vector
+    return float(_means(a, xi[None], (a.matrix @ xi)[None])[0])
 
 
 def deviation_vector(a: Observable, state: QuantumState) -> np.ndarray:
     """(A - <A> I)|state>, from one matrix-vector product.
 
     Orthogonal to |state> and of squared norm Var(A); every bound is a closed
-    form in the deviation vectors of the two observables.
+    form in the deviation vectors of the two observables. The one-row view of
+    the kernel's stacked deviation step.
     """
     _same_dim(a.dim, state.dim)
-    image = a.matrix @ state.vector
-    return image - _mean_of_image(a, state, image) * state.vector
+    return _deviation_vectors(a, state.vector[None])[0]
 
 
 def variance(a: Observable, state: QuantumState) -> float:
     """Var(A) = ||(A - <A>)|state>||^2, nonnegative by construction."""
-    return _squared_norm(deviation_vector(a, state))
+    psi = deviation_vector(a, state)
+    return float(np.vecdot(psi, psi).real)
 
 
 def commutator_mean(a: Observable, b: Observable, state: QuantumState) -> complex:
@@ -289,18 +308,6 @@ def _commutator_of_means(a: Observable, b: Observable, ab, ba) -> complex:
     if abs(mean.real) > TOL_EIG * (1.0 + a.frobenius_norm() * b.frobenius_norm()):
         raise HermiticityError(f"commutator mean has real part {mean.real:.3e}; inputs not Hermitian")
     return mean
-
-
-def _complement_projection(state: QuantumState, vecs: np.ndarray) -> np.ndarray:
-    """One vector, or a stack of rows, with the component along |state> removed.
-
-    Two passes keep the result orthogonal even when the projection nearly
-    annihilates a vector.
-    """
-    xi = state.vector
-    for _ in range(2):
-        vecs = vecs - (vecs @ xi.conj())[..., None] * xi
-    return vecs
 
 
 def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:

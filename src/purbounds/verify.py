@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _checked_perp, _hrsur, _report, _validate_sign, _validate_which, bound_report, optimal_xi_perp
+from .bounds import _checked_perp, _hrsur, _report, _validate_sign, _validate_which, optimal_xi_perp
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
@@ -32,7 +32,6 @@ from .quantum import (
     QuantumState,
     _as_vector,
     _commutator_of_means,
-    _complement_projection,
     _integer,
     _norm,
     _row_norms,
@@ -100,10 +99,15 @@ def _complement_samples(state: QuantumState, count: int, rng: np.random.Generato
 
     A standard complex Gaussian projected onto the complement is a standard
     complex Gaussian there, so each normalized row is uniform on its sphere.
+    The projection takes two passes, each one matrix-vector product over all
+    rows, and keeps the rows orthogonal even where it nearly annihilates one.
     """
     if state.dim < 2:
         raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
-    vecs = _complement_projection(state, _complex_normal(rng, (count, state.dim)))
+    xi = state.vector
+    vecs = _complex_normal(rng, (count, state.dim))
+    for _ in range(2):
+        vecs = vecs - (vecs @ xi.conj())[:, None] * xi
     return vecs / _row_norms(vecs)
 
 
@@ -291,10 +295,13 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     Values the suite built itself go through the private array forms unchecked,
     except the sampled `perps`, which the reference checks as it checks any xi_perp.
     """
+    # the state and its global-phase copy as one 2-row kernel call: every
+    # computed quantity is invariant under a global phase on the state
+    xis = np.array((state.vector, np.exp(1j * theta) * state.vector))
+    own = _hrsur(a, b, xis)
+    rep, rep_phased = _report(a, b, xis, own)
     # the report's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
-    own = _hrsur(a, b, state)
-    rep = _report(a, b, state, own)
-    psi, phi = own.dev.psi, own.dev.phi
+    psi, phi = own.dev.psi[0], own.dev.phi[0]
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     # A|xi>, B|xi>, <xi|AB|xi> and <xi|BA|xi> once, for the reference and for the
@@ -308,11 +315,7 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
 
     # swapping the observables must not change the HRSUR bounds, which only
     # the HRSUR half of the kernel computes
-    swapped = _hrsur(b, a, state)
-
-    # every computed quantity is invariant under a global phase on the state
-    phased = _trusted_state(np.exp(1j * theta) * state.vector)
-    rep_phased = bound_report(a, b, phased)
+    swapped = _hrsur(b, a, state.vector)
 
     slacks = (
         rep.prod_var - rep.t1,
@@ -333,8 +336,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
             abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq))
             for i, s in ((0, 1), (1, -1))
         ),
-        abs(rep.t1 - swapped.t1),
-        abs(rep.t2 - swapped.t2),
+        abs(rep.t1 - swapped.t1[0]),
+        abs(rep.t2 - swapped.t2[0]),
         max(
             abs(getattr(rep, name) - getattr(rep_phased, name))
             for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")

@@ -1,21 +1,39 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from purbounds.bounds import OrthogonalityError, _hrsur, bound_report, optimal_xi_perp
+from purbounds.bounds import (
+    OrthogonalCandidate,
+    OrthogonalityError,
+    _checked_perp,
+    _hrsur,
+    _report,
+    bound_report,
+    optimal_xi_perp,
+)
 from purbounds.quantum import (
     DimensionMismatchError,
     Observable,
     QuantumState,
     basis_state,
+    deviation_vector,
     equatorial_state,
     normalize,
     pauli_x,
     pauli_z,
     variance,
 )
-from purbounds.verify import l1_bound, l2_bound, random_unit_in_complement, search_optimal_xi_perp
+from purbounds.verify import (
+    l1_bound,
+    l2_bound,
+    random_observable,
+    random_state,
+    random_unit_in_complement,
+    search_optimal_xi_perp,
+)
 
 ALPHAS = [0.0, 0.4, np.pi / 4, 1.2, np.pi / 2, 2.8, np.pi, 4.4, 5.7]
 
@@ -392,12 +410,108 @@ class TestKernelHalves:
         rng = np.random.default_rng([47, dim])
         for _ in range(4):
             state, a, b = random_instance(rng, dim)
-            hrsur = _hrsur(a, b, state)
+            # bound_report is the one-row view: the half keeps one float per row
+            hrsur = _hrsur(a, b, state.vector[None])
             for xi_perp in (None, random_unit_in_complement(state, rng)):
                 rep = bound_report(a, b, state, user_xi_perp=xi_perp)
                 for name in ("var_a", "var_b", "prod_var", "covq", "t1", "t2"):
-                    assert getattr(rep, name).hex() == getattr(hrsur, name).hex(), name
-                assert rep.comm_mean_abs.hex() == hrsur.t2.hex()
+                    (value,) = getattr(hrsur, name)
+                    assert getattr(rep, name).hex() == value.hex(), name
+                assert rep.comm_mean_abs.hex() == hrsur.t2[0].hex()
+
+
+def report_bits(rep):
+    """Every field of a report, floats by hex and candidate vectors by their bytes."""
+    bits = []
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        if isinstance(value, OrthogonalCandidate):
+            bits.append((value.vector.vector.tobytes(), value.bound_value.hex(), value.sign, value.kind))
+        elif isinstance(value, tuple):
+            bits.append(tuple(v.hex() for v in value))
+        elif isinstance(value, float):
+            bits.append(value.hex())
+        else:
+            bits.append(value)
+    return bits
+
+
+def stacked_reports(a, b, xi, xi_perp=None):
+    return _report(a, b, xi, _hrsur(a, b, xi), xi_perp)
+
+
+class TestStackedKernel:
+    """Each row of a stacked kernel call is, bit for bit, the one-row call on that row's state."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_rows_equal_single_reports(self, dim):
+        rng = np.random.default_rng([89, dim])
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
+        states = [random_state(dim, rng) for _ in range(5)]
+        xi = np.stack([state.vector for state in states])
+        hrsur = _hrsur(a, b, xi)
+        for k, (state, rep) in enumerate(zip(states, _report(a, b, xi, hrsur))):
+            assert report_bits(rep) == report_bits(bound_report(a, b, state))
+            assert hrsur.dev.psi[k].tobytes() == deviation_vector(a, state).tobytes()
+            assert hrsur.dev.phi[k].tobytes() == deviation_vector(b, state).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_user_xi_perp_rows(self, dim):
+        rng = np.random.default_rng([97, dim])
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
+        states = [random_state(dim, rng) for _ in range(5)]
+        perps = [random_unit_in_complement(state, rng) for state in states]
+        xi = np.stack([state.vector for state in states])
+        checked = np.stack([_checked_perp(state, perp) for state, perp in zip(states, perps)])
+        for state, perp, rep in zip(states, perps, stacked_reports(a, b, xi, checked)):
+            assert report_bits(rep) == report_bits(bound_report(a, b, state, user_xi_perp=perp))
+
+    def test_null_fallback_rows_among_ordinary_rows(self):
+        # X/Z on the equatorial states: at alpha = pi/2 the l2(+) direction psi - i phi vanishes
+        # and at alpha = 0 (an X eigenstate) both l2 directions do
+        alphas = [0.3, np.pi / 2, 2.0, 0.0, 3 * np.pi / 2, np.pi / 2]
+        states = [equatorial_state(alpha) for alpha in alphas]
+        reports = stacked_reports(pauli_x(), pauli_z(), np.stack([state.vector for state in states]))
+        for state, rep in zip(states, reports):
+            assert report_bits(rep) == report_bits(bound_report(pauli_x(), pauli_z(), state))
+        # the null row's candidate is the normalized complement projection of e_k,
+        # k the first index other than that of the largest |xi_k|
+        xi = states[1].vector
+        e_k = np.eye(2, dtype=complex)[int(np.abs(xi).argmax() == 0)]
+        expected = e_k - np.vdot(xi, e_k) * xi
+        fallback = reports[1].l2_candidate
+        assert fallback.sign == 1
+        np.testing.assert_allclose(fallback.vector.vector, expected / np.linalg.norm(expected), atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 4, 64])
+    def test_common_eigenvector_rows_among_random_rows(self, dim):
+        # a common eigenvector: every projection is null there, so that row is all fallback
+        rng = np.random.default_rng([101, dim])
+        a = Observable(np.diag(np.arange(1.0, dim + 1.0)).astype(complex))
+        b = Observable(np.diag(np.linspace(-1.0, 2.0, dim)).astype(complex))
+        states = [random_state(dim, rng), basis_state(dim, dim - 1), random_state(dim, rng), basis_state(dim, 0)]
+        reports = stacked_reports(a, b, np.stack([state.vector for state in states]))
+        assert [rep.common_eigenvector for rep in reports] == [False, True, False, True]
+        for state, rep in zip(states, reports):
+            assert report_bits(rep) == report_bits(bound_report(a, b, state))
+
+    def test_leading_shape_rows_in_c_order(self):
+        rng = np.random.default_rng(103)
+        a, b = random_observable(3, rng), random_observable(3, rng)
+        states = [random_state(3, rng) for _ in range(6)]
+        xi = np.stack([state.vector for state in states]).reshape(2, 3, 3)
+        reports = stacked_reports(a, b, xi)
+        assert len(reports) == 6
+        for state, rep in zip(states, reports):
+            assert report_bits(rep) == report_bits(bound_report(a, b, state))
+
+    def test_stack_of_rows_user_xi_perp_rejected_as_before(self):
+        # each row is a valid xi_perp, but the candidate is one state
+        state = equatorial_state(0.3)
+        rows = np.stack([perp_of(0.3).vector, perp_of(0.3).vector])
+        with pytest.raises(ValueError, match=re.escape("expected a 1-D vector, got shape (2, 2)")) as info:
+            bound_report(pauli_x(), pauli_z(), state, user_xi_perp=rows)
+        assert type(info.value) is ValueError
 
 
 class TestOperandScale:

@@ -306,6 +306,17 @@ class TestCmdSweep:
         assert main(["sweep", "--points", "61", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rows_equal_single_reports(self):
+        # the sweep is one stacked kernel call; each row is the one-row report at its alpha, bit for bit
+        rows = qubit_sweep(241)
+        assert len(rows) == 241
+        a, b = pauli_x(), pauli_z()
+        for k, row in enumerate(rows):
+            alpha = math.tau * k / 241
+            rep = bound_report(a, b, equatorial_state(alpha))
+            expected = (alpha, rep.var_a, rep.var_b, rep.sum_var, rep.prod_var, rep.t1, rep.t2, rep.l1, rep.l2)
+            assert [value.hex() for value in row] == [value.hex() for value in expected]
+
     def test_points_too_small(self, tmp_path, capsys):
         assert main(["sweep", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2
 

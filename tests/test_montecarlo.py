@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from purbounds import montecarlo
 from purbounds.montecarlo import (
     BornDistribution,
     born_distribution,
@@ -168,6 +169,21 @@ class TestStatisticalBoundCheck:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, 7.0, None], ids=["bool", "fraction", "integral_float", "none"])
+    def test_non_integer_seed_rejected_before_any_work(self, monkeypatch, seed):
+        # True was read as seed 1, and 2.5 raised TypeError after the report was computed
+        def no_work(*args, **kwargs):
+            raise AssertionError("the seed is checked before any work")
+
+        monkeypatch.setattr(montecarlo, "bound_report", no_work)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=100, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        plain = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=3)
+        numpy_seed = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=np.int64(3))
+        assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(numpy_seed.to_dict(), sort_keys=True)
 
     @pytest.mark.parametrize("n", [True, 2.5, 1000.0], ids=["bool", "fraction", "integral_float"])
     def test_non_integer_n_rejected(self, n):

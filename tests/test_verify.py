@@ -390,21 +390,24 @@ class TestTrustedWraps:
             assert_as_validated_state(random_unit_in_complement(state, seed))
 
     def test_suite_phased_states_and_candidates(self, monkeypatch):
-        # the suite passes its phased state only to bound_report
+        # the suite's one Maccone-Pati call per instance has two rows: the state and its phased copy
         seen = []
 
-        def recording(a, b, state, user_xi_perp=None):
-            rep = bound_report(a, b, state, user_xi_perp)
-            seen.append((state, rep))
-            return rep
+        def recording(a, b, xi, hrsur, user_xi_perp=None):
+            reports = bounds._report(a, b, xi, hrsur, user_xi_perp)
+            seen.append((xi, reports))
+            return reports
 
-        monkeypatch.setattr(verify, "bound_report", recording)
+        monkeypatch.setattr(verify, "_report", recording)
         run_invariant_suite(count=2 * (MAX_DIM - 1), dims=tuple(range(2, MAX_DIM + 1)), perp_samples=2)
         assert len(seen) == 2 * (MAX_DIM - 1)
-        for state, rep in seen:
-            assert_as_validated_state(state)
-            assert_as_validated_state(rep.l1_candidate.vector)
-            assert_as_validated_state(rep.l2_candidate.vector)
+        for xi, reports in seen:
+            assert xi.shape[0] == len(reports) == 2
+            # the phased row is what QuantumState builds from it, bit for bit
+            assert xi[1].tobytes() == QuantumState(xi[1]).vector.tobytes()
+            for rep in reports:
+                assert_as_validated_state(rep.l1_candidate.vector)
+                assert_as_validated_state(rep.l2_candidate.vector)
 
     @staticmethod
     def _candidates(a, b, state, perp):
@@ -593,8 +596,8 @@ class TestStackedReference:
 
 
 class TestReroutedChecksFire:
-    """The swap checks read the HRSUR half on (B, A) and the phase check a full
-    report on the phased state: a kernel that breaks either invariance fails."""
+    """The swap checks read the HRSUR half on (B, A) and the phase check the phased
+    row of the suite's 2-row kernel call: a kernel that breaks either invariance fails."""
 
     @staticmethod
     def _patch_both(monkeypatch, name, patched):
@@ -611,10 +614,10 @@ class TestReroutedChecksFire:
     def test_operand_order_dependence_fires_symmetry(self, monkeypatch, field):
         original = bounds._hrsur
 
-        def order_dependent(a, b, state):
-            hrsur = original(a, b, state)
+        def order_dependent(a, b, xi):
+            hrsur = original(a, b, xi)
             if a.frobenius_norm() > b.frobenius_norm():
-                return hrsur._replace(**{field: getattr(hrsur, field) + 1.0})
+                return hrsur._replace(**{field: [value + 1.0 for value in getattr(hrsur, field)]})
             return hrsur
 
         self._patch_both(monkeypatch, "_hrsur", order_dependent)
@@ -623,9 +626,10 @@ class TestReroutedChecksFire:
     def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
         original = bounds._report
 
-        def phase_dependent(a, b, state, hrsur, user_xi_perp=None):
-            rep = original(a, b, state, hrsur, user_xi_perp)
-            return dataclasses.replace(rep, l1=rep.l1 + abs(state.vector[0].imag))
+        def phase_dependent(a, b, xi, hrsur, user_xi_perp=None):
+            reports = original(a, b, xi, hrsur, user_xi_perp)
+            rows = xi.reshape(-1, xi.shape[-1])
+            return [dataclasses.replace(rep, l1=rep.l1 + abs(row[0].imag)) for rep, row in zip(reports, rows)]
 
         self._patch_both(monkeypatch, "_report", phase_dependent)
         assert "phase_invariance" in self._failed_checks()
