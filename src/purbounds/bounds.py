@@ -22,14 +22,22 @@ Re<psi|phi> and <[A,B]> = 2i Im<psi|phi>, while for xi_perp orthogonal to xi
 
 Taking xi_perp along the complement projection of psi + s phi (resp.
 psi - s i phi) saturates the Cauchy-Schwarz step of each derivation, so no
-search is needed. The optimized l2 always equals Var(A) + Var(B); the
-optimized l1 equals (Var(A) + Var(B))/2 + |CovQ(A,B)|. The per-xi_perp
-formulas evaluated from (A + s B)|xi> and (A - s i B)|xi> directly live in
-`verify`, as the independent reference this module is checked against.
+search is needed, and at that optimum every value is a closed form in three
+scalars:
+
+    l1(s) = (Var(A) + Var(B))/2 + s CovQ(A,B)     l2(s) = Var(A) + Var(B).
+
+The optimized l1 is thus (Var(A) + Var(B))/2 + |CovQ(A,B)|, and both l2 signs
+tie, so l2 reports sign +1. The per-xi_perp formulas evaluated from
+(A + s B)|xi> and (A - s i B)|xi> directly live in `verify`, as the
+independent reference this module is checked against at the returned vectors.
 
 The kernel's two private halves take a stack of states with shared A and B,
 and every row of a stacked call is bit for bit the one-state result:
-`bound_report` and `optimal_xi_perp` are their one-row views.
+`bound_report` and `optimal_xi_perp` are their one-row views. The HRSUR half
+forms psi, phi and the scalars; the Maccone-Pati half takes the four by-sign
+values from those scalars and projects only the directions it returns, one
+per bound. Only at a user-supplied xi_perp are both signs evaluated there.
 """
 
 from __future__ import annotations
@@ -166,6 +174,13 @@ def _deviations(a: Observable, b: Observable, xi: np.ndarray) -> _Deviations:
     return _Deviations(psi, phi, np.vecdot(psi, phi))
 
 
+def _second_moments(dev: _Deviations) -> tuple[list[float], list[float], list[float]]:
+    """Var(A) = |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>, one float per state."""
+    var_a = np.vecdot(dev.psi, dev.psi).real.tolist()
+    var_b = np.vecdot(dev.phi, dev.phi).real.tolist()
+    return var_a, var_b, dev.overlap.real.tolist()
+
+
 def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Each row of `vecs` with the component along its own state row of `xi` removed.
 
@@ -177,55 +192,95 @@ def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-_SIGNS = np.array([1, -1])
-# the (bound, sign) direction is psi + c phi for l1 and psi - c phi for l2, with c = s and s i
-_L1_COEFFS = _SIGNS.astype(complex)[:, None]
-_L2_COEFFS = (_SIGNS * 1j)[:, None]
+# phi's coefficient c in the direction of each bound, in column 0 for sign +1 and column 1 for -1:
+# psi + c phi with c = s for l1, and psi - c phi with c = s i for l2
+_COEFFS = {"l1": (1 + 0j, -1 + 0j), "l2": (1j, -1j)}
+# both columns of each bound, (2, 1) against a (n, 1, d) stack
+_BOTH_SIGNS = {which: np.array(coeffs)[:, None] for which, coeffs in _COEFFS.items()}
 # s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
-_L2_OFFSETS = -2.0 * _SIGNS
+_L2_OFFSETS = -2.0 * np.array([1, -1])
 
 
-def _signs(xi: np.ndarray, dev: _Deviations, null_tol: float, which: str, xi_perp=None) -> tuple[np.ndarray, np.ndarray]:
-    """Both signs of bound `which` for the n states `xi`: unit `xi_perp` rows (n, 2, d) and values (n, 2).
+def _directions(psi: np.ndarray, phi: np.ndarray, bounds: tuple[str, ...], columns) -> np.ndarray:
+    """The direction of each bound in `bounds` at the sign in its column, one row per state: (n, k, d).
+
+    `columns` holds n rows of k sign columns (0 for +1, 1 for -1). The
+    directions are psi + s phi (l1) and psi - s i phi (l2), from one product
+    over the whole stack, bit for bit what `_signs` forms for the same sign.
+    """
+    coeffs = np.array([[_COEFFS[which][column] for which, column in zip(bounds, row)] for row in columns])
+    terms = coeffs[..., None] * phi[:, None]
+    for k, which in enumerate(bounds):
+        if which == "l2":
+            # psi - t is psi + (-t) bit for bit, and negation is exact
+            np.negative(terms[:, k], out=terms[:, k])
+    return psi[:, None] + terms
+
+
+def _signs(dev: _Deviations, which: str, xi_perp: np.ndarray) -> np.ndarray:
+    """Both signs of bound `which` at checked unit rows `xi_perp` (n, d), one per state: values (n, 2).
 
     The bound is the square of one matrix element, <psi + s phi|xi_perp> for
     l1 (<xi|(A + s B)|xi_perp>) and <psi - s i phi|xi_perp> for l2
     (<xi|(A + s i B)|xi_perp>), with s = +1 in column 0 and -1 in column 1.
-    Without `xi_perp` each row takes the normalized complement projection of
-    its direction, the Cauchy-Schwarz optimum. Where that projection is
-    numerically null the element vanishes for every admissible xi_perp, and
-    the row takes the normalized complement projection of e_k instead, with
-    k the first index other than that of the largest |xi_k|. Then
-    |xi_k|^2 <= 1/2, so that projection has norm at least 1/sqrt(2). With
-    `xi_perp` (n, d), checked unit rows orthogonal to their states, both
-    signs are evaluated there, and those rows are returned as (n, 1, d).
     The l2 value may be negative for the non-maximizing sign and is kept
     unclamped.
     """
     psi, phi = dev.psi[:, None], dev.phi[:, None]
-    direction = psi + _L1_COEFFS * phi if which == "l1" else psi - _L2_COEFFS * phi
-    if xi_perp is None:
-        if xi.shape[-1] < 2:
-            raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-        perp = _project(xi[:, None], direction)
-        nrm = _norms(perp)
-        null = nrm <= null_tol
-        if np.count_nonzero(null):
-            # e_k with k = 0, or k = 1 where |xi_0| is the largest
-            e_k = np.eye(xi.shape[-1], dtype=complex)[(np.abs(xi).argmax(axis=-1) == 0).astype(int)]
-            fallback = _project(xi, e_k)[:, None]
-            perp = np.where(null[..., None], fallback, perp)
-            nrm = np.where(null, _norms(fallback), nrm)
-        perp = perp / nrm[..., None]
-    else:
-        perp = xi_perp[:, None]
+    direction = psi + _BOTH_SIGNS[which] * phi if which == "l1" else psi - _BOTH_SIGNS[which] * phi
     # |z| by hypot, as abs() of one complex scalar takes it; np.abs of a complex array may round differently
-    element = np.vecdot(direction, perp)
+    element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
     element = element * element
     if which == "l1":
-        return perp, 0.5 * element
-    return perp, _L2_OFFSETS * dev.overlap.imag[:, None] + element
+        return 0.5 * element
+    return _L2_OFFSETS * dev.overlap.imag[:, None] + element
+
+
+def _unit_projections(xi: np.ndarray, directions: np.ndarray, null_tol: float) -> np.ndarray:
+    """The normalized complement projection of each direction (n, k, d), row i against state `xi[i]`.
+
+    This is the Cauchy-Schwarz optimum of the direction's bound. Where a
+    projection is numerically null the bound's element vanishes for every
+    admissible xi_perp, and that direction takes the normalized complement
+    projection of e_k instead, with k the first index other than that of the
+    largest |xi_k|. Then |xi_k|^2 <= 1/2, so that projection has norm at
+    least 1/sqrt(2).
+    """
+    if xi.shape[-1] < 2:
+        raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
+    perp = _project(xi[:, None], directions)
+    nrm = _norms(perp)
+    null = nrm <= null_tol
+    if np.count_nonzero(null):
+        # e_k with k = 0, or k = 1 where |xi_0| is the largest
+        e_k = np.eye(xi.shape[-1], dtype=complex)[(np.abs(xi).argmax(axis=-1) == 0).astype(int)]
+        fallback = _project(xi, e_k)[:, None]
+        perp = np.where(null[..., None], fallback, perp)
+        nrm = np.where(null, _norms(fallback), nrm)
+    return perp / nrm[..., None]
+
+
+def _optimum_values(var_a: float, var_b: float, covq: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(l1(+1), l1(-1)) and (l2(+1), l2(-1)) at the Cauchy-Schwarz optimum, from three scalars.
+
+    psi and phi are orthogonal to the state, so each direction is its own
+    complement projection, and at its normalized projection the element is
+    the direction's norm: |psi + s phi|^2 / 2 = sum_var/2 + s CovQ and
+    s i<[A,B]> + |psi - s i phi|^2 = sum_var. At a numerically null direction
+    the fallback vector attains the value to within the direction's squared
+    norm, which is below the squared null tolerance. l1 is kept unclamped, as
+    l2 is: near a common eigenvector the losing sign may read about
+    -eps (|A|_F^2 + |B|_F^2).
+    """
+    sum_var = var_a + var_b
+    half = 0.5 * sum_var
+    return (half + covq, half - covq), (sum_var, sum_var)
+
+
+def _column(values: tuple[float, float]) -> int:
+    """The column of the maximizing sign: values equal within TOL_EIG are a tie, which goes to +1."""
+    return 0 if values[0] >= values[1] - TOL_EIG else 1
 
 
 def _null_tol(a: Observable, b: Observable) -> float:
@@ -236,17 +291,20 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     """Closed-form optimal xi_perp for bound `which` ("l1" or "l2") at `sign`, with its value.
 
     The vector is the normalized complement projection of psi + sign phi (l1)
-    or psi - sign i phi (l2), the Cauchy-Schwarz-saturating choice. When the
-    projection is numerically null a fixed complement vector, the normalized
-    projection of the first standard basis vector other than the one of the
-    largest |xi_k|, is reported, with the value it attains.
+    or psi - sign i phi (l2), the Cauchy-Schwarz-saturating choice, and the
+    value is its closed form, (Var(A) + Var(B))/2 + sign CovQ(A,B) (l1) or
+    Var(A) + Var(B) (l2). When the projection is numerically null a fixed
+    complement vector, the normalized projection of the first standard basis
+    vector other than the one of the largest |xi_k|, is reported.
     """
     _validate_which(which)
     _validate_sign(sign)
     xi = state.vector[None]
-    perps, values = _signs(xi, _deviations(a, b, xi), _null_tol(a, b), which)
-    column = (1 - sign) // 2
-    return OrthogonalCandidate(_trusted_state(perps[0, column]), float(values[0, column]), sign, "analytic_optimum")
+    dev = _deviations(a, b, xi)
+    (var_a,), (var_b,), (covq,) = _second_moments(dev)
+    value = _optimum_values(var_a, var_b, covq)[MP_BOUNDS.index(which)][(1 - sign) // 2]
+    perp = _unit_projections(xi, _directions(dev.psi, dev.phi, (which,), [((1 - sign) // 2,)]), _null_tol(a, b))
+    return OrthogonalCandidate(_trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
 
 
 class _Hrsur(NamedTuple):
@@ -272,8 +330,7 @@ def _hrsur(a: Observable, b: Observable, xi: np.ndarray) -> _Hrsur:
     range.
     """
     dev = _deviations(a, b, xi.reshape(-1, xi.shape[-1]))
-    var_a = np.vecdot(dev.psi, dev.psi).real.tolist()
-    var_b = np.vecdot(dev.phi, dev.phi).real.tolist()
+    var_a, var_b, covq = _second_moments(dev)
     prod_var = [x * y for x, y in zip(var_a, var_b)]
     for product in prod_var:
         if product > _MAX_VAR_PRODUCT:
@@ -281,8 +338,7 @@ def _hrsur(a: Observable, b: Observable, xi: np.ndarray) -> _Hrsur:
                 f"operand scale too large: Var(A) Var(B) = {product:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
                 f"(|A|_F = {a.frobenius_norm():.3e}, |B|_F = {b.frobenius_norm():.3e})"
             )
-    # CovQ = Re Cov(A,B) and |<[A,B]>| = 2 |Im Cov(A,B)|
-    covq = dev.overlap.real.tolist()
+    # |<[A,B]>| = 2 |Im Cov(A,B)|
     t2 = [2.0 * abs(im) for im in dev.overlap.imag.tolist()]
     t1 = [c * c + 0.25 * t**2 for c, t in zip(covq, t2)]
     return _Hrsur(dev, var_a, var_b, prod_var, covq, t1, t2)
@@ -291,36 +347,37 @@ def _hrsur(a: Observable, b: Observable, xi: np.ndarray) -> _Hrsur:
 def _report(a: Observable, b: Observable, xi: np.ndarray, hrsur: _Hrsur, user_xi_perp=None) -> list[BoundReport]:
     """The Maccone-Pati half of the kernel: the report of each state in `xi` (..., d), rows in C order.
 
-    Each bound's two signs come from one `_signs` pass over every row; each
-    row then keeps its maximizing sign. `user_xi_perp` (..., d) holds checked
-    unit rows, one per state.
+    At the analytic optimum every by-sign value is a closed form in the HRSUR
+    half's Var(A), Var(B) and CovQ; each row keeps its maximizing sign, and
+    only the two returned directions, psi + s1 phi and psi - s2 i phi, are
+    projected, in one (n, 2, d) pass. `user_xi_perp` (..., d) holds checked
+    unit rows, one per state, at which both signs of each bound are evaluated.
     """
     dim = xi.shape[-1]
     xi = xi.reshape(-1, dim)
-    null_tol = _null_tol(a, b)
     if user_xi_perp is None:
-        kind, users = "analytic_optimum", None
+        kind = "analytic_optimum"
+        by_sign = [_optimum_values(*moments) for moments in zip(hrsur.var_a, hrsur.var_b, hrsur.covq)]
+        columns = [(_column(l1), _column(l2)) for l1, l2 in by_sign]
+        directions = _directions(hrsur.dev.psi, hrsur.dev.phi, MP_BOUNDS, columns)
+        perps = _unit_projections(xi, directions, _null_tol(a, b))
+        vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
     else:
+        kind = "user_supplied"
         user_xi_perp = user_xi_perp.reshape(-1, dim)
-        kind, users = "user_supplied", [_trusted_state(row) for row in user_xi_perp]
-
-    passes = []
-    for which in MP_BOUNDS:
-        perps, by_sign = _signs(xi, hrsur.dev, null_tol, which, user_xi_perp)
-        passes.append((perps, by_sign.tolist()))
+        l1_values, l2_values = (_signs(hrsur.dev, which, user_xi_perp).tolist() for which in MP_BOUNDS)
+        by_sign = [(tuple(l1), tuple(l2)) for l1, l2 in zip(l1_values, l2_values)]
+        columns = [(_column(l1), _column(l2)) for l1, l2 in by_sign]
+        vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
 
     reports = []
-    for i, (var_a, var_b, prod_var, covq, t1, t2) in enumerate(zip(*hrsur[1:])):
-        candidates, by_signs = [], []
-        for perps, by_sign in passes:
-            values = tuple(by_sign[i])
-            # values equal within TOL_EIG count as a tie, which goes to +1 for determinism
-            column = 0 if values[0] >= values[1] - TOL_EIG else 1
-            vector = users[i] if users else _trusted_state(perps[i, column])
-            candidates.append(OrthogonalCandidate(vector, values[column], 1 - 2 * column, kind))
-            by_signs.append(values)
-        l1_cand, l2_cand = candidates
-        l1, l2 = l1_cand.bound_value, l2_cand.bound_value
+    for hrsur_row, (l1_by_sign, l2_by_sign), (l1_col, l2_col), (l1_vec, l2_vec) in zip(
+        zip(*hrsur[1:]), by_sign, columns, vectors
+    ):
+        var_a, var_b, prod_var, covq, t1, t2 = hrsur_row
+        l1, l2 = l1_by_sign[l1_col], l2_by_sign[l2_col]
+        l1_cand = OrthogonalCandidate(l1_vec, l1, 1 - 2 * l1_col, kind)
+        l2_cand = OrthogonalCandidate(l2_vec, l2, 1 - 2 * l2_col, kind)
         sum_var = var_a + var_b
         mpur = max(l1, l2)
         reports.append(
@@ -337,8 +394,8 @@ def _report(a: Observable, b: Observable, xi: np.ndarray, hrsur: _Hrsur, user_xi
                 l2=l2,
                 l1_candidate=l1_cand,
                 l2_candidate=l2_cand,
-                l1_by_sign=by_signs[0],
-                l2_by_sign=by_signs[1],
+                l1_by_sign=l1_by_sign,
+                l2_by_sign=l2_by_sign,
                 mpur=mpur,
                 hrsur_trivial=bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
                 common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
@@ -353,7 +410,8 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
 
     Every field comes from the two deviation vectors. With `user_xi_perp` the
     Maccone-Pati bounds are evaluated at that vector for both signs;
-    otherwise each bound and sign is evaluated at its own analytic optimum.
+    otherwise each bound and sign takes its closed-form value at its own
+    analytic optimum, and only the maximizing sign's vector is formed.
     Raises ValueError when the operand scale puts Var(A) Var(B) above an
     eighth of the largest double, where prod_var and t1 would overflow.
     """

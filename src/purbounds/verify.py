@@ -293,7 +293,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order.
 
     Values the suite built itself go through the private array forms unchecked,
-    except the sampled `perps`, which the reference checks as it checks any xi_perp.
+    except the sampled `perps` and the report's two candidates, which the
+    reference checks as it checks any xi_perp.
     """
     # the state and its global-phase copy as one 2-row kernel call: every
     # computed quantity is invariant under a global phase on the state
@@ -308,10 +309,18 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     # Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
     images = _images(a, b, state)
 
+    # the reference at the sampled xi_perp and, in the last two rows, at the report's own
+    # candidates, all checked as any xi_perp is
+    l1_cand, l2_cand = rep.l1_candidate, rep.l2_candidate
+    rows = np.concatenate((perps, (l1_cand.vector.vector, l2_cand.vector.vector)))
+    values = _reference_columns(a, b, images, _checked_perp(state, rows))
     # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp:
     # columns (+1, -1) of each bound, against the optimum of the same sign
-    values = _reference_columns(a, b, images, _checked_perp(state, perps))
-    l1_vals, l2_vals = values[:, :2], values[:, 2:]
+    l1_vals, l2_vals = values[:-2, :2], values[:-2, 2:]
+    # each reported value must be attained at its candidate: at the Cauchy-Schwarz
+    # optimum l1 = (Var(A) + Var(B))/2 + s CovQ and l2 = Var(A) + Var(B)
+    l1_attained = float(values[-2, (1 - l1_cand.sign) // 2])
+    l2_attained = float(values[-1, 2 + (1 - l2_cand.sign) // 2])
 
     # swapping the observables must not change the HRSUR bounds, which only
     # the HRSUR half of the kernel computes
@@ -331,11 +340,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         _parallelogram(psi, phi),
         abs(complex(images.ab - images.ba).real),
         abs(complex(images.ab + images.ba).imag),
-        max(abs(v - rep.sum_var) for v in rep.l2_by_sign),
-        max(
-            abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq))
-            for i, s in ((0, 1), (1, -1))
-        ),
+        max(abs(l2_attained - rep.l2), abs(l2_attained - rep.sum_var)),
+        max(abs(l1_attained - rep.l1), abs(l1_attained - (0.5 * rep.sum_var + l1_cand.sign * rep.covq))),
         abs(rep.t1 - swapped.t1[0]),
         abs(rep.t2 - swapped.t2[0]),
         max(

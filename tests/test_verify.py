@@ -469,8 +469,14 @@ class TestCheckInstanceRoutes:
 
             rep = bound_report(a, b, state)
             psi, phi = deviation_vector(a, state), deviation_vector(b, state)
-            l1 = np.stack([l1_bound(a, b, state, perps, s) for s in (1, -1)], axis=1)
-            l2 = np.stack([l2_bound(a, b, state, perps, s) for s in (1, -1)], axis=1)
+            # the suite's reference rows: the samples, then the report's two candidates
+            l1_cand, l2_cand = rep.l1_candidate, rep.l2_candidate
+            rows = np.concatenate((perps, (l1_cand.vector.vector, l2_cand.vector.vector)))
+            l1 = np.stack([l1_bound(a, b, state, rows, s) for s in (1, -1)], axis=1)
+            l2 = np.stack([l2_bound(a, b, state, rows, s) for s in (1, -1)], axis=1)
+            l1_attained = l1[-2, (1 - l1_cand.sign) // 2]
+            l2_attained = l2[-1, (1 - l2_cand.sign) // 2]
+            l1, l2 = l1[:-2], l2[:-2]
             xi = state.vector
             ab, ba = np.vdot(xi, a.matrix @ (b.matrix @ xi)), np.vdot(xi, b.matrix @ (a.matrix @ xi))
             sigma = 2.0 * np.sqrt(rep.var_a) * np.sqrt(rep.var_b)
@@ -490,8 +496,8 @@ class TestCheckInstanceRoutes:
                 check_parallelogram(psi, phi),
                 abs(commutator_mean(a, b, state).real),
                 abs(complex(ab + ba).imag),
-                max(abs(v - rep.sum_var) for v in rep.l2_by_sign),
-                max(abs(rep.l1_by_sign[i] - (0.5 * rep.sum_var + s * rep.covq)) for i, s in ((0, 1), (1, -1))),
+                max(abs(l2_attained - rep.l2), abs(l2_attained - rep.sum_var)),
+                max(abs(l1_attained - rep.l1), abs(l1_attained - (0.5 * rep.sum_var + l1_cand.sign * rep.covq))),
                 abs(rep.t1 - swapped.t1),
                 abs(rep.t2 - swapped.t2),
                 max(abs(getattr(rep, n) - getattr(phased, n)) for n in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
@@ -545,12 +551,18 @@ class TestKernelAgainstReference:
             for i, sign in enumerate((1, -1)):
                 assert abs(user.l1_by_sign[i] - l1_bound(a, b, state, perp, sign)) <= tol
                 assert abs(user.l2_by_sign[i] - l2_bound(a, b, state, perp, sign)) <= tol
-                for which, by_sign, reference in (("l1", rep.l1_by_sign, l1_bound), ("l2", rep.l2_by_sign, l2_bound)):
-                    cand = optimal_xi_perp(a, b, state, which, sign)
-                    assert cand.bound_value == by_sign[i]
-                    assert abs(by_sign[i] - reference(a, b, state, cand.vector, sign)) <= tol
-            for cand, reference in ((rep.l1_candidate, l1_bound), (rep.l2_candidate, l2_bound)):
-                assert abs(cand.bound_value - reference(a, b, state, cand.vector, cand.sign)) <= tol
+            # the analytic by-sign values are closed forms: each must be attained at a vector,
+            # the maximizing sign at the report's candidate, the other at its own optimum
+            for which, cand, by_sign, reference in (
+                ("l1", rep.l1_candidate, rep.l1_by_sign, l1_bound),
+                ("l2", rep.l2_candidate, rep.l2_by_sign, l2_bound),
+            ):
+                column = (1 - cand.sign) // 2
+                assert cand.bound_value == by_sign[column]
+                assert abs(by_sign[column] - reference(a, b, state, cand.vector, cand.sign)) <= tol
+                other = optimal_xi_perp(a, b, state, which, -cand.sign)
+                assert other.bound_value == by_sign[1 - column]
+                assert abs(by_sign[1 - column] - reference(a, b, state, other.vector, -cand.sign)) <= tol
 
     def test_stack_of_rows_matches_single_vectors(self):
         rng = np.random.default_rng(67)
@@ -647,6 +659,31 @@ class TestReroutedChecksFire:
 
         monkeypatch.setattr(verify, "_trusted_observable", non_hermitian)
         assert self._failed_checks() & {"commutator_mean_realpart", "anticommutator_mean_imagpart"}
+
+    def test_candidate_off_its_optimum_fires_tightness(self, monkeypatch):
+        # the l2 candidate carries the l1 vector: the reported l2 stays Var(A) + Var(B), so only
+        # the reference at the candidate can see it
+        original = bounds._report
+
+        def swapped_candidates(a, b, xi, hrsur, user_xi_perp=None):
+            reports = original(a, b, xi, hrsur, user_xi_perp)
+            return [
+                dataclasses.replace(rep, l2_candidate=dataclasses.replace(rep.l2_candidate, vector=rep.l1_candidate.vector))
+                for rep in reports
+            ]
+
+        monkeypatch.setattr(verify, "_report", swapped_candidates)
+        assert "tightness_l2" in self._failed_checks()
+
+    def test_value_off_the_attained_one_fires_l1_identity(self, monkeypatch):
+        original = bounds._report
+
+        def bumped(a, b, xi, hrsur, user_xi_perp=None):
+            reports = original(a, b, xi, hrsur, user_xi_perp)
+            return [dataclasses.replace(rep, l1=rep.l1 + 1e-6) for rep in reports]
+
+        monkeypatch.setattr(verify, "_report", bumped)
+        assert "l1_identity" in self._failed_checks()
 
     def test_unpatched_kernel_passes(self):
         assert self._failed_checks() == set()
