@@ -195,8 +195,6 @@ def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 # phi's coefficient c in the direction of each bound, in column 0 for sign +1 and column 1 for -1:
 # psi + c phi with c = s for l1, and psi - c phi with c = s i for l2
 _COEFFS = {"l1": (1 + 0j, -1 + 0j), "l2": (1j, -1j)}
-# both columns of each bound, (2, 1) against a (n, 1, d) stack
-_BOTH_SIGNS = {which: np.array(coeffs)[:, None] for which, coeffs in _COEFFS.items()}
 # s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
 _L2_OFFSETS = -2.0 * np.array([1, -1])
 
@@ -204,37 +202,32 @@ _L2_OFFSETS = -2.0 * np.array([1, -1])
 def _directions(psi: np.ndarray, phi: np.ndarray, bounds: tuple[str, ...], columns) -> np.ndarray:
     """The direction of each bound in `bounds` at the sign in its column, one row per state: (n, k, d).
 
-    `columns` holds n rows of k sign columns (0 for +1, 1 for -1). The
-    directions are psi + s phi (l1) and psi - s i phi (l2), from one product
-    over the whole stack, bit for bit what `_signs` forms for the same sign.
+    `columns` holds k sign columns (0 for +1, 1 for -1) for each of the n
+    states, or one such row for all of them. The directions are psi + s phi
+    (l1) and psi - s i phi (l2), from one product over the whole stack.
     """
     coeffs = np.array([[_COEFFS[which][column] for which, column in zip(bounds, row)] for row in columns])
     terms = coeffs[..., None] * phi[:, None]
-    for k, which in enumerate(bounds):
-        if which == "l2":
-            # psi - t is psi + (-t) bit for bit, and negation is exact
-            np.negative(terms[:, k], out=terms[:, k])
+    # psi - t is psi + (-t) bit for bit, and negation is exact
+    np.negative(terms, out=terms, where=np.array([which == "l2" for which in bounds])[:, None])
     return psi[:, None] + terms
 
 
-def _signs(dev: _Deviations, which: str, xi_perp: np.ndarray) -> np.ndarray:
-    """Both signs of bound `which` at checked unit rows `xi_perp` (n, d), one per state: values (n, 2).
+def _signs(dev: _Deviations, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both signs of l1 and of l2 at checked unit rows `xi_perp` (n, d), one per state: two (n, 2) arrays.
 
-    The bound is the square of one matrix element, <psi + s phi|xi_perp> for
+    Each bound is the square of one matrix element, <psi + s phi|xi_perp> for
     l1 (<xi|(A + s B)|xi_perp>) and <psi - s i phi|xi_perp> for l2
-    (<xi|(A + s i B)|xi_perp>), with s = +1 in column 0 and -1 in column 1.
-    The l2 value may be negative for the non-maximizing sign and is kept
-    unclamped.
+    (<xi|(A + s i B)|xi_perp>), with s = +1 in column 0 and -1 in column 1;
+    the four directions are one (n, 4, d) pass. The l2 value may be negative
+    for the non-maximizing sign and is kept unclamped.
     """
-    psi, phi = dev.psi[:, None], dev.phi[:, None]
-    direction = psi + _BOTH_SIGNS[which] * phi if which == "l1" else psi - _BOTH_SIGNS[which] * phi
+    direction = _directions(dev.psi, dev.phi, ("l1", "l1", "l2", "l2"), [(0, 1, 0, 1)])
     # |z| by hypot, as abs() of one complex scalar takes it; np.abs of a complex array may round differently
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
     element = element * element
-    if which == "l1":
-        return 0.5 * element
-    return _L2_OFFSETS * dev.overlap.imag[:, None] + element
+    return 0.5 * element[:, :2], _L2_OFFSETS * dev.overlap.imag[:, None] + element[:, 2:]
 
 
 def _unit_projections(xi: np.ndarray, directions: np.ndarray, null_tol: float) -> np.ndarray:
@@ -358,14 +351,15 @@ def _report(a: Observable, b: Observable, xi: np.ndarray, hrsur: _Hrsur, user_xi
     if user_xi_perp is None:
         kind = "analytic_optimum"
         by_sign = [_optimum_values(*moments) for moments in zip(hrsur.var_a, hrsur.var_b, hrsur.covq)]
-        columns = [(_column(l1), _column(l2)) for l1, l2 in by_sign]
+        # the two l2 values are one float, so l2 keeps sign +1 by the tie rule
+        columns = [(_column(l1), 0) for l1, _ in by_sign]
         directions = _directions(hrsur.dev.psi, hrsur.dev.phi, MP_BOUNDS, columns)
         perps = _unit_projections(xi, directions, _null_tol(a, b))
         vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
     else:
         kind = "user_supplied"
         user_xi_perp = user_xi_perp.reshape(-1, dim)
-        l1_values, l2_values = (_signs(hrsur.dev, which, user_xi_perp).tolist() for which in MP_BOUNDS)
+        l1_values, l2_values = (values.tolist() for values in _signs(hrsur.dev, user_xi_perp))
         by_sign = [(tuple(l1), tuple(l2)) for l1, l2 in zip(l1_values, l2_values)]
         columns = [(_column(l1), _column(l2)) for l1, l2 in by_sign]
         vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]

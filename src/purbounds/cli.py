@@ -17,12 +17,10 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .bounds import _hrsur, _report, bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
-from .quantum import pauli_x, pauli_z
+from .quantum import _equatorial_vectors, pauli_x, pauli_z
 from .verify import DEFAULT_SUITE_DIMS, DEFAULT_SUITE_TOL, run_invariant_suite
 
 __all__ = [
@@ -58,8 +56,8 @@ def qubit_sweep(points: int) -> list[tuple[float, ...]]:
         raise ValueError("points must be at least 2")
     a, b = pauli_x(), pauli_z()
     alphas = [math.tau * k / points for k in range(points)]
-    # every point is one row of a single kernel call; each row is equatorial_state(alpha), bit for bit
-    xi = np.stack((np.ones(points), np.exp(1j * np.array(alphas))), axis=-1) / np.sqrt(2.0)
+    # every point is one row of a single kernel call
+    xi = _equatorial_vectors(alphas)
     reports = _report(a, b, xi, _hrsur(a, b, xi))
     return [(alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])) for alpha, rep in zip(alphas, reports)]
 

@@ -344,6 +344,12 @@ def pauli_z() -> Observable:
     return Observable(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 
+def _equatorial_vectors(alphas) -> np.ndarray:
+    """The vectors (1, e^{i alpha})/sqrt(2) of the equatorial qubit family, one row per alpha: (n, 2)."""
+    alphas = np.asarray(alphas, dtype=float)
+    return np.stack((np.ones_like(alphas), np.exp(1j * alphas)), axis=-1) / np.sqrt(2.0)
+
+
 def equatorial_state(alpha: float) -> QuantumState:
     """(|0> + e^{i alpha}|1>)/sqrt(2), the equatorial qubit family."""
-    return QuantumState(np.array([1.0, np.exp(1j * alpha)], dtype=complex) / np.sqrt(2.0))
+    return QuantumState(_equatorial_vectors([alpha])[0])

@@ -23,7 +23,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _checked_perp, _hrsur, _report, _validate_sign, _validate_which, optimal_xi_perp
+from .bounds import (
+    MP_BOUNDS,
+    _checked_perp,
+    _directions,
+    _hrsur,
+    _null_tol,
+    _report,
+    _unit_projections,
+    _validate_sign,
+    _validate_which,
+    optimal_xi_perp,
+)
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
@@ -293,8 +304,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order.
 
     Values the suite built itself go through the private array forms unchecked,
-    except the sampled `perps` and the report's two candidates, which the
-    reference checks as it checks any xi_perp.
+    except the sampled `perps` and the vectors at which the report's values are
+    attained, which the reference checks as it checks any xi_perp.
     """
     # the state and its global-phase copy as one 2-row kernel call: every
     # computed quantity is invariant under a global phase on the state
@@ -309,18 +320,29 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     # Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
     images = _images(a, b, state)
 
-    # the reference at the sampled xi_perp and, in the last two rows, at the report's own
-    # candidates, all checked as any xi_perp is
-    l1_cand, l2_cand = rep.l1_candidate, rep.l2_candidate
-    rows = np.concatenate((perps, (l1_cand.vector.vector, l2_cand.vector.vector)))
+    # each bound's maximizing sign is attained at the report's candidate, the other sign at
+    # its own optimum, optimal_xi_perp's vector for that sign
+    cands = (rep.l1_candidate, rep.l2_candidate)
+    columns = [(1 - cand.sign) // 2 for cand in cands]
+    directions = _directions(own.dev.psi[:1], own.dev.phi[:1], MP_BOUNDS, [[1 - column for column in columns]])
+    others = _unit_projections(xis[:1], directions, _null_tol(a, b))[0]
+    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is
+    rows = np.concatenate((perps, [cand.vector.vector for cand in cands], others))
     values = _reference_columns(a, b, images, _checked_perp(state, rows))
     # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp:
     # columns (+1, -1) of each bound, against the optimum of the same sign
-    l1_vals, l2_vals = values[:-2, :2], values[:-2, 2:]
-    # each reported value must be attained at its candidate: at the Cauchy-Schwarz
-    # optimum l1 = (Var(A) + Var(B))/2 + s CovQ and l2 = Var(A) + Var(B)
-    l1_attained = float(values[-2, (1 - l1_cand.sign) // 2])
-    l2_attained = float(values[-1, 2 + (1 - l2_cand.sign) // 2])
+    l1_vals, l2_vals = values[:-4, :2], values[:-4, 2:]
+    # every value the report gives for a bound against the reference at its vector: the bound,
+    # its candidate's value and its by-sign entry at the candidate, the other entry at its optimum
+    attained = []
+    for k, (bound, cand, by_sign, column) in enumerate(
+        zip((rep.l1, rep.l2), cands, (rep.l1_by_sign, rep.l2_by_sign), columns)
+    ):
+        best = float(values[-4 + k, 2 * k + column])
+        other = float(values[-2 + k, 2 * k + 1 - column])
+        gaps = (best - bound, best - cand.bound_value, best - by_sign[column], other - by_sign[1 - column])
+        attained.append(max(map(abs, gaps)))
+    l1_defect, l2_defect = attained
 
     # swapping the observables must not change the HRSUR bounds, which only
     # the HRSUR half of the kernel computes
@@ -340,8 +362,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         _parallelogram(psi, phi),
         abs(complex(images.ab - images.ba).real),
         abs(complex(images.ab + images.ba).imag),
-        max(abs(l2_attained - rep.l2), abs(l2_attained - rep.sum_var)),
-        max(abs(l1_attained - rep.l1), abs(l1_attained - (0.5 * rep.sum_var + l1_cand.sign * rep.covq))),
+        l2_defect,
+        l1_defect,
         abs(rep.t1 - swapped.t1[0]),
         abs(rep.t2 - swapped.t2[0]),
         max(

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from purbounds import bounds
 from purbounds.bounds import (
     OrthogonalCandidate,
     OrthogonalityError,
@@ -419,32 +418,6 @@ class TestKernelHalves:
                     (value,) = getattr(hrsur, name)
                     assert getattr(rep, name).hex() == value.hex(), name
                 assert rep.comm_mean_abs.hex() == hrsur.t2[0].hex()
-
-
-class TestDirections:
-    """The analytic candidates' directions and the user branch's come from two forms of
-    the same arithmetic; they must agree bit for bit, signed zeros included."""
-
-    def test_one_product_form_equals_the_per_bound_form(self):
-        # every pair of entries from {+0, -0, 1.5, -2.5} + i {+0, -0, 1.5, -2.5}, and random rows
-        parts = (0.0, -0.0, 1.5, -2.5)
-        values = np.array([complex(re, im) for re in parts for im in parts])
-        psi = np.repeat(values, values.size)[None, :].repeat(3, axis=0)
-        phi = np.tile(values, values.size)[None, :].repeat(3, axis=0)
-        rng = np.random.default_rng(109)
-        psi[2] = rng.standard_normal(psi.shape[1]) + 1j * rng.standard_normal(psi.shape[1])
-        for which in ("l1", "l2"):
-            both = bounds._directions(psi, phi, (which, which), [(0, 1)] * len(psi))
-            coeffs = bounds._BOTH_SIGNS[which]
-            if which == "l1":
-                expected = psi[:, None] + coeffs * phi[:, None]
-            else:
-                expected = psi[:, None] - coeffs * phi[:, None]
-            assert both.tobytes() == expected.tobytes()
-            # one bound at a time, at either sign, as optimal_xi_perp forms it
-            for column in (0, 1):
-                one = bounds._directions(psi, phi, (which,), [(column,)] * len(psi))
-                assert one[:, 0].tobytes() == expected[:, column].tobytes()
 
 
 def report_bits(rep):

@@ -469,14 +469,22 @@ class TestCheckInstanceRoutes:
 
             rep = bound_report(a, b, state)
             psi, phi = deviation_vector(a, state), deviation_vector(b, state)
-            # the suite's reference rows: the samples, then the report's two candidates
-            l1_cand, l2_cand = rep.l1_candidate, rep.l2_candidate
-            rows = np.concatenate((perps, (l1_cand.vector.vector, l2_cand.vector.vector)))
+            # the suite's reference rows: the samples, the report's two candidates, then the
+            # other sign's optimum of each bound
+            cands = (rep.l1_candidate, rep.l2_candidate)
+            others = [optimal_xi_perp(a, b, state, which, -cand.sign) for which, cand in zip(("l1", "l2"), cands)]
+            rows = np.concatenate((perps, [c.vector.vector for c in cands + tuple(others)]))
             l1 = np.stack([l1_bound(a, b, state, rows, s) for s in (1, -1)], axis=1)
             l2 = np.stack([l2_bound(a, b, state, rows, s) for s in (1, -1)], axis=1)
-            l1_attained = l1[-2, (1 - l1_cand.sign) // 2]
-            l2_attained = l2[-1, (1 - l2_cand.sign) // 2]
-            l1, l2 = l1[:-2], l2[:-2]
+            attained = []
+            for k, (values, bound, cand, by_sign) in enumerate(
+                ((l1, rep.l1, cands[0], rep.l1_by_sign), (l2, rep.l2, cands[1], rep.l2_by_sign))
+            ):
+                column = (1 - cand.sign) // 2
+                best, other = values[-4 + k, column], values[-2 + k, 1 - column]
+                gaps = (best - bound, best - cand.bound_value, best - by_sign[column], other - by_sign[1 - column])
+                attained.append(max(abs(float(gap)) for gap in gaps))
+            l1, l2 = l1[:-4], l2[:-4]
             xi = state.vector
             ab, ba = np.vdot(xi, a.matrix @ (b.matrix @ xi)), np.vdot(xi, b.matrix @ (a.matrix @ xi))
             sigma = 2.0 * np.sqrt(rep.var_a) * np.sqrt(rep.var_b)
@@ -496,8 +504,8 @@ class TestCheckInstanceRoutes:
                 check_parallelogram(psi, phi),
                 abs(commutator_mean(a, b, state).real),
                 abs(complex(ab + ba).imag),
-                max(abs(l2_attained - rep.l2), abs(l2_attained - rep.sum_var)),
-                max(abs(l1_attained - rep.l1), abs(l1_attained - (0.5 * rep.sum_var + l1_cand.sign * rep.covq))),
+                attained[1],
+                attained[0],
                 abs(rep.t1 - swapped.t1),
                 abs(rep.t2 - swapped.t2),
                 max(abs(getattr(rep, n) - getattr(phased, n)) for n in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
@@ -684,6 +692,28 @@ class TestReroutedChecksFire:
 
         monkeypatch.setattr(verify, "_report", bumped)
         assert "l1_identity" in self._failed_checks()
+
+    def test_losing_l1_sign_off_its_optimum_fires_l1_identity(self, monkeypatch):
+        # l1(-1) reads l1(+1): the signs tie to +1, the candidate and the reported l1 still
+        # match the reference, and only the other sign's entry is off its optimum
+        original = bounds._optimum_values
+
+        def losing_l1_off(var_a, var_b, covq):
+            (l1_plus, _), l2 = original(var_a, var_b, covq)
+            return (l1_plus, l1_plus), l2
+
+        monkeypatch.setattr(bounds, "_optimum_values", losing_l1_off)
+        assert "l1_identity" in self._failed_checks()
+
+    def test_losing_l2_sign_off_its_optimum_fires_tightness(self, monkeypatch):
+        original = bounds._optimum_values
+
+        def losing_l2_off(var_a, var_b, covq):
+            l1, (l2_plus, _) = original(var_a, var_b, covq)
+            return l1, (l2_plus, l2_plus + 1e-6)
+
+        monkeypatch.setattr(bounds, "_optimum_values", losing_l2_off)
+        assert "tightness_l2" in self._failed_checks()
 
     def test_unpatched_kernel_passes(self):
         assert self._failed_checks() == set()
