@@ -32,12 +32,12 @@ tie, so l2 reports sign +1. The per-xi_perp formulas evaluated from
 (A + s B)|xi> and (A - s i B)|xi> directly live in `verify`, as the
 independent reference this module is checked against at the returned vectors.
 
-The kernel's two private halves take a stack of states with shared A and B,
-and every row of a stacked call is bit for bit the one-state result:
-`bound_report` and `optimal_xi_perp` are their one-row views. The HRSUR half
-forms psi, phi and the scalars; the Maccone-Pati half takes the four by-sign
-values from those scalars and projects only the directions it returns, one
-per bound. Only at a user-supplied xi_perp are both signs evaluated there.
+One private kernel record, built in one array pass over a stack of states
+with shared A and B, holds the states, psi, phi, <psi|phi>, Var(A), Var(B)
+and CovQ per row, and (|A|_F, |B|_F). Every report and candidate is read from
+it, and every row of a stacked call is bit for bit the one-state result. At
+the analytic optimum only the returned directions are projected, one per
+bound; only at a user-supplied xi_perp are both signs evaluated there.
 """
 
 from __future__ import annotations
@@ -159,26 +159,32 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     return vec
 
 
-class _Deviations(NamedTuple):
-    """psi = (A - <A>)|xi>, phi = (B - <B>)|xi> (n, d) and Cov(A,B) = <psi|phi> (n,), one row per state."""
+class _Kernel(NamedTuple):
+    """n states xi with shared A and B: xi, psi = (A - <A>)|xi>, phi = (B - <B>)|xi> (n, d) and
+    Cov(A,B) = <psi|phi> (n,); Var(A) = |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>,
+    one float per state; and the operand norms (|A|_F, |B|_F)."""
 
+    xi: np.ndarray
     psi: np.ndarray
     phi: np.ndarray
     overlap: np.ndarray
+    var_a: list[float]
+    var_b: list[float]
+    covq: list[float]
+    norms: tuple[float, float]
 
 
-def _deviations(a: Observable, b: Observable, xi: np.ndarray) -> _Deviations:
+def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
+    """The kernel record of the states in `xi` (..., d), rows in C order, from one array pass over the stack."""
     _same_dim(a.dim, b.dim, xi.shape[-1])
+    xi = xi.reshape(-1, xi.shape[-1])
     psi = _deviation_vectors(a, xi)
     phi = _deviation_vectors(b, xi)
-    return _Deviations(psi, phi, np.vecdot(psi, phi))
-
-
-def _second_moments(dev: _Deviations) -> tuple[list[float], list[float], list[float]]:
-    """Var(A) = |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>, one float per state."""
-    var_a = np.vecdot(dev.psi, dev.psi).real.tolist()
-    var_b = np.vecdot(dev.phi, dev.phi).real.tolist()
-    return var_a, var_b, dev.overlap.real.tolist()
+    overlap = np.vecdot(psi, phi)
+    var_a = np.vecdot(psi, psi).real.tolist()
+    var_b = np.vecdot(phi, phi).real.tolist()
+    norms = (a.frobenius_norm(), b.frobenius_norm())
+    return _Kernel(xi, psi, phi, overlap, var_a, var_b, overlap.real.tolist(), norms)
 
 
 def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -199,21 +205,21 @@ _COEFFS = {"l1": (1 + 0j, -1 + 0j), "l2": (1j, -1j)}
 _L2_OFFSETS = -2.0 * np.array([1, -1])
 
 
-def _directions(psi: np.ndarray, phi: np.ndarray, bounds: tuple[str, ...], columns) -> np.ndarray:
-    """The direction of each bound in `bounds` at the sign in its column, one row per state: (n, k, d).
+def _directions(k: _Kernel, bounds: tuple[str, ...], columns) -> np.ndarray:
+    """The direction of each bound in `bounds` at the sign in its column, one row per state of `k`: (n, m, d).
 
-    `columns` holds k sign columns (0 for +1, 1 for -1) for each of the n
+    `columns` holds m sign columns (0 for +1, 1 for -1) for each of the n
     states, or one such row for all of them. The directions are psi + s phi
     (l1) and psi - s i phi (l2), from one product over the whole stack.
     """
     coeffs = np.array([[_COEFFS[which][column] for which, column in zip(bounds, row)] for row in columns])
-    terms = coeffs[..., None] * phi[:, None]
+    terms = coeffs[..., None] * k.phi[:, None]
     # psi - t is psi + (-t) bit for bit, and negation is exact
     np.negative(terms, out=terms, where=np.array([which == "l2" for which in bounds])[:, None])
-    return psi[:, None] + terms
+    return k.psi[:, None] + terms
 
 
-def _signs(dev: _Deviations, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _signs(k: _Kernel, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both signs of l1 and of l2 at checked unit rows `xi_perp` (n, d), one per state: two (n, 2) arrays.
 
     Each bound is the square of one matrix element, <psi + s phi|xi_perp> for
@@ -222,33 +228,34 @@ def _signs(dev: _Deviations, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the four directions are one (n, 4, d) pass. The l2 value may be negative
     for the non-maximizing sign and is kept unclamped.
     """
-    direction = _directions(dev.psi, dev.phi, ("l1", "l1", "l2", "l2"), [(0, 1, 0, 1)])
+    direction = _directions(k, ("l1", "l1", "l2", "l2"), [(0, 1, 0, 1)])
     # |z| by hypot, as abs() of one complex scalar takes it; np.abs of a complex array may round differently
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
     element = element * element
-    return 0.5 * element[:, :2], _L2_OFFSETS * dev.overlap.imag[:, None] + element[:, 2:]
+    return 0.5 * element[:, :2], _L2_OFFSETS * k.overlap.imag[:, None] + element[:, 2:]
 
 
-def _unit_projections(xi: np.ndarray, directions: np.ndarray, null_tol: float) -> np.ndarray:
-    """The normalized complement projection of each direction (n, k, d), row i against state `xi[i]`.
+def _unit_projections(k: _Kernel, bounds: tuple[str, ...], columns) -> np.ndarray:
+    """The normalized complement projection of each direction `_directions(k, bounds, columns)`: (n, m, d).
 
     This is the Cauchy-Schwarz optimum of the direction's bound. Where a
-    projection is numerically null the bound's element vanishes for every
-    admissible xi_perp, and that direction takes the normalized complement
-    projection of e_k instead, with k the first index other than that of the
-    largest |xi_k|. Then |xi_k|^2 <= 1/2, so that projection has norm at
-    least 1/sqrt(2).
+    projection is numerically null, at most TOL_NULL (1 + |A|_F + |B|_F),
+    the bound's element vanishes for every admissible xi_perp, and that
+    direction takes the normalized complement projection of e_j instead,
+    with j the first index other than that of the largest |xi_j|. Then
+    |xi_j|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
     """
+    xi = k.xi
     if xi.shape[-1] < 2:
         raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-    perp = _project(xi[:, None], directions)
+    perp = _project(xi[:, None], _directions(k, bounds, columns))
     nrm = _norms(perp)
-    null = nrm <= null_tol
+    null = nrm <= TOL_NULL * (1.0 + k.norms[0] + k.norms[1])
     if np.count_nonzero(null):
-        # e_k with k = 0, or k = 1 where |xi_0| is the largest
-        e_k = np.eye(xi.shape[-1], dtype=complex)[(np.abs(xi).argmax(axis=-1) == 0).astype(int)]
-        fallback = _project(xi, e_k)[:, None]
+        # e_j with j = 0, or j = 1 where |xi_0| is the largest
+        e_j = np.eye(xi.shape[-1], dtype=complex)[(np.abs(xi).argmax(axis=-1) == 0).astype(int)]
+        fallback = _project(xi, e_j)[:, None]
         perp = np.where(null[..., None], fallback, perp)
         nrm = np.where(null, _norms(fallback), nrm)
     return perp / nrm[..., None]
@@ -276,10 +283,6 @@ def _column(values: tuple[float, float]) -> int:
     return 0 if values[0] >= values[1] - TOL_EIG else 1
 
 
-def _null_tol(a: Observable, b: Observable) -> float:
-    return TOL_NULL * (1.0 + a.frobenius_norm() + b.frobenius_norm())
-
-
 def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: str, sign: int) -> OrthogonalCandidate:
     """Closed-form optimal xi_perp for bound `which` ("l1" or "l2") at `sign`, with its value.
 
@@ -292,83 +295,70 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     """
     _validate_which(which)
     _validate_sign(sign)
-    xi = state.vector[None]
-    dev = _deviations(a, b, xi)
-    (var_a,), (var_b,), (covq,) = _second_moments(dev)
-    value = _optimum_values(var_a, var_b, covq)[MP_BOUNDS.index(which)][(1 - sign) // 2]
-    perp = _unit_projections(xi, _directions(dev.psi, dev.phi, (which,), [((1 - sign) // 2,)]), _null_tol(a, b))
+    k = _kernel(a, b, state.vector[None])
+    column = (1 - sign) // 2
+    value = _optimum_values(k.var_a[0], k.var_b[0], k.covq[0])[MP_BOUNDS.index(which)][column]
+    perp = _unit_projections(k, (which,), [(column,)])
     return OrthogonalCandidate(_trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
 
 
 class _Hrsur(NamedTuple):
-    """The HRSUR half of the kernel for n states: the deviation vectors, and one float per
-    state, in row order, for each of the variances, their product, CovQ, t1 and t2."""
+    """Var(A) Var(B), t1 and t2 of each state of a kernel record, one float per state in row order."""
 
-    dev: _Deviations
-    var_a: list[float]
-    var_b: list[float]
     prod_var: list[float]
-    covq: list[float]
     t1: list[float]
     t2: list[float]
 
 
-def _hrsur(a: Observable, b: Observable, xi: np.ndarray) -> _Hrsur:
-    """The Heisenberg-Robertson-Schrodinger bounds of each state in `xi` (..., d), rows in C order.
+def _hrsur(k: _Kernel) -> _Hrsur:
+    """The Heisenberg-Robertson-Schrodinger bounds of each state of `k`, closed forms taken per row in Python floats.
 
-    The deviation vectors and their inner products are one array pass over
-    the stack; the closed forms are then taken per row in Python floats.
     Raises ValueError when Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in any row,
     where the degree-4 quantities (prod_var, t1, t2^2) would leave the double
     range.
     """
-    dev = _deviations(a, b, xi.reshape(-1, xi.shape[-1]))
-    var_a, var_b, covq = _second_moments(dev)
-    prod_var = [x * y for x, y in zip(var_a, var_b)]
+    prod_var = [x * y for x, y in zip(k.var_a, k.var_b)]
     for product in prod_var:
         if product > _MAX_VAR_PRODUCT:
             raise ValueError(
                 f"operand scale too large: Var(A) Var(B) = {product:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
-                f"(|A|_F = {a.frobenius_norm():.3e}, |B|_F = {b.frobenius_norm():.3e})"
+                f"(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})"
             )
     # |<[A,B]>| = 2 |Im Cov(A,B)|
-    t2 = [2.0 * abs(im) for im in dev.overlap.imag.tolist()]
-    t1 = [c * c + 0.25 * t**2 for c, t in zip(covq, t2)]
-    return _Hrsur(dev, var_a, var_b, prod_var, covq, t1, t2)
+    t2 = [2.0 * abs(im) for im in k.overlap.imag.tolist()]
+    t1 = [c * c + 0.25 * t**2 for c, t in zip(k.covq, t2)]
+    return _Hrsur(prod_var, t1, t2)
 
 
-def _report(a: Observable, b: Observable, xi: np.ndarray, hrsur: _Hrsur, user_xi_perp=None) -> list[BoundReport]:
-    """The Maccone-Pati half of the kernel: the report of each state in `xi` (..., d), rows in C order.
+def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
+    """The report of each state of `k`, rows in order, with its HRSUR bounds from `_hrsur(k)`.
 
-    At the analytic optimum every by-sign value is a closed form in the HRSUR
-    half's Var(A), Var(B) and CovQ; each row keeps its maximizing sign, and
+    At the analytic optimum every by-sign value is a closed form in the
+    record's Var(A), Var(B) and CovQ; each row keeps its maximizing sign, and
     only the two returned directions, psi + s1 phi and psi - s2 i phi, are
     projected, in one (n, 2, d) pass. `user_xi_perp` (..., d) holds checked
     unit rows, one per state, at which both signs of each bound are evaluated.
     """
-    dim = xi.shape[-1]
-    xi = xi.reshape(-1, dim)
+    hrsur = _hrsur(k)
     if user_xi_perp is None:
         kind = "analytic_optimum"
-        by_sign = [_optimum_values(*moments) for moments in zip(hrsur.var_a, hrsur.var_b, hrsur.covq)]
+        by_sign = [_optimum_values(*moments) for moments in zip(k.var_a, k.var_b, k.covq)]
         # the two l2 values are one float, so l2 keeps sign +1 by the tie rule
         columns = [(_column(l1), 0) for l1, _ in by_sign]
-        directions = _directions(hrsur.dev.psi, hrsur.dev.phi, MP_BOUNDS, columns)
-        perps = _unit_projections(xi, directions, _null_tol(a, b))
+        perps = _unit_projections(k, MP_BOUNDS, columns)
         vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
     else:
         kind = "user_supplied"
-        user_xi_perp = user_xi_perp.reshape(-1, dim)
-        l1_values, l2_values = (values.tolist() for values in _signs(hrsur.dev, user_xi_perp))
+        user_xi_perp = user_xi_perp.reshape(k.xi.shape)
+        l1_values, l2_values = (values.tolist() for values in _signs(k, user_xi_perp))
         by_sign = [(tuple(l1), tuple(l2)) for l1, l2 in zip(l1_values, l2_values)]
         columns = [(_column(l1), _column(l2)) for l1, l2 in by_sign]
         vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
 
     reports = []
-    for hrsur_row, (l1_by_sign, l2_by_sign), (l1_col, l2_col), (l1_vec, l2_vec) in zip(
-        zip(*hrsur[1:]), by_sign, columns, vectors
+    for var_a, var_b, covq, prod_var, t1, t2, (l1_by_sign, l2_by_sign), (l1_col, l2_col), (l1_vec, l2_vec) in zip(
+        k.var_a, k.var_b, k.covq, *hrsur, by_sign, columns, vectors
     ):
-        var_a, var_b, prod_var, covq, t1, t2 = hrsur_row
         l1, l2 = l1_by_sign[l1_col], l2_by_sign[l2_col]
         l1_cand = OrthogonalCandidate(l1_vec, l1, 1 - 2 * l1_col, kind)
         l2_cand = OrthogonalCandidate(l2_vec, l2, 1 - 2 * l2_col, kind)
@@ -410,13 +400,12 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     eighth of the largest double, where prod_var and t1 would overflow.
     """
     # the one-row view of the stacked kernel
-    xi = state.vector[None]
-    hrsur = _hrsur(a, b, xi)
+    k = _kernel(a, b, state.vector[None])
     if user_xi_perp is not None:
         user_xi_perp = _checked_perp(state, user_xi_perp)
         if user_xi_perp.ndim != 1:
             # the candidate is a state, so one vector, as QuantumState requires
             raise ValueError(f"expected a 1-D vector, got shape {user_xi_perp.shape}")
         user_xi_perp = user_xi_perp[None]
-    (report,) = _report(a, b, xi, hrsur, user_xi_perp)
+    (report,) = _report(k, user_xi_perp)
     return report

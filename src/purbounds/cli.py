@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 
-from .bounds import _hrsur, _report, bound_report
+from .bounds import _kernel, _report, bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
 from .quantum import _equatorial_vectors, pauli_x, pauli_z
@@ -58,7 +58,7 @@ def qubit_sweep(points: int) -> list[tuple[float, ...]]:
     alphas = [math.tau * k / points for k in range(points)]
     # every point is one row of a single kernel call
     xi = _equatorial_vectors(alphas)
-    reports = _report(a, b, xi, _hrsur(a, b, xi))
+    reports = _report(_kernel(a, b, xi))
     return [(alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])) for alpha, rep in zip(alphas, reports)]
 
 

@@ -26,9 +26,8 @@ import numpy as np
 from .bounds import (
     MP_BOUNDS,
     _checked_perp,
-    _directions,
     _hrsur,
-    _null_tol,
+    _kernel,
     _report,
     _unit_projections,
     _validate_sign,
@@ -309,11 +308,10 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     """
     # the state and its global-phase copy as one 2-row kernel call: every
     # computed quantity is invariant under a global phase on the state
-    xis = np.array((state.vector, np.exp(1j * theta) * state.vector))
-    own = _hrsur(a, b, xis)
-    rep, rep_phased = _report(a, b, xis, own)
+    own = _kernel(a, b, np.array((state.vector, np.exp(1j * theta) * state.vector)))
+    rep, rep_phased = _report(own)
     # the report's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
-    psi, phi = own.dev.psi[0], own.dev.phi[0]
+    psi, phi = own.psi[0], own.phi[0]
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     # A|xi>, B|xi>, <xi|AB|xi> and <xi|BA|xi> once, for the reference and for the
@@ -324,8 +322,7 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     # its own optimum, optimal_xi_perp's vector for that sign
     cands = (rep.l1_candidate, rep.l2_candidate)
     columns = [(1 - cand.sign) // 2 for cand in cands]
-    directions = _directions(own.dev.psi[:1], own.dev.phi[:1], MP_BOUNDS, [[1 - column for column in columns]])
-    others = _unit_projections(xis[:1], directions, _null_tol(a, b))[0]
+    others = _unit_projections(own, MP_BOUNDS, [[1 - column for column in columns]])[0]
     # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is
     rows = np.concatenate((perps, [cand.vector.vector for cand in cands], others))
     values = _reference_columns(a, b, images, _checked_perp(state, rows))
@@ -344,9 +341,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         attained.append(max(map(abs, gaps)))
     l1_defect, l2_defect = attained
 
-    # swapping the observables must not change the HRSUR bounds, which only
-    # the HRSUR half of the kernel computes
-    swapped = _hrsur(b, a, state.vector)
+    # swapping the observables must not change the HRSUR bounds, so only they are computed
+    swapped = _hrsur(_kernel(b, a, state.vector))
 
     slacks = (
         rep.prod_var - rep.t1,

@@ -10,6 +10,7 @@ from purbounds.bounds import (
     OrthogonalityError,
     _checked_perp,
     _hrsur,
+    _kernel,
     _report,
     bound_report,
     optimal_xi_perp,
@@ -403,20 +404,22 @@ class TestInvariances:
 
 
 class TestKernelHalves:
-    """bound_report is the Maccone-Pati half completing the HRSUR half, bit for bit."""
+    """bound_report's moments and HRSUR bounds are the kernel record's and `_hrsur`'s, bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_shared_fields_equal_by_hex(self, dim):
         rng = np.random.default_rng([47, dim])
         for _ in range(4):
             state, a, b = random_instance(rng, dim)
-            # bound_report is the one-row view: the half keeps one float per row
-            hrsur = _hrsur(a, b, state.vector[None])
+            # bound_report is the one-row view: the record and _hrsur keep one float per row
+            k = _kernel(a, b, state.vector[None])
+            hrsur = _hrsur(k)
             for xi_perp in (None, random_unit_in_complement(state, rng)):
                 rep = bound_report(a, b, state, user_xi_perp=xi_perp)
-                for name in ("var_a", "var_b", "prod_var", "covq", "t1", "t2"):
-                    (value,) = getattr(hrsur, name)
-                    assert getattr(rep, name).hex() == value.hex(), name
+                for source, names in ((k, ("var_a", "var_b", "covq")), (hrsur, ("prod_var", "t1", "t2"))):
+                    for name in names:
+                        (value,) = getattr(source, name)
+                        assert getattr(rep, name).hex() == value.hex(), name
                 assert rep.comm_mean_abs.hex() == hrsur.t2[0].hex()
 
 
@@ -437,7 +440,7 @@ def report_bits(rep):
 
 
 def stacked_reports(a, b, xi, xi_perp=None):
-    return _report(a, b, xi, _hrsur(a, b, xi), xi_perp)
+    return _report(_kernel(a, b, xi), xi_perp)
 
 
 class TestStackedKernel:
@@ -449,11 +452,11 @@ class TestStackedKernel:
         a, b = random_observable(dim, rng), random_observable(dim, rng)
         states = [random_state(dim, rng) for _ in range(5)]
         xi = np.stack([state.vector for state in states])
-        hrsur = _hrsur(a, b, xi)
-        for k, (state, rep) in enumerate(zip(states, _report(a, b, xi, hrsur))):
+        kernel = _kernel(a, b, xi)
+        for row, (state, rep) in enumerate(zip(states, _report(kernel))):
             assert report_bits(rep) == report_bits(bound_report(a, b, state))
-            assert hrsur.dev.psi[k].tobytes() == deviation_vector(a, state).tobytes()
-            assert hrsur.dev.phi[k].tobytes() == deviation_vector(b, state).tobytes()
+            assert kernel.psi[row].tobytes() == deviation_vector(a, state).tobytes()
+            assert kernel.phi[row].tobytes() == deviation_vector(b, state).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_user_xi_perp_rows(self, dim):

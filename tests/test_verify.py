@@ -393,9 +393,9 @@ class TestTrustedWraps:
         # the suite's one Maccone-Pati call per instance has two rows: the state and its phased copy
         seen = []
 
-        def recording(a, b, xi, hrsur, user_xi_perp=None):
-            reports = bounds._report(a, b, xi, hrsur, user_xi_perp)
-            seen.append((xi, reports))
+        def recording(k, user_xi_perp=None):
+            reports = bounds._report(k, user_xi_perp)
+            seen.append((k.xi, reports))
             return reports
 
         monkeypatch.setattr(verify, "_report", recording)
@@ -616,12 +616,12 @@ class TestStackedReference:
 
 
 class TestReroutedChecksFire:
-    """The swap checks read the HRSUR half on (B, A) and the phase check the phased
-    row of the suite's 2-row kernel call: a kernel that breaks either invariance fails."""
+    """The swap checks read `_hrsur` of the (B, A) kernel record and the phase check the
+    phased row of the suite's 2-row kernel call: a kernel that breaks either invariance fails."""
 
     @staticmethod
     def _patch_both(monkeypatch, name, patched):
-        # bound_report looks the half up in bounds, the suite in verify
+        # bound_report looks the function up in bounds, the suite in verify
         monkeypatch.setattr(bounds, name, patched)
         monkeypatch.setattr(verify, name, patched)
 
@@ -634,9 +634,9 @@ class TestReroutedChecksFire:
     def test_operand_order_dependence_fires_symmetry(self, monkeypatch, field):
         original = bounds._hrsur
 
-        def order_dependent(a, b, xi):
-            hrsur = original(a, b, xi)
-            if a.frobenius_norm() > b.frobenius_norm():
+        def order_dependent(k):
+            hrsur = original(k)
+            if k.norms[0] > k.norms[1]:
                 return hrsur._replace(**{field: [value + 1.0 for value in getattr(hrsur, field)]})
             return hrsur
 
@@ -646,10 +646,9 @@ class TestReroutedChecksFire:
     def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
         original = bounds._report
 
-        def phase_dependent(a, b, xi, hrsur, user_xi_perp=None):
-            reports = original(a, b, xi, hrsur, user_xi_perp)
-            rows = xi.reshape(-1, xi.shape[-1])
-            return [dataclasses.replace(rep, l1=rep.l1 + abs(row[0].imag)) for rep, row in zip(reports, rows)]
+        def phase_dependent(k, user_xi_perp=None):
+            reports = original(k, user_xi_perp)
+            return [dataclasses.replace(rep, l1=rep.l1 + abs(row[0].imag)) for rep, row in zip(reports, k.xi)]
 
         self._patch_both(monkeypatch, "_report", phase_dependent)
         assert "phase_invariance" in self._failed_checks()
@@ -673,8 +672,8 @@ class TestReroutedChecksFire:
         # the reference at the candidate can see it
         original = bounds._report
 
-        def swapped_candidates(a, b, xi, hrsur, user_xi_perp=None):
-            reports = original(a, b, xi, hrsur, user_xi_perp)
+        def swapped_candidates(k, user_xi_perp=None):
+            reports = original(k, user_xi_perp)
             return [
                 dataclasses.replace(rep, l2_candidate=dataclasses.replace(rep.l2_candidate, vector=rep.l1_candidate.vector))
                 for rep in reports
@@ -686,8 +685,8 @@ class TestReroutedChecksFire:
     def test_value_off_the_attained_one_fires_l1_identity(self, monkeypatch):
         original = bounds._report
 
-        def bumped(a, b, xi, hrsur, user_xi_perp=None):
-            reports = original(a, b, xi, hrsur, user_xi_perp)
+        def bumped(k, user_xi_perp=None):
+            reports = original(k, user_xi_perp)
             return [dataclasses.replace(rep, l1=rep.l1 + 1e-6) for rep in reports]
 
         monkeypatch.setattr(verify, "_report", bumped)
