@@ -55,6 +55,7 @@ from .quantum import (
     Observable,
     QuantumState,
     _deviation_vectors,
+    _integer,
     _norms,
     _row_norms,
     _same_dim,
@@ -93,7 +94,7 @@ class OrthogonalCandidate:
     kind: str
 
     def __post_init__(self):
-        _validate_sign(self.sign)
+        object.__setattr__(self, "sign", _validate_sign(self.sign))
         if self.kind not in CANDIDATE_KINDS:
             raise ValueError(f"unknown candidate kind {self.kind!r}")
 
@@ -128,6 +129,7 @@ class BoundReport:
 
 
 def _validate_sign(sign: int) -> int:
+    sign = _integer("sign", sign)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     return sign
@@ -294,7 +296,7 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     vector other than the one of the largest |xi_k|, is reported.
     """
     _validate_which(which)
-    _validate_sign(sign)
+    sign = _validate_sign(sign)
     k = _kernel(a, b, state.vector[None])
     column = (1 - sign) // 2
     value = _optimum_values(k.var_a[0], k.var_b[0], k.covq[0])[MP_BOUNDS.index(which)][column]

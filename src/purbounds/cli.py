@@ -20,7 +20,7 @@ import sys
 from .bounds import _kernel, _report, bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
-from .quantum import _equatorial_vectors, pauli_x, pauli_z
+from .quantum import _equatorial_vectors, _integer, pauli_x, pauli_z
 from .verify import DEFAULT_SUITE_DIMS, DEFAULT_SUITE_TOL, run_invariant_suite
 
 __all__ = [
@@ -52,6 +52,7 @@ SWEEP_FIELDS = ("alpha", "var_a", "var_b", "sum_var", "prod_var", "t1", "t2", "l
 
 def qubit_sweep(points: int) -> list[tuple[float, ...]]:
     """Rows in SWEEP_FIELDS order at alpha_k = 2 pi k / points, for A = X, B = Z on the equatorial state."""
+    points = _integer("points", points)
     if points < 2:
         raise ValueError("points must be at least 2")
     a, b = pauli_x(), pauli_z()

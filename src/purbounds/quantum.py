@@ -327,6 +327,7 @@ def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_state(dim: int, index: int) -> QuantumState:
     """Computational basis vector |index> in dimension `dim`."""
+    dim, index = _integer("dim", dim), _integer("index", index)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside [0, {dim})")
     vec = np.zeros(dim, dtype=complex)

@@ -74,6 +74,7 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _check_dim(dim: int) -> int:
+    dim = _integer("dim", dim)
     if not 2 <= dim <= MAX_DIM:
         raise ValueError(f"dimension {dim} outside supported range [2, {MAX_DIM}]")
     return dim
@@ -93,14 +94,14 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_state(dim: int, seed) -> QuantumState:
     """Haar-distributed state: standard complex Gaussian components, normalized."""
-    _check_dim(dim)
+    dim = _check_dim(dim)
     vec = _complex_normal(_rng(seed), dim)
     return _trusted_state(vec / _norm(vec))
 
 
 def random_observable(dim: int, seed) -> Observable:
     """GUE-style observable: (G + G†)/2 for G with standard complex Gaussian entries."""
-    _check_dim(dim)
+    dim = _check_dim(dim)
     return _trusted_observable(_complex_normal(_rng(seed), (dim, dim)))
 
 
@@ -179,7 +180,7 @@ def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: i
     `xi_perp` is one vector (one value) or a stack of row vectors (one value
     per row). The ("l1", sign) column of `_reference_values`.
     """
-    _validate_sign(sign)
+    sign = _validate_sign(sign)
     return _reference_values(a, b, state, xi_perp).T[(1 - sign) // 2]
 
 
@@ -191,7 +192,7 @@ def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: i
     negative for the non-maximizing sign and is returned unclamped. The
     ("l2", sign) column of `_reference_values`.
     """
-    _validate_sign(sign)
+    sign = _validate_sign(sign)
     return _reference_values(a, b, state, xi_perp).T[2 + (1 - sign) // 2]
 
 

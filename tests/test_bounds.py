@@ -132,10 +132,16 @@ class TestL1Bound:
             l1_bound(pauli_x(), pauli_z(), basis_state(2, 0), bad, 1)
 
     def test_bad_sign_rejected(self):
-        for bound in (l1_bound, l2_bound):
-            for sign in (2, 0):
+        # a float or a bool is no sign, even at the value of one: 1.0 indexed a column, True read as +1
+        state, perp = basis_state(2, 0), basis_state(2, 1)
+        for sign in (2, 0, 1.0, -1.0, True):
+            for bound in (l1_bound, l2_bound):
                 with pytest.raises(ValueError):
-                    bound(pauli_x(), pauli_z(), basis_state(2, 0), basis_state(2, 1), sign)
+                    bound(pauli_x(), pauli_z(), state, perp, sign)
+            with pytest.raises(ValueError):
+                optimal_xi_perp(pauli_x(), pauli_z(), state, "l1", sign)
+            with pytest.raises(ValueError):
+                OrthogonalCandidate(perp, 1.0, sign, "user_supplied")
 
     @pytest.mark.parametrize("bound", [l1_bound, l2_bound], ids=["l1", "l2"])
     @pytest.mark.parametrize("dim", [2, 8])

@@ -320,6 +320,11 @@ class TestCmdSweep:
     def test_points_too_small(self, tmp_path, capsys):
         assert main(["sweep", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("points", [8.0, True, 1])
+    def test_sweep_points_must_be_an_integer_of_at_least_two(self, points):
+        with pytest.raises(ValueError, match="points must be"):
+            qubit_sweep(points)
+
     def test_unwritable_path(self, tmp_path, capsys):
         assert main(["sweep", "--points", "4", "--out", str(tmp_path / "nodir" / "x.csv")]) == 1
 

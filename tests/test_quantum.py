@@ -74,6 +74,11 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(vec)
 
+    @pytest.mark.parametrize("dim, index", [(2.0, 0), (2, 1.0), (True, 0), (2, True), (2, -1), (2, 2)])
+    def test_basis_state_rejects_non_integer_or_out_of_range(self, dim, index):
+        with pytest.raises(ValueError):
+            basis_state(dim, index)
+
 
 class TestNormKernel:
     """`_norm` stands in for np.linalg.norm in every validation, so it must agree bit for bit."""

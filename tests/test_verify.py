@@ -58,10 +58,12 @@ class TestRandomState:
         np.testing.assert_array_equal(random_state(4, 123).vector, random_state(4, 123).vector)
 
     def test_dim_out_of_range(self):
-        with pytest.raises(ValueError):
-            random_state(1, 0)
-        with pytest.raises(ValueError):
-            random_state(65, 0)
+        # and a float or a bool is no dimension, even at an integral value in range
+        for dim in (1, 65, 1.0, -1.0, True, 3.0):
+            with pytest.raises(ValueError):
+                random_state(dim, 0)
+            with pytest.raises(ValueError):
+                random_observable(dim, 0)
 
     def test_haar_marginal_d2(self):
         # Haar marginal: |amp_0|^2 is uniform on [0, 1], mean 1/2
