@@ -57,6 +57,9 @@ class BornDistribution:
         probs = np.asarray(self.probabilities, dtype=float).copy()
         if vals.ndim != 1 or vals.shape != probs.shape or vals.size == 0:
             raise ValueError("values and probabilities must be matching nonempty 1-D arrays")
+        # a NaN compares false with every bound below, so it would pass them all
+        if not (np.isfinite(vals).all() and np.isfinite(probs).all()):
+            raise ValueError("values and probabilities must be finite")
         if np.any(probs < -TOL_NORM):
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -153,6 +156,8 @@ def empirical_variance(samples) -> EstimateReport:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D sample with n >= 2")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
     n = arr.size
     mean = float(arr.mean())
     dev = arr - mean

@@ -78,6 +78,21 @@ class TestBornDistribution:
         with pytest.raises(ValueError):
             BornDistribution(np.array([1.0]), np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "values,probabilities",
+        [
+            ([1.0, 2.0], [np.nan, 1.0]),
+            ([np.nan, 2.0], [0.5, 0.5]),
+            ([1.0, np.inf], [0.5, 0.5]),
+            ([1.0, 2.0], [np.inf, 0.5]),
+        ],
+        ids=["nan_probability", "nan_value", "inf_value", "inf_probability"],
+    )
+    def test_non_finite_distribution_rejected(self, values, probabilities):
+        # a NaN probability passed both the sign and the sum check, and every sample then read 1.0
+        with pytest.raises(ValueError, match="must be finite"):
+            BornDistribution(np.array(values), np.array(probabilities))
+
 
 class TestSampleOutcomes:
     def test_deterministic_distribution(self):
@@ -112,6 +127,12 @@ class TestEmpiricalVariance:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             empirical_variance(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # var_hat read nan
+        with pytest.raises(ValueError, match="samples must be finite"):
+            empirical_variance([1.0, bad, 2.0])
 
     def test_fair_signs_close_to_unit_variance(self):
         dist = born_distribution(pauli_z(), equatorial_state(0.0))
