@@ -15,7 +15,8 @@ EPS = float(np.finfo(float).eps)
 # Each analytic by-sign value lies within FORWARD_K eps (|A|_F^2 + |B|_F^2) of its exact
 # value. Measured: at most 1.09 over 2,520 Haar/GUE instances at d = 2..8 with operands
 # scaled by 1e-6, 1 and 1e6 and |B|_F / |A|_F from 0.1 to 10 (the element form it
-# replaced reached 1.63 on the same instances).
+# replaced reached 1.63 on the same instances), and 0.097 / 0.042 / 0.026 at
+# d = 16 / 32 / 64 on the 12 instances per dimension that the test below draws.
 FORWARD_K = 4.0
 
 
@@ -42,7 +43,7 @@ class TestOracle:
 
 
 class TestForwardError:
-    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("dim", [*range(2, 9), 16, 32, 64])
     def test_by_sign_values_within_k_eps_of_exact(self, dim):
         for seed in range(4):
             rng = np.random.default_rng([107, dim, seed])
