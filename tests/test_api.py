@@ -27,11 +27,15 @@ def test_package_reexports_only_module_exports():
     assert sorted(public - exported) == []
 
 
+def _readme_blocks():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+
+
 def _readme_imports():
     """Names the README's Python blocks import from the package itself."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     names = set()
-    for block in re.findall(r"```python\n(.*?)```", text, flags=re.S):
+    for block in _readme_blocks():
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module == "purbounds":
                 names.update(alias.name for alias in node.names)
@@ -43,3 +47,27 @@ def test_readme_lists_exactly_the_package_api():
     assert sorted(name for name in documented if not hasattr(purbounds, name)) == []
     public = {k for k, v in vars(purbounds).items() if not k.startswith("_") and not inspect.ismodule(v)}
     assert sorted(public ^ documented) == []
+
+
+# `expression  # v1, v2, ...`: a line whose comment opens with the values the expression reads
+_COMMENTED_VALUES = re.compile(r"^(?P<expr>[^#]*?)\s+#\s*(?P<values>(?:-?[\d.]+|True|False)(?:,\s*(?:-?[\d.]+|True|False))*)")
+
+
+def test_readme_library_example_reads_its_commented_values():
+    (block,) = [block for block in _readme_blocks() if "bound_report(" in block]
+    namespace = {}
+    exec(block, namespace)
+    checked = []
+    for line in block.splitlines():
+        match = _COMMENTED_VALUES.match(line)
+        if match is None:
+            continue
+        got = eval(match["expr"], namespace)
+        got = got if isinstance(got, tuple) else (got,)
+        for value, expected in zip(got, ast.literal_eval(match["values"] + ","), strict=True):
+            if isinstance(expected, bool):
+                assert value is expected, line
+            else:
+                assert abs(value - expected) <= 1e-12, line
+        checked.append(match["expr"].strip())
+    assert checked == ["rep.t1, rep.t2", "rep.l1, rep.l2", "rep.mpur", "rep.hrsur_trivial"]
