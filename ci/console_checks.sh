@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Checks of the installed `purbounds` console script, which no test runs: it must print
+# what `python -m purbounds` prints, and its reports must be byte-identical on rerun.
+# Run from anywhere after `pip install -e .`; it works in a fresh temporary directory.
+set -euo pipefail
+cd "$(mktemp -d)"
+
+cat > readme_d2.json <<'JSON'
+{
+  "dim": 2,
+  "state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+  "A": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+  "B": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+  "xi_perp": [[0.7071067811865476, 0.0], [-0.7071067811865476, 0.0]]
+}
+JSON
+purbounds bounds readme_d2.json > script.out
+python -m purbounds bounds readme_d2.json > module.out
+cmp script.out module.out
+# without xi_perp the report takes the analytic branch, where l2 equals Var(A) + Var(B)
+python -c "import json; d = json.load(open('readme_d2.json')); del d['xi_perp']; json.dump(d, open('readme_d2_analytic.json', 'w'))"
+purbounds bounds readme_d2_analytic.json > script_analytic.out
+python -m purbounds bounds readme_d2_analytic.json > module_analytic.out
+cmp script_analytic.out module_analytic.out
+# both l2 signs tie at the optimum, so l2 reports +1; the optimized l1 is sum_var/2 + |covq|
+python -c "import json; r = json.load(open('script_analytic.out')); assert r['l2']['kind'] == 'analytic_optimum'; assert abs(r['l2']['value'] - r['sum_var']) <= 1e-12; assert r['l2']['sign'] == 1; assert abs(r['l1']['value'] - (r['sum_var'] / 2 + abs(r['covq']))) <= 1e-12"
+purbounds sweep --points 241 --out sweep.csv
+test "$(wc -l < sweep.csv)" -eq 242
+purbounds random --count 20 > random.json
+# a violation exits 3 and names the failing checks
+status=0
+purbounds random --count 5 --tol 1e-30 > violations.json || status=$?
+test "$status" -eq 3
+python -c "import json; assert json.load(open('violations.json'))['violations']"
+# the README instance passes the 5-sigma sampling check
+purbounds montecarlo --file readme_d2.json --samples 2000 > montecarlo.json
+python -c "import json; assert json.load(open('montecarlo.json'))['violation'] is False"
+# the suite at the largest dimensions is byte-identical across reruns
+purbounds random --count 24 --dims 16,32,64 > large_1.json
+purbounds random --count 24 --dims 16,32,64 > large_2.json
+cmp large_1.json large_2.json
+# the benchmark's suite dimensions: byte-identical across reruns, and passing
+purbounds random --dims 2,3,4,6,8,16,32,64 --count 64 > bench_dims_1.json
+purbounds random --dims 2,3,4,6,8,16,32,64 --count 64 > bench_dims_2.json
+cmp bench_dims_1.json bench_dims_2.json
+python -c "import json; assert json.load(open('bench_dims_1.json'))['passed'] is True"
+echo "console checks passed in $PWD"
