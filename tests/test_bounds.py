@@ -568,3 +568,10 @@ class TestOperandScale:
         assert rep.t1 > 0.0 and np.isfinite(rep.prod_var)
         with pytest.raises(ValueError, match=r"operand scale too large: Var\(A\) Var\(B\) = .* \(\|A\|_F = "):
             bound_report(Observable(1e80 * a.matrix), Observable(1e80 * b.matrix), state)
+
+    def test_user_xi_perp_is_checked_before_the_limit(self):
+        # the kernel record reads no degree-4 quantity, so a bad xi_perp is named first
+        rng = np.random.default_rng([53, 4])
+        state, a, b = random_instance(rng, 4)
+        with pytest.raises(OrthogonalityError):
+            bound_report(Observable(1e80 * a.matrix), Observable(1e80 * b.matrix), state, user_xi_perp=state)
