@@ -25,7 +25,42 @@ def forward_error(value: float, exact: Fraction, a: Observable, b: Observable) -
     return float(abs(Fraction(value) - exact)) / (EPS * (a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2))
 
 
+def fraction_moments(a, b, state):
+    """The oracle's four moments summed in `fractions.Fraction` over object arrays, term by term."""
+
+    def parts(arr):
+        return tuple(np.vectorize(Fraction, otypes=[object])(part) for part in (arr.real, arr.imag))
+
+    def image(obs):
+        (mr, mi), (xr, xi) = parts(obs.matrix), x
+        return mr @ xr - mi @ xi, mr @ xi + mi @ xr
+
+    def inner(u, v):
+        return u[0] @ v[0] + u[1] @ v[1], u[0] @ v[1] - u[1] @ v[0]
+
+    x = parts(state.vector)
+    ax, bx = image(a), image(b)
+    norm_sq = inner(x, x)[0]
+    mean_a, mean_b = inner(x, ax)[0] / norm_sq, inner(x, bx)[0] / norm_sq
+    cov_re, cov_im = inner(ax, bx)
+    return (
+        inner(ax, ax)[0] / norm_sq - mean_a * mean_a,
+        inner(bx, bx)[0] / norm_sq - mean_b * mean_b,
+        cov_re / norm_sq - mean_a * mean_b,
+        cov_im / norm_sq,
+    )
+
+
 class TestOracle:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_integer_sums_equal_fraction_sums(self, dim):
+        # the oracle's integers over one power of two per array are the same rationals
+        rng = np.random.default_rng([113, dim])
+        state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
+        for scale in (1e-300, 1e-6, 1.0, 1e6, 1e150):
+            sa, sb = Observable(scale * a.matrix), Observable(0.37 * scale * b.matrix)
+            assert exact_moments(sa, sb, state) == fraction_moments(sa, sb, state)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.4, np.pi / 2, 2.8])
     def test_qubit_family(self, alpha):
         # X and Z on (|0> + e^{i alpha}|1>)/sqrt 2: Var(X) = sin^2 alpha, Var(Z) = 1, CovQ = 0,
