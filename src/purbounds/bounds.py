@@ -32,12 +32,14 @@ tie, so l2 reports sign +1. The per-xi_perp formulas evaluated from
 (A + s B)|xi> and (A - s i B)|xi> directly live in `verify`, as the
 independent reference this module is checked against at the returned vectors.
 
-One private kernel record, built in one array pass over a stack of states
-with shared A and B, holds the states, psi, phi, <psi|phi>, Var(A), Var(B)
-and CovQ per row, and (|A|_F, |B|_F). Every report and candidate is read from
-it, and every row of a stacked call is bit for bit the one-state result. At
-the analytic optimum only the returned directions are projected, one per
-bound; only at a user-supplied xi_perp are both signs evaluated there.
+One private kernel record, from one fused pass over a stack of states with A
+and B as one operand stack (both images in one buffer, both means from one
+inner product, |psi|^2, <psi|phi> and |phi|^2 from one more), holds the
+states, psi, phi, <psi|phi>, Var(A), Var(B) and CovQ per row, and (|A|_F,
+|B|_F). Every report and candidate is read from it, bit for bit the one-state
+result in every row. At the analytic optimum only the returned directions are
+projected, one per bound, with coefficients from a fixed table; only at a
+user-supplied xi_perp are all four evaluated there.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ class BoundReport:
 
     l1/l2 carry the maximizing sign (+1 on ties) and its candidate vector;
     the per-sign values are kept unclamped for diagnostics. mpur is
-    max(l1, l2) and saturation_gap = sum_var - mpur.
+    max(l1, l2) and saturation_gap = sum_var - mpur. comm_mean_abs is an
+    alias of t2: the same float, |<[A,B]>|, under its own name.
     """
 
     var_a: float
@@ -126,6 +129,17 @@ class BoundReport:
     hrsur_trivial: bool
     common_eigenvector: bool
     saturation_gap: float
+
+
+def _trusted(cls, *values):
+    """An `OrthogonalCandidate` or `BoundReport` the package built itself, `values` in field order.
+
+    Like `_trusted_state`, it skips the candidate's sign and kind checks and
+    the frozen `__init__`, which the package's own values never need.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _validate_sign(sign: int) -> int:
@@ -177,16 +191,14 @@ class _Kernel(NamedTuple):
 
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
-    """The kernel record of the states in `xi` (..., d), rows in C order, from one array pass over the stack."""
+    """The kernel record of the states in `xi` (..., d), rows in C order, from one fused pass over the stack."""
     _same_dim(a.dim, b.dim, xi.shape[-1])
     xi = xi.reshape(-1, xi.shape[-1])
-    psi = _deviation_vectors(a, xi)
-    phi = _deviation_vectors(b, xi)
-    overlap = np.vecdot(psi, phi)
-    var_a = np.vecdot(psi, psi).real.tolist()
-    var_b = np.vecdot(phi, phi).real.tolist()
-    norms = (a.frobenius_norm(), b.frobenius_norm())
-    return _Kernel(xi, psi, phi, overlap, var_a, var_b, overlap.real.tolist(), norms)
+    # A and B as one operand stack, and the (2, 2, n) Gram stack of (psi, phi) from one inner product
+    dev = _deviation_vectors((a, b), xi)
+    gram = np.vecdot(dev[:, None], dev)
+    (var_a, covq), (_, var_b) = gram.real.tolist()
+    return _Kernel(xi, dev[0], dev[1], gram[0, 1], var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
 
 
 def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -200,24 +212,26 @@ def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-# phi's coefficient c in the direction of each bound, in column 0 for sign +1 and column 1 for -1:
-# psi + c phi with c = s for l1, and psi - c phi with c = s i for l2
-_COEFFS = {"l1": (1 + 0j, -1 + 0j), "l2": (1j, -1j)}
+# phi's coefficient c in each direction, and whether its term is subtracted, by direction number
+# 2 * bound + column (l1(+), l1(-), l2(+), l2(-)): psi + c phi with c = s for l1, psi - c phi with c = s i for l2
+_COEFFS = np.array([[1 + 0j], [-1 + 0j], [1j], [-1j]])
+_SUBTRACTED = np.array([[False], [False], [True], [True]])
+_ALL_DIRECTIONS = np.arange(4)[None]
+# the analytic report's l1 at its column and l2(+), from the columns (l1, 0)
+_ANALYTIC = np.array([0, 2])
 # s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
 _L2_OFFSETS = -2.0 * np.array([1, -1])
 
 
-def _directions(k: _Kernel, bounds: tuple[str, ...], columns) -> np.ndarray:
-    """The direction of each bound in `bounds` at the sign in its column, one row per state of `k`: (n, m, d).
+def _directions(k: _Kernel, directions: np.ndarray) -> np.ndarray:
+    """The directions numbered in `directions` (n, m), m per state of `k`, or (1, m) for all of them: (n, m, d).
 
-    `columns` holds m sign columns (0 for +1, 1 for -1) for each of the n
-    states, or one such row for all of them. The directions are psi + s phi
-    (l1) and psi - s i phi (l2), from one product over the whole stack.
+    psi + s phi (l1) and psi - s i phi (l2), from one product over the whole
+    stack, with the coefficients read from a fixed table.
     """
-    coeffs = np.array([[_COEFFS[which][column] for which, column in zip(bounds, row)] for row in columns])
-    terms = coeffs[..., None] * k.phi[:, None]
+    terms = _COEFFS[directions] * k.phi[:, None]
     # psi - t is psi + (-t) bit for bit, and negation is exact
-    np.negative(terms, out=terms, where=np.array([which == "l2" for which in bounds])[:, None])
+    np.negative(terms, out=terms, where=_SUBTRACTED[directions])
     return k.psi[:, None] + terms
 
 
@@ -230,7 +244,7 @@ def _signs(k: _Kernel, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the four directions are one (n, 4, d) pass. The l2 value may be negative
     for the non-maximizing sign and is kept unclamped.
     """
-    direction = _directions(k, ("l1", "l1", "l2", "l2"), [(0, 1, 0, 1)])
+    direction = _directions(k, _ALL_DIRECTIONS)
     # |z| by hypot, as abs() of one complex scalar takes it; np.abs of a complex array may round differently
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
@@ -238,8 +252,8 @@ def _signs(k: _Kernel, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * element[:, :2], _L2_OFFSETS * k.overlap.imag[:, None] + element[:, 2:]
 
 
-def _unit_projections(k: _Kernel, bounds: tuple[str, ...], columns) -> np.ndarray:
-    """The normalized complement projection of each direction `_directions(k, bounds, columns)`: (n, m, d).
+def _unit_projections(k: _Kernel, directions: np.ndarray) -> np.ndarray:
+    """The normalized complement projection of each direction `_directions(k, directions)`: (n, m, d).
 
     This is the Cauchy-Schwarz optimum of the direction's bound. Where a
     projection is numerically null, at most TOL_NULL (1 + |A|_F + |B|_F),
@@ -251,7 +265,7 @@ def _unit_projections(k: _Kernel, bounds: tuple[str, ...], columns) -> np.ndarra
     xi = k.xi
     if xi.shape[-1] < 2:
         raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
-    perp = _project(xi[:, None], _directions(k, bounds, columns))
+    perp = _project(xi[:, None], _directions(k, directions))
     nrm = _norms(perp)
     null = nrm <= TOL_NULL * (1.0 + k.norms[0] + k.norms[1])
     if np.count_nonzero(null):
@@ -300,8 +314,8 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     k = _kernel(a, b, state.vector[None])
     column = (1 - sign) // 2
     value = _optimum_values(k.var_a[0], k.var_b[0], k.covq[0])[MP_BOUNDS.index(which)][column]
-    perp = _unit_projections(k, (which,), [(column,)])
-    return OrthogonalCandidate(_trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
+    perp = _unit_projections(k, np.array([[2 * MP_BOUNDS.index(which) + column]]))
+    return _trusted(OrthogonalCandidate, _trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
 
 
 class _Hrsur(NamedTuple):
@@ -347,7 +361,7 @@ def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
         by_sign = [_optimum_values(*moments) for moments in zip(k.var_a, k.var_b, k.covq)]
         # the two l2 values are one float, so l2 keeps sign +1 by the tie rule
         columns = [(_column(l1), 0) for l1, _ in by_sign]
-        perps = _unit_projections(k, MP_BOUNDS, columns)
+        perps = _unit_projections(k, np.array(columns) + _ANALYTIC)
         vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
     else:
         kind = "user_supplied"
@@ -362,32 +376,18 @@ def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
         k.var_a, k.var_b, k.covq, *hrsur, by_sign, columns, vectors
     ):
         l1, l2 = l1_by_sign[l1_col], l2_by_sign[l2_col]
-        l1_cand = OrthogonalCandidate(l1_vec, l1, 1 - 2 * l1_col, kind)
-        l2_cand = OrthogonalCandidate(l2_vec, l2, 1 - 2 * l2_col, kind)
         sum_var = var_a + var_b
         mpur = max(l1, l2)
-        reports.append(
-            BoundReport(
-                var_a=var_a,
-                var_b=var_b,
-                sum_var=sum_var,
-                prod_var=prod_var,
-                covq=covq,
-                comm_mean_abs=t2,
-                t1=t1,
-                t2=t2,
-                l1=l1,
-                l2=l2,
-                l1_candidate=l1_cand,
-                l2_candidate=l2_cand,
-                l1_by_sign=l1_by_sign,
-                l2_by_sign=l2_by_sign,
-                mpur=mpur,
-                hrsur_trivial=bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
-                common_eigenvector=bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
-                saturation_gap=sum_var - mpur,
-            )
-        )
+        # in BoundReport field order; comm_mean_abs is t2
+        reports.append(_trusted(
+            BoundReport, var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2,
+            _trusted(OrthogonalCandidate, l1_vec, l1, 1 - 2 * l1_col, kind),
+            _trusted(OrthogonalCandidate, l2_vec, l2, 1 - 2 * l2_col, kind),
+            l1_by_sign, l2_by_sign, mpur,
+            bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
+            bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
+            sum_var - mpur,
+        ))
     return reports
 
 

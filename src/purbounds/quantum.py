@@ -246,45 +246,53 @@ def normalize(u) -> QuantumState:
     return QuantumState(vec / nrm)
 
 
-def _means(a: Observable, xi: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Re<xi|A|xi> for each of the n states `xi` (n, d), from their `images` A|xi>.
+def _means(ops, xi: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Re<xi|A|xi> for each operand A of `ops` (k) and state of `xi` (n, d), from the images A|xi>: (k, n).
 
-    Every row's imaginary residue must vanish within tolerance.
+    Every imaginary residue must vanish within TOL_EIG (1 + |A|_F); the
+    operands are checked in order, and the first residue above it is named.
     """
     raw = np.vecdot(xi, images)
-    tol = TOL_EIG * (1.0 + a.frobenius_norm())
-    for residue in raw.imag.tolist():
-        if abs(residue) > tol:
+    for op, residues in zip(ops, raw.imag.tolist()):
+        tol = TOL_EIG * (1.0 + op.frobenius_norm())
+        if max(map(abs, residues), default=0.0) > tol:
+            residue = next(r for r in residues if abs(r) > tol)
             raise HermiticityError(f"expectation has imaginary part {residue:.3e} above tolerance")
     return raw.real
 
 
-def _deviation_vectors(a: Observable, xi: np.ndarray) -> np.ndarray:
-    """(A - <A> I)|xi> for each of the n states `xi` (n, d), one matrix-vector product per row.
+def _deviation_vectors(ops, xi: np.ndarray) -> np.ndarray:
+    """(A - <A> I)|xi> for each operand A of `ops` (k) and each of the n states `xi` (n, d): (k, n, d).
 
-    `np.matmul` on (d, 1) columns runs the same product per row as `A @ x`, so
-    every row is bit for bit what one state gives.
+    All images go into one buffer, one `np.matmul` on (d, 1) columns per
+    operand, which runs the same product per row as `A @ x`, so every row is
+    bit for bit what one state gives; all means come from one inner product.
     """
-    images = np.matmul(a.matrix, xi[:, :, None])[:, :, 0]
-    return images - _means(a, xi, images)[:, None] * xi
+    dev = np.empty((len(ops), *xi.shape, 1), dtype=complex)
+    columns = xi[..., None]
+    for op, out in zip(ops, dev):
+        np.matmul(op.matrix, columns, out=out)
+    dev = dev[..., 0]
+    dev -= _means(ops, xi, dev)[..., None] * xi
+    return dev
 
 
 def expectation(a: Observable, state: QuantumState) -> float:
     """Re<state|A|state>; the imaginary residue must vanish within tolerance."""
     _same_dim(a.dim, state.dim)
     xi = state.vector
-    return float(_means(a, xi[None], (a.matrix @ xi)[None])[0])
+    return float(_means((a,), xi[None], (a.matrix @ xi)[None, None])[0, 0])
 
 
 def deviation_vector(a: Observable, state: QuantumState) -> np.ndarray:
     """(A - <A> I)|state>, from one matrix-vector product.
 
     Orthogonal to |state> and of squared norm Var(A); every bound is a closed
-    form in the deviation vectors of the two observables. The one-row view of
-    the kernel's stacked deviation step.
+    form in the deviation vectors of the two observables. The one-operand,
+    one-row view of the kernel's fused deviation step.
     """
     _same_dim(a.dim, state.dim)
-    return _deviation_vectors(a, state.vector[None])[0]
+    return _deviation_vectors((a,), state.vector[None])[0, 0]
 
 
 def variance(a: Observable, state: QuantumState) -> float:

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import (
-    MP_BOUNDS,
     _checked_perp,
     _hrsur,
     _kernel,
@@ -323,7 +322,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     # its own optimum, optimal_xi_perp's vector for that sign
     cands = (rep.l1_candidate, rep.l2_candidate)
     columns = [(1 - cand.sign) // 2 for cand in cands]
-    others = _unit_projections(own, MP_BOUNDS, [[1 - column for column in columns]])[0]
+    # direction 2 * bound + column, at the other column of each bound
+    others = _unit_projections(own, np.array([[2 * bound + 1 - column for bound, column in enumerate(columns)]]))[0]
     # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is
     rows = np.concatenate((perps, [cand.vector.vector for cand in cands], others))
     values = _reference_columns(a, b, images, _checked_perp(state, rows))

@@ -10,7 +10,7 @@ corpus covers:
 - common eigenvectors of diagonal pairs at d = 3, 8 and 64;
 - the 241 rows of the qubit sweep, as one stacked kernel call.
 
-Each digest is the first 16 hex digits of the SHA-256 of `report_hex(report)`.
+Each digest is the first 16 hex digits of the SHA-256 of `repr(report_bits(report))`.
 
 BLAS kernels and numpy's SIMD loops round differently on different CPUs, so
 the digests are stored per `platform_probe()`, a digest of those primitives on
@@ -21,7 +21,8 @@ commit whose outputs are pinned:
     PYTHONPATH=src python tests/golden.py
 
 OpenBLAS's `OPENBLAS_CORETYPE` (for example `Zen` or `SkylakeX`) and numpy's
-`NPY_DISABLE_CPU_FEATURES` select the kernels of another CPU class.
+`NPY_DISABLE_CPU_FEATURES` select the kernels of another CPU class. A change
+to the corpus makes every recorded class stale, so record them all again.
 """
 
 from __future__ import annotations
@@ -48,24 +49,24 @@ SWEEP_POINTS = 241
 KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 
-def report_hex(rep) -> str:
-    """Every field of a report in order: floats by hex, candidate vectors by the hex of their bytes."""
-    parts = []
+def report_bits(rep):
+    """Every field of a report, floats by hex and candidate vectors by their bytes."""
+    bits = []
     for field in dataclasses.fields(rep):
         value = getattr(rep, field.name)
         if isinstance(value, OrthogonalCandidate):
-            parts += [value.vector.vector.tobytes().hex(), value.bound_value.hex(), str(value.sign), value.kind]
+            bits.append((value.vector.vector.tobytes(), value.bound_value.hex(), value.sign, value.kind))
         elif isinstance(value, tuple):
-            parts += [v.hex() for v in value]
+            bits.append(tuple(v.hex() for v in value))
         elif isinstance(value, float):
-            parts.append(value.hex())
+            bits.append(value.hex())
         else:
-            parts.append(repr(value))
-    return " ".join(parts)
+            bits.append(value)
+    return bits
 
 
 def digest(rep) -> str:
-    return hashlib.sha256(report_hex(rep).encode()).hexdigest()[:16]
+    return hashlib.sha256(repr(report_bits(rep)).encode()).hexdigest()[:16]
 
 
 def corpus():

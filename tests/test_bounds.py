@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from golden import report_bits
 from purbounds.bounds import (
+    BoundReport,
     OrthogonalCandidate,
     OrthogonalityError,
     _checked_perp,
@@ -17,11 +19,13 @@ from purbounds.bounds import (
 )
 from purbounds.quantum import (
     DimensionMismatchError,
+    HermiticityError,
     Observable,
     QuantumState,
     basis_state,
     deviation_vector,
     equatorial_state,
+    expectation,
     normalize,
     pauli_x,
     pauli_z,
@@ -429,22 +433,6 @@ class TestKernelHalves:
                 assert rep.comm_mean_abs.hex() == hrsur.t2[0].hex()
 
 
-def report_bits(rep):
-    """Every field of a report, floats by hex and candidate vectors by their bytes."""
-    bits = []
-    for field in dataclasses.fields(rep):
-        value = getattr(rep, field.name)
-        if isinstance(value, OrthogonalCandidate):
-            bits.append((value.vector.vector.tobytes(), value.bound_value.hex(), value.sign, value.kind))
-        elif isinstance(value, tuple):
-            bits.append(tuple(v.hex() for v in value))
-        elif isinstance(value, float):
-            bits.append(value.hex())
-        else:
-            bits.append(value)
-    return bits
-
-
 def stacked_reports(a, b, xi, xi_perp=None):
     return _report(_kernel(a, b, xi), xi_perp)
 
@@ -521,6 +509,99 @@ class TestStackedKernel:
         with pytest.raises(ValueError, match=re.escape("expected a 1-D vector, got shape (2, 2)")) as info:
             bound_report(pauli_x(), pauli_z(), state, user_xi_perp=rows)
         assert type(info.value) is ValueError
+
+
+def stored_observable(matrix) -> Observable:
+    """An Observable holding `matrix` as given, past the constructor's Hermiticity check."""
+    obs = object.__new__(Observable)
+    matrix = np.asarray(matrix, dtype=complex)
+    object.__setattr__(obs, "matrix", matrix)
+    object.__setattr__(obs, "_frobenius", float(np.linalg.norm(matrix)))
+    return obs
+
+
+class TestFusedPass:
+    """A and B share one image buffer and one inner product for their means; a stored matrix
+    that is not Hermitian is still named operand by operand, A first, with the same message."""
+
+    # <xi|M|xi> has imaginary part |xi_0|^2 for M = diag(i, 0), and 3 |xi_1|^2 for diag(0, 3i)
+    BAD_A = np.diag([1j, 0.0])
+    BAD_B = np.diag([0.0, 3j])
+
+    def test_non_hermitian_a_is_named(self):
+        state = equatorial_state(0.3)
+        with pytest.raises(HermiticityError, match=re.escape("expectation has imaginary part 5.000e-01 above tolerance")):
+            bound_report(stored_observable(self.BAD_A), pauli_z(), state)
+        with pytest.raises(HermiticityError, match=re.escape("expectation has imaginary part 5.000e-01 above tolerance")):
+            expectation(stored_observable(self.BAD_A), state)
+
+    def test_non_hermitian_b_is_named(self):
+        with pytest.raises(HermiticityError, match=re.escape("expectation has imaginary part 1.500e+00 above tolerance")):
+            bound_report(pauli_x(), stored_observable(self.BAD_B), equatorial_state(0.3))
+
+    def test_a_is_checked_before_b(self):
+        with pytest.raises(HermiticityError, match=re.escape("imaginary part 5.000e-01 ")):
+            bound_report(stored_observable(self.BAD_A), stored_observable(self.BAD_B), equatorial_state(0.3))
+
+    def test_a_is_checked_before_b_across_rows(self):
+        # A's residue is only in row 1 and B's only in row 0: every row of A comes before B
+        xi = np.stack([basis_state(2, 1).vector, basis_state(2, 0).vector])
+        with pytest.raises(HermiticityError, match=re.escape("imaginary part 1.000e+00 ")):
+            _kernel(stored_observable(self.BAD_A), stored_observable(self.BAD_B), xi)
+        # and within one operand, the first row above the tolerance is named
+        xi = np.stack([basis_state(2, 1).vector, equatorial_state(0.3).vector, basis_state(2, 0).vector])
+        with pytest.raises(HermiticityError, match=re.escape("imaginary part 5.000e-01 ")):
+            _kernel(stored_observable(self.BAD_A), pauli_z(), xi)
+
+    def test_residue_within_tolerance_passes(self):
+        # 1e-12 i I is below TOL_EIG (1 + |M|_F): its residue passes, and the mean is the real part
+        tiny = stored_observable(pauli_z().matrix + 1e-12j * np.eye(2))
+        assert expectation(tiny, equatorial_state(0.3)) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_package_built_values_equal_public_ones(self, dim):
+        rng = np.random.default_rng([113, dim])
+        state, a, b = random_instance(rng, dim)
+        for xi_perp in (None, random_unit_in_complement(state, rng)):
+            rep = bound_report(a, b, state, user_xi_perp=xi_perp)
+            cands = [
+                OrthogonalCandidate(QuantumState(cand.vector.vector), cand.bound_value, cand.sign, cand.kind)
+                for cand in (rep.l1_candidate, rep.l2_candidate)
+            ]
+            for built, public in zip((rep.l1_candidate, rep.l2_candidate), cands):
+                assert type(built) is OrthogonalCandidate and type(built.sign) is int
+                assert list(vars(built)) == list(vars(public))
+                assert built.vector.vector.tobytes() == public.vector.vector.tobytes()
+                assert (built.bound_value.hex(), built.sign, built.kind) == (public.bound_value.hex(), public.sign, public.kind)
+            fields = {field.name: getattr(rep, field.name) for field in dataclasses.fields(BoundReport)}
+            public = BoundReport(**{**fields, "l1_candidate": cands[0], "l2_candidate": cands[1]})
+            assert type(rep) is BoundReport and list(vars(rep)) == list(vars(public))
+            assert report_bits(rep) == report_bits(public)
+            for name in ("sum_var", "hrsur_trivial"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rep, name, getattr(rep, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rep.l1_candidate.sign = 1
+
+    def test_optimal_xi_perp_equals_the_public_candidate(self):
+        rng = np.random.default_rng(127)
+        state, a, b = random_instance(rng, 5)
+        for which in ("l1", "l2"):
+            for sign in (1, -1):
+                cand = optimal_xi_perp(a, b, state, which, sign)
+                public = OrthogonalCandidate(QuantumState(cand.vector.vector), cand.bound_value, sign, "analytic_optimum")
+                assert type(cand) is OrthogonalCandidate and list(vars(cand)) == list(vars(public))
+                assert cand.vector.vector.tobytes() == public.vector.vector.tobytes()
+                assert (cand.bound_value.hex(), cand.sign, cand.kind) == (public.bound_value.hex(), sign, public.kind)
+
+    @pytest.mark.parametrize("sign", [2, 1.0, True], ids=["two", "float", "bool"])
+    def test_public_candidate_still_checks_its_sign(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            OrthogonalCandidate(basis_state(2, 1), 1.0, sign, "user_supplied")
+
+    def test_public_candidate_still_checks_its_kind(self):
+        with pytest.raises(ValueError, match="unknown candidate kind 'search_optimum'"):
+            OrthogonalCandidate(basis_state(2, 1), 1.0, 1, "search_optimum")
 
 
 class TestOperandScale:

@@ -1,4 +1,4 @@
-"""Every bit of a fixed corpus of reports, against digests recorded before the fused kernel pass.
+"""Every bit of a fixed corpus of reports, against recorded digests.
 
 See `golden.py` for the corpus and for how the digests are recorded.
 """
