@@ -152,7 +152,7 @@ class EstimateReport:
 
 
 def empirical_variance(samples) -> EstimateReport:
-    """Unbiased sample variance of a 1-D sample, with standard error."""
+    """Unbiased sample variance of a 1-D sample, with standard error; ValueError if it leaves the double range."""
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D sample with n >= 2")
@@ -161,10 +161,22 @@ def empirical_variance(samples) -> EstimateReport:
     n = arr.size
     mean = float(arr.mean())
     dev = arr - mean
+    # m2, m4 and the stderr's square root in units of 2^e, e the binary exponent of the largest |dev|
+    # truncated toward zero to a multiple of 128: the scale is exact, and no dev^4 overflows or loses
+    # all its bits. Within 2^+-127 the unit is 1, which keeps dev**4's bits (np.power is not exactly
+    # scale-covariant).
+    peak = float(np.abs(dev).max())
+    e = int(math.frexp(peak)[1] / 128) * 128
+    dev = np.ldexp(dev, -e)
     m2 = float(np.mean(dev**2))
     m4 = float(np.mean(dev**4))
-    var_hat = m2 * n / (n - 1)
-    stderr = math.sqrt(max(m4 - (n - 3) / (n - 1) * m2 * m2, 0.0) / n)
+    try:
+        var_hat = math.ldexp(m2 * n / (n - 1), 2 * e)
+        stderr = math.ldexp(math.sqrt(max(m4 - (n - 3) / (n - 1) * m2 * m2, 0.0) / n), 2 * e)
+    except OverflowError:
+        var_hat = math.inf
+    if m2 > 0.0 and not 0.0 < var_hat < math.inf:
+        raise ValueError(f"sample variance leaves the double range (largest |deviation| {peak:.3e})")
     return EstimateReport(n=n, mean_hat=mean, var_hat=var_hat, var_stderr=stderr)
 
 

@@ -22,6 +22,7 @@ from purbounds.quantum import (
     pauli_z,
     variance,
 )
+from purbounds.verify import random_observable, random_state
 
 
 class TestBornDistribution:
@@ -156,6 +157,29 @@ class TestEmpiricalVariance:
         rep = empirical_variance(np.array([1.0, -1.0, 1.0, -1.0]))
         assert rep.var_stderr == pytest.approx(np.sqrt(2.0 / 12.0), rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e-30, 1e30])
+    def test_ordinary_samples_keep_the_plain_formula_bits(self, scale):
+        samples = scale * np.random.default_rng(17).standard_normal(1_000)
+        n, dev = samples.size, samples - samples.mean()
+        m2, m4 = float(np.mean(dev**2)), float(np.mean(dev**4))
+        rep = empirical_variance(samples)
+        assert rep.var_hat.hex() == (m2 * n / (n - 1)).hex()
+        assert rep.var_stderr.hex() == np.sqrt(max(m4 - (n - 3) / (n - 1) * m2 * m2, 0.0) / n).hex()
+
+    @pytest.mark.parametrize("exponent", [-300, -200, 100, 150])
+    def test_extreme_samples_scale_by_their_power_of_two(self, exponent):
+        # dev**4 would overflow (or underflow) here; a power-of-two scale is exact,
+        # so the estimate is the unit-scale one times 2^(2 exponent)
+        unit = np.random.default_rng(19).standard_normal(1_000)
+        rep, ref = empirical_variance(np.ldexp(unit, exponent)), empirical_variance(unit)
+        assert rep.var_hat == np.ldexp(ref.var_hat, 2 * exponent)
+        assert rep.var_stderr == np.ldexp(ref.var_stderr, 2 * exponent)
+
+    @pytest.mark.parametrize("samples", [[1e160, -1e160, 0.0], [1e-170, -1e-170, 3e-170]], ids=["overflow", "underflow"])
+    def test_variance_outside_the_double_range_rejected(self, samples):
+        with pytest.raises(ValueError, match="sample variance leaves the double range"):
+            empirical_variance(samples)
+
 
 class TestStatisticalBoundCheck:
     def test_quarter_turn_instance(self):
@@ -177,6 +201,24 @@ class TestStatisticalBoundCheck:
         assert rep.empirical_sum == 0.0
         assert rep.mpur == pytest.approx(0.0, abs=1e-15)
         assert np.isfinite(rep.z_margin)
+
+    def test_operands_scaled_past_dev4_overflow(self):
+        # Var(A) Var(B) ~ 1 passes the report's scale limit, but the A samples ~1e100 overflowed
+        # dev**4: var_stderr and z_margin read nan, so the check could never fire
+        rng = np.random.default_rng([5, 4])
+        state, a, b = random_state(4, rng), random_observable(4, rng), random_observable(4, rng)
+        big_a, small_b = Observable(1e100 * a.matrix), Observable(1e-100 * b.matrix)
+        rep = statistical_bound_check(big_a, small_b, state, n=100_000, seed=42)
+        estimates = (rep.estimate_a, rep.estimate_b)
+        assert all(np.isfinite([est.var_stderr, est.z_margin]).all() and est.var_stderr > 0.0 for est in estimates)
+        assert np.isfinite(rep.z_margin) and rep.combined_stderr > 0.0
+        assert not rep.violation
+        # the same draws at unit scale give the same estimates, scaled by the square of each factor
+        unit = statistical_bound_check(a, b, state, n=100_000, seed=42)
+        for est, ref, factor in zip(estimates, (unit.estimate_a, unit.estimate_b), (1e100, 1e-100)):
+            assert est.var_hat == pytest.approx(factor**2 * ref.var_hat, rel=1e-12)
+            assert est.var_stderr == pytest.approx(factor**2 * ref.var_stderr, rel=1e-9)
+            assert est.z_margin == pytest.approx(ref.z_margin, rel=1e-6)
 
     def test_deterministic_report(self):
         first = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.9), n=5_000, seed=3)
