@@ -106,9 +106,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.points < 2:
-        return _fail("--points must be at least 2", EXIT_VALIDATION)
-    rows = qubit_sweep(args.points)
+    try:
+        rows = qubit_sweep(args.points)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(rows, fh)

@@ -320,6 +320,13 @@ class TestCmdSweep:
     def test_points_too_small(self, tmp_path, capsys):
         assert main(["sweep", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_points_rule_is_qubit_sweeps(self, tmp_path, capsys, points):
+        # qubit_sweep's own rule and message, at exit 2; no file is written
+        assert main(["sweep", "--points", points, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: points must be at least 2\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("points", [8.0, True, 1])
     def test_sweep_points_must_be_an_integer_of_at_least_two(self, points):
         with pytest.raises(ValueError, match="points must be"):
