@@ -39,7 +39,10 @@ states, psi, phi, <psi|phi>, Var(A), Var(B) and CovQ per row, and (|A|_F,
 |B|_F). Every report and candidate is read from it, bit for bit the one-state
 result in every row. At the analytic optimum only the returned directions are
 projected, one per bound, with coefficients from a fixed table; only at a
-user-supplied xi_perp are all four evaluated there.
+user-supplied xi_perp are all four evaluated there. Projections, row norms and
+the trusted construction of candidates and reports are `quantum`'s one rule
+each (`_project`, `_norms`, `_trusted`); a user xi_perp is renormalized by the
+same row norm.
 """
 
 from __future__ import annotations
@@ -53,14 +56,14 @@ from .quantum import (
     RENORM_WINDOW,
     TOL_EIG,
     TOL_NULL,
-    EmptyComplementError,
     Observable,
     QuantumState,
     _deviation_vectors,
     _integer,
     _norms,
-    _row_norms,
+    _project,
     _same_dim,
+    _trusted,
     _trusted_state,
 )
 
@@ -131,17 +134,6 @@ class BoundReport:
     saturation_gap: float
 
 
-def _trusted(cls, *values):
-    """An `OrthogonalCandidate` or `BoundReport` the package built itself, `values` in field order.
-
-    Like `_trusted_state`, it skips the candidate's sign and kind checks and
-    the frozen `__init__`, which the package's own values never need.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
-
-
 def _validate_sign(sign: int) -> int:
     sign = _integer("sign", sign)
     if sign not in (1, -1):
@@ -158,18 +150,19 @@ def _validate_which(which: str) -> str:
 def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     """xi_perp renormalized, after checking unit norm and orthogonality to the state.
 
-    Takes one vector or a stack of row vectors, and checks every row.
+    Takes one vector or a stack of row vectors, and checks every row. Each row
+    is divided by its `_norms` entry, bit for bit `row / _norm(row)`.
     """
     vec = xi_perp.vector if isinstance(xi_perp, QuantumState) else np.asarray(xi_perp, dtype=complex)
     if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
         raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
     _same_dim(state.dim, vec.shape[-1])
-    nrm = _row_norms(vec)
+    nrm = _norms(vec)
     off = np.abs(nrm - 1.0) > RENORM_WINDOW
     if off.any():
         raise OrthogonalityError(f"xi_perp norm {float(nrm[off][0])!r} is not 1")
-    vec = vec / nrm
-    overlap = float(np.abs(vec @ state.vector.conj()).max(initial=0.0))
+    vec = vec / nrm[..., None]
+    overlap = float(np.abs(np.vecdot(state.vector, vec)).max(initial=0.0))
     if overlap > TOL_EIG:
         raise OrthogonalityError(f"|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}")
     return vec
@@ -199,17 +192,6 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     gram = np.vecdot(dev[:, None], dev)
     (var_a, covq), (_, var_b) = gram.real.tolist()
     return _Kernel(xi, dev[0], dev[1], gram[0, 1], var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
-
-
-def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Each row of `vecs` with the component along its own state row of `xi` removed.
-
-    Two passes keep the result orthogonal even when the projection nearly
-    annihilates a vector.
-    """
-    for _ in range(2):
-        vecs = vecs - np.vecdot(xi, vecs)[..., None] * xi
-    return vecs
 
 
 # phi's coefficient c in each direction, and whether its term is subtracted, by direction number
@@ -263,8 +245,6 @@ def _unit_projections(k: _Kernel, directions: np.ndarray) -> np.ndarray:
     |xi_j|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
     """
     xi = k.xi
-    if xi.shape[-1] < 2:
-        raise EmptyComplementError("optimal xi_perp needs a nonempty complement (d >= 2)")
     perp = _project(xi[:, None], _directions(k, directions))
     nrm = _norms(perp)
     null = nrm <= TOL_NULL * (1.0 + k.norms[0] + k.norms[1])

@@ -137,8 +137,6 @@ def cmd_montecarlo(args) -> int:
     instance, code = _load_instance_checked(args.file)
     if instance is None:
         return code
-    if args.samples < 2:
-        return _fail("--samples must be at least 2 (variance needs n >= 2)", EXIT_VALIDATION)
     try:
         report = statistical_bound_check(instance.a, instance.b, instance.state, n=args.samples, seed=args.seed)
     except ValueError as exc:

@@ -5,6 +5,12 @@ with the expectations, deviation vectors, variances, the commutator mean and
 eigensystems that the bound computations are built from. All values are
 immutable after construction and every operation is a pure function of its
 inputs.
+
+The geometry of the orthogonal complement has one owner, this module: one
+row-norm rule (`_norms`, each row bit for bit `_norm` of that row), one
+complement projection (`_project`, which also holds the one d < 2 check) and
+one trusted constructor (`_trusted`), through which the package wraps states,
+candidates and reports it built itself without re-validating them.
 """
 
 from __future__ import annotations
@@ -111,9 +117,19 @@ def _norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _row_norms(vecs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(vecs, axis=-1, keepdims=True), the same reduction without its dispatch."""
-    return np.sqrt((vecs.conj() * vecs).real.sum(axis=-1, keepdims=True))
+def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Each row of `vecs` with the component along its state row of `xi` removed.
+
+    `xi` is one state (d,), shared by every row, or a stack that broadcasts
+    against `vecs`, such as (n, 1, d) states for (n, m, d) rows. Two passes
+    keep the result orthogonal even when the projection nearly annihilates a
+    vector.
+    """
+    if xi.shape[-1] < 2:
+        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
+    for _ in range(2):
+        vecs = vecs - np.vecdot(xi, vecs)[..., None] * xi
+    return vecs
 
 
 def _integer(name: str, value) -> int:
@@ -215,17 +231,26 @@ def _store_hermitian_part(obs: Observable, mat: np.ndarray, adjoint: np.ndarray)
     return obs
 
 
+def _trusted(cls, *values):
+    """An instance of the dataclass `cls` that the package built itself, `values` in field order.
+
+    It skips `__post_init__`'s checks and the frozen `__init__`, which the
+    package's own values never need; the public constructors keep every check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def _trusted_state(vec: np.ndarray) -> QuantumState:
-    """A unit vector the package normalized itself, wrapped without re-validation.
+    """A unit vector the package normalized itself, wrapped by `_trusted`.
 
     `vec` must be a 1-D complex array of unit norm to rounding that nothing
     else writes to (a fresh array, or a row of one), so that
     `QuantumState(vec)` would store it unchanged. It is made read-only in place.
     """
-    state = object.__new__(QuantumState)
     vec.setflags(write=False)
-    object.__setattr__(state, "vector", vec)
-    return state
+    return _trusted(QuantumState, vec)
 
 
 def _trusted_observable(g: np.ndarray) -> Observable:

@@ -6,7 +6,10 @@ per-xi_perp Maccone-Pati formulas evaluated from (A + s B)|xi> and
 brute-force optimization over the orthogonal complement as a check on the
 closed-form optima, direct numeric checks of the foundational identities
 (Cauchy-Schwarz, parallelogram law), and the randomized invariant suite that
-drives all of them.
+drives all of them. The reference is one function of (A, B, state, xi_perp);
+complement samples go through the kernel's own projection and row-norm rule
+(`quantum._project`, `quantum._norms`), so the sampler, the reference's
+xi_perp check and the kernel normalize every row the same way.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +38,14 @@ from .bounds import (
 from .instances import instance_payload
 from .quantum import (
     MAX_DIM,
-    EmptyComplementError,
     Observable,
     QuantumState,
     _as_vector,
     _commutator_of_means,
     _integer,
     _norm,
-    _row_norms,
+    _norms,
+    _project,
     _same_dim,
     _trusted_observable,
     _trusted_state,
@@ -109,16 +111,11 @@ def _complement_samples(state: QuantumState, count: int, rng: np.random.Generato
 
     A standard complex Gaussian projected onto the complement is a standard
     complex Gaussian there, so each normalized row is uniform on its sphere.
-    The projection takes two passes, each one matrix-vector product over all
-    rows, and keeps the rows orthogonal even where it nearly annihilates one.
+    The rows go through the kernel's projection and row-norm rules, `_project`
+    and `_norms`, so each is bit for bit `r / _norm(r)` of its projection r.
     """
-    if state.dim < 2:
-        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
-    xi = state.vector
-    vecs = _complex_normal(rng, (count, state.dim))
-    for _ in range(2):
-        vecs = vecs - (vecs @ xi.conj())[:, None] * xi
-    return vecs / _row_norms(vecs)
+    vecs = _project(state.vector, _complex_normal(rng, (count, state.dim)))
+    return vecs / _norms(vecs)[:, None]
 
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
@@ -134,43 +131,28 @@ _REFERENCE_COEFFS = np.array([sign if which == "l1" else -sign * 1j for which, s
 _REFERENCE_SCALE = np.array([0.5 if which == "l1" else 1.0 for which, _ in REFERENCE_ROWS])
 
 
-class _Images(NamedTuple):
-    """A|xi>, B|xi> and the means <xi|AB|xi>, <xi|BA|xi>, from four matrix-vector products."""
-
-    ax: np.ndarray
-    bx: np.ndarray
-    ab: complex
-    ba: complex
-
-
-def _images(a: Observable, b: Observable, state: QuantumState) -> _Images:
-    _same_dim(a.dim, b.dim, state.dim)
-    xi = state.vector
-    ax, bx = a.matrix @ xi, b.matrix @ xi
-    return _Images(ax, bx, np.vdot(xi, a.matrix @ bx), np.vdot(xi, b.matrix @ ax))
-
-
-def _reference_columns(a: Observable, b: Observable, images: _Images, perps: np.ndarray) -> np.ndarray:
-    """The columns of `_reference_values` at checked unit rows `perps`, from the instance's images."""
-    # s i <[A,B]> is real: the commutator mean is purely imaginary
-    comm = _commutator_of_means(a, b, images.ab, images.ba)
-    offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
-    columns = images.ax + _REFERENCE_COEFFS[:, None] * images.bx
-    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + offset
-
-
-def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp) -> np.ndarray:
-    """The per-xi_perp bounds of every (bound, sign) in REFERENCE_ROWS, one column each.
+def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp) -> tuple[np.ndarray, complex, complex]:
+    """(values, <xi|AB|xi>, <xi|BA|xi>): the per-xi_perp bounds of every (bound, sign) in
+    REFERENCE_ROWS, one column each, and the two means they take <[A,B]> from.
 
     l1(s) = |<xi|(A + s B)|xi_perp>|^2 / 2 and
     l2(s) = s i<[A,B]> + |<xi|(A + s i B)|xi_perp>|^2, from the images
     A|xi> + c B|xi> of (A + s B)|xi> and (A - s i B)|xi>, never from the
-    deviation vectors. xi_perp is checked once and <[A,B]> computed once, and
-    one (n, d) @ (d, 4) product evaluates every column at every xi_perp. One
-    vector gives shape (4,), a stack of n vectors (n, 4).
+    deviation vectors: four matrix-vector products give A|xi>, B|xi> and the
+    two means. xi_perp is checked once and <[A,B]> computed once, and one
+    (n, d) @ (d, 4) product evaluates every column at every xi_perp. One
+    vector gives values of shape (4,), a stack of n vectors (n, 4).
     """
-    images = _images(a, b, state)
-    return _reference_columns(a, b, images, _checked_perp(state, xi_perp))
+    _same_dim(a.dim, b.dim, state.dim)
+    xi = state.vector
+    ax, bx = a.matrix @ xi, b.matrix @ xi
+    ab, ba = np.vdot(xi, a.matrix @ bx), np.vdot(xi, b.matrix @ ax)
+    perps = _checked_perp(state, xi_perp)
+    # s i <[A,B]> is real: the commutator mean is purely imaginary
+    comm = _commutator_of_means(a, b, ab, ba)
+    offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
+    columns = ax + _REFERENCE_COEFFS[:, None] * bx
+    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + offset, ab, ba
 
 
 def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
@@ -180,7 +162,7 @@ def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: i
     per row). The ("l1", sign) column of `_reference_values`.
     """
     sign = _validate_sign(sign)
-    return _reference_values(a, b, state, xi_perp).T[(1 - sign) // 2]
+    return _reference_values(a, b, state, xi_perp)[0].T[(1 - sign) // 2]
 
 
 def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
@@ -192,7 +174,7 @@ def l2_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: i
     ("l2", sign) column of `_reference_values`.
     """
     sign = _validate_sign(sign)
-    return _reference_values(a, b, state, xi_perp).T[2 + (1 - sign) // 2]
+    return _reference_values(a, b, state, xi_perp)[0].T[2 + (1 - sign) // 2]
 
 
 @dataclass(frozen=True)
@@ -314,19 +296,17 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     psi, phi = own.psi[0], own.phi[0]
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
-    # A|xi>, B|xi>, <xi|AB|xi> and <xi|BA|xi> once, for the reference and for the
-    # Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
-    images = _images(a, b, state)
-
     # each bound's maximizing sign is attained at the report's candidate, the other sign at
     # its own optimum, optimal_xi_perp's vector for that sign
     cands = (rep.l1_candidate, rep.l2_candidate)
     columns = [(1 - cand.sign) // 2 for cand in cands]
     # direction 2 * bound + column, at the other column of each bound
     others = _unit_projections(own, np.array([[2 * bound + 1 - column for bound, column in enumerate(columns)]]))[0]
-    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is
+    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is;
+    # its means <xi|AB|xi> and <xi|BA|xi> also give the Hermiticity residues: <[A,B]> must be
+    # imaginary, <{A,B}> real
     rows = np.concatenate((perps, [cand.vector.vector for cand in cands], others))
-    values = _reference_columns(a, b, images, _checked_perp(state, rows))
+    values, ab, ba = _reference_values(a, b, state, rows)
     # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp:
     # columns (+1, -1) of each bound, against the optimum of the same sign
     l1_vals, l2_vals = values[:-4, :2], values[:-4, 2:]
@@ -357,8 +337,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     )
     defects = (
         _parallelogram(psi, phi),
-        abs(complex(images.ab - images.ba).real),
-        abs(complex(images.ab + images.ba).imag),
+        abs(complex(ab - ba).real),
+        abs(complex(ab + ba).imag),
         l2_defect,
         l1_defect,
         abs(rep.t1 - swapped.t1[0]),

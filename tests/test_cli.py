@@ -400,6 +400,13 @@ class TestCmdMontecarlo:
     def test_single_sample_is_usage_error(self, quarter_turn_instance, capsys):
         assert main(["montecarlo", "--file", quarter_turn_instance, "--samples", "1"]) == 2
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_samples_rule_is_statistical_bound_checks(self, quarter_turn_instance, capsys, samples):
+        # statistical_bound_check's own n >= 2 rule and message, at exit 2; nothing on stdout
+        assert main(["montecarlo", "--file", quarter_turn_instance, "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: variance estimation needs n >= 2\n")
+
     def test_degenerate_instance(self, tmp_path, capsys):
         payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_z())
         path = write_instance(tmp_path, "degenerate.json", payload)

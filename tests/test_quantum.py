@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from purbounds.bounds import bound_report, optimal_xi_perp
+from purbounds.bounds import _checked_perp, bound_report, optimal_xi_perp
 from purbounds.quantum import (
     RENORM_WINDOW,
     TOL_EIG,
@@ -26,9 +26,16 @@ from purbounds.quantum import (
     pauli_z,
     _MAX_ENTRY,
     _norm,
+    _project,
     variance,
 )
-from purbounds.verify import _complement_samples
+from purbounds.verify import (
+    _complement_samples,
+    _complex_normal,
+    random_state,
+    random_unit_in_complement,
+    search_optimal_xi_perp,
+)
 
 ALPHAS = [0.0, 0.3, np.pi / 4, np.pi / 3, 1.1, np.pi / 2, 2.5, np.pi, 4.0, 5.9]
 
@@ -460,6 +467,53 @@ class TestComplementBasis:
         overlaps = np.abs(_complement_samples(state, count, rng) @ u.conj()) ** 2
         sigma = np.sqrt((n - 1) / (n * n * (n + 1)) / count)
         assert abs(overlaps.mean() - 1.0 / n) < 5.0 * sigma
+
+
+class TestOneComplementRule:
+    """One projection, one row-norm rule and one d < 2 check serve the report's candidates,
+    the xi_perp check and the complement sampler alike."""
+
+    def test_empty_complement_has_one_message(self):
+        state = QuantumState(np.array([1.0 + 0j]))
+        one = Observable(np.array([[1.0]]))
+        calls = (
+            lambda: bound_report(one, one, state),
+            lambda: optimal_xi_perp(one, one, state, "l2", -1),
+            lambda: random_unit_in_complement(state, 0),
+            lambda: search_optimal_xi_perp(one, one, state, "l1", 1, 10, 0),
+        )
+        messages = []
+        for call in calls:
+            with pytest.raises(EmptyComplementError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["a 1-dimensional state has an empty orthogonal complement"] * len(calls)
+
+    @pytest.mark.parametrize("dim", range(2, 65))
+    def test_rows_are_divided_by_their_norm(self, dim):
+        # every row is bit for bit r / _norm(r), as QuantumState and the report's candidates take it
+        rng = np.random.default_rng([43, dim])
+        state = random_state(dim, rng)
+        # rows in the complement, off unit norm by about 1e-8
+        rows = _complement_samples(state, 64, rng) * (1.0 + 1e-8 * rng.standard_normal((64, 1)))
+        expected = [(row / _norm(row)).tobytes() for row in rows]
+        assert [row.tobytes() for row in _checked_perp(state, rows)] == expected
+        assert _checked_perp(state, rows[0]).tobytes() == expected[0]
+        # the sampler's rows against its own projected draws
+        projected = _project(state.vector, _complex_normal(np.random.default_rng([47, dim]), (64, dim)))
+        samples = _complement_samples(state, 64, np.random.default_rng([47, dim]))
+        assert [row.tobytes() for row in samples] == [(r / _norm(r)).tobytes() for r in projected]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_projection_takes_stacked_states(self, dim):
+        # (n, 1, d) states against (n, m, d) rows: each block is the one-state projection, bit for bit
+        rng = np.random.default_rng([53, dim])
+        xi = np.array([random_state(dim, rng).vector for _ in range(5)])
+        vecs = _complex_normal(rng, (5, 3, dim))
+        stacked = _project(xi[:, None], vecs)
+        for state, block, got in zip(xi, vecs, stacked):
+            assert got.tobytes() == _project(state, block).tobytes()
+            assert np.abs(block @ state.conj()).max() > 0.1 > np.abs(got @ state.conj()).max()
 
 
 class TestEigensystem:

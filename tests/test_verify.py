@@ -597,7 +597,7 @@ class TestStackedReference:
             state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
             perps = np.array([random_unit_in_complement(state, rng).vector for _ in range(6)])
             for xi_perp in (perps[0], perps):
-                stacked = _reference_values(a, b, state, xi_perp)
+                stacked = _reference_values(a, b, state, xi_perp)[0]
                 assert stacked.shape == xi_perp.shape[:-1] + (len(REFERENCE_ROWS),)
                 for column, (which, sign) in enumerate(REFERENCE_ROWS):
                     single = (l1_bound if which == "l1" else l2_bound)(a, b, state, xi_perp, sign)
@@ -613,7 +613,7 @@ class TestStackedReference:
         by_sign = {"l1": rep.l1_by_sign, "l2": rep.l2_by_sign}
         for column, (which, sign) in enumerate(REFERENCE_ROWS):
             cand = optimal_xi_perp(a, b, state, which, sign)
-            value = _reference_values(a, b, state, cand.vector)[column]
+            value = _reference_values(a, b, state, cand.vector)[0][column]
             assert abs(value - by_sign[which][(1 - sign) // 2]) <= tol
 
 
