@@ -33,22 +33,17 @@ tie, so l2 reports sign +1. The per-xi_perp formulas evaluated from
 independent reference this module is checked against at the returned vectors.
 
 One private kernel record, from one fused pass over a stack of states with A
-and B as one operand stack (both images in one buffer, both means from one
-inner product, |psi|^2, <psi|phi> and |phi|^2 from one more), holds the
-states, psi, phi, <psi|phi>, Var(A), Var(B) and CovQ per row, and (|A|_F,
-|B|_F). Every report and candidate is read from it, bit for bit the one-state
-result in every row. At the analytic optimum only the returned directions are
-projected, one per bound, with coefficients from a fixed table; only at a
-user-supplied xi_perp are all four evaluated there. Projections, row norms and
-the trusted construction of candidates and reports are `quantum`'s one rule
-each (`_project`, `_norms`, `_trusted`); a user xi_perp is renormalized by the
-same row norm.
+and B as one operand stack, holds the states, psi, phi, their Gram stack,
+Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F); read in the other order,
+it is the record of (B, A). Values come first: a values record holds every
+float of each row's report and no vector, and only a report projects, only
+its returned directions. Every row is bit for bit the one-state result.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +53,7 @@ from .quantum import (
     TOL_NULL,
     Observable,
     QuantumState,
+    _complement_dim,
     _deviation_vectors,
     _integer,
     _norms,
@@ -168,19 +164,10 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     return vec
 
 
-class _Kernel(NamedTuple):
-    """n states xi with shared A and B: xi, psi = (A - <A>)|xi>, phi = (B - <B>)|xi> (n, d) and
-    Cov(A,B) = <psi|phi> (n,); Var(A) = |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>,
-    one float per state; and the operand norms (|A|_F, |B|_F)."""
-
-    xi: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
-    overlap: np.ndarray
-    var_a: list[float]
-    var_b: list[float]
-    covq: list[float]
-    norms: tuple[float, float]
+# the kernel record of n states xi with shared A and B: xi, psi = (A - <A>)|xi>, phi = (B - <B>)|xi>
+# (n, d), the Gram stack of (psi, phi) (2, 2, n) and its entry Cov(A,B) = <psi|phi> (n,); Var(A) =
+# |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>, one float per state; and (|A|_F, |B|_F)
+_Kernel = namedtuple("_Kernel", "xi psi phi gram overlap var_a var_b covq norms")
 
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
@@ -191,7 +178,13 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     dev = _deviation_vectors((a, b), xi)
     gram = np.vecdot(dev[:, None], dev)
     (var_a, covq), (_, var_b) = gram.real.tolist()
-    return _Kernel(xi, dev[0], dev[1], gram[0, 1], var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
+    return _Kernel(xi, dev[0], dev[1], gram, gram[0, 1], var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
+
+
+def _exchanged(k: _Kernel) -> _Kernel:
+    """The record of `k` with A and B exchanged, bit for bit `_kernel(b, a, k.xi)`, read from its Gram stack."""
+    gram = k.gram[::-1, ::-1]
+    return _Kernel(k.xi, k.phi, k.psi, gram, gram[0, 1], k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
 
 
 # phi's coefficient c in each direction, and whether its term is subtracted, by direction number
@@ -199,8 +192,6 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
 _COEFFS = np.array([[1 + 0j], [-1 + 0j], [1j], [-1j]])
 _SUBTRACTED = np.array([[False], [False], [True], [True]])
 _ALL_DIRECTIONS = np.arange(4)[None]
-# the analytic report's l1 at its column and l2(+), from the columns (l1, 0)
-_ANALYTIC = np.array([0, 2])
 # s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
 _L2_OFFSETS = -2.0 * np.array([1, -1])
 
@@ -298,12 +289,8 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     return _trusted(OrthogonalCandidate, _trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
 
 
-class _Hrsur(NamedTuple):
-    """Var(A) Var(B), t1 and t2 of each state of a kernel record, one float per state in row order."""
-
-    prod_var: list[float]
-    t1: list[float]
-    t2: list[float]
+# Var(A) Var(B), t1 and t2 of each state of a kernel record, one float per state in row order
+_Hrsur = namedtuple("_Hrsur", "prod_var t1 t2")
 
 
 def _hrsur(k: _Kernel) -> _Hrsur:
@@ -326,48 +313,67 @@ def _hrsur(k: _Kernel) -> _Hrsur:
     return _Hrsur(prod_var, t1, t2)
 
 
-def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
-    """The report of each state of `k`, rows in order, with its HRSUR bounds from `_hrsur(k)`.
+# a values record: BoundReport's fields, each candidate replaced by the column of its sign (0: +1, 1: -1)
+_CANDIDATES = list(BoundReport.__dataclass_fields__).index("l1_candidate")
+_Values = namedtuple("_Values", [name.replace("candidate", "column") for name in BoundReport.__dataclass_fields__])
 
-    At the analytic optimum every by-sign value is a closed form in the
-    record's Var(A), Var(B) and CovQ; each row keeps its maximizing sign, and
-    only the two returned directions, psi + s1 phi and psi - s2 i phi, are
-    projected, in one (n, 2, d) pass. `user_xi_perp` (..., d) holds checked
-    unit rows, one per state, at which both signs of each bound are evaluated.
+
+def _value_rows(k: _Kernel, user_xi_perp=None) -> list[list]:
+    """The values of each state of `k`, no vector: one list per state, in `_Values` field order.
+
+    HRSUR bounds from `_hrsur(k)`; at the analytic optimum, closed forms in Var(A), Var(B) and CovQ;
+    else both signs at `user_xi_perp` (n, d), checked unit rows. Raises EmptyComplementError at d = 1.
     """
     hrsur = _hrsur(k)
+    _complement_dim(k.xi.shape[-1])
     if user_xi_perp is None:
-        kind = "analytic_optimum"
-        by_sign = [_optimum_values(*moments) for moments in zip(k.var_a, k.var_b, k.covq)]
-        # the two l2 values are one float, so l2 keeps sign +1 by the tie rule
-        columns = [(_column(l1), 0) for l1, _ in by_sign]
-        perps = _unit_projections(k, np.array(columns) + _ANALYTIC)
+        by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq)
+    else:
+        l1_values, l2_values = _signs(k, user_xi_perp)
+        by_sign = zip(map(tuple, l1_values.tolist()), map(tuple, l2_values.tolist()))
+    rows = []
+    for var_a, var_b, covq, prod_var, t1, t2, (l1_by_sign, l2_by_sign) in zip(
+        k.var_a, k.var_b, k.covq, *hrsur, by_sign
+    ):
+        # at the analytic optimum the two l2 values are one float, so l2 takes sign +1 by the tie rule
+        l1_col, l2_col = _column(l1_by_sign), _column(l2_by_sign)
+        l1, l2 = l1_by_sign[l1_col], l2_by_sign[l2_col]
+        sum_var, mpur = var_a + var_b, max(l1, l2)
+        trivial = t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG
+        # comm_mean_abs is t2
+        rows.append([var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2, l1_col, l2_col, l1_by_sign, l2_by_sign,
+                     mpur, trivial, var_a <= TOL_EIG and var_b <= TOL_EIG, sum_var - mpur])
+    return rows
+
+
+def _values(k: _Kernel) -> _Values:
+    """The values record of `k` at the analytic optimum, one column per field; nothing is projected."""
+    return _Values._make(list(zip(*_value_rows(k))))
+
+
+def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
+    """The report of each state of `k`, rows in order: its `_value_rows` row and the candidate vectors.
+
+    At the analytic optimum only the two returned directions, psi + s1 phi and
+    psi - s2 i phi, are projected, in one (n, 2, d) pass. A row of the checked
+    `user_xi_perp` (..., d) is both candidates' vector.
+    """
+    if user_xi_perp is None:
+        rows, kind = _value_rows(k), "analytic_optimum"
+        # direction 2 * bound + column at each bound's maximizing sign
+        perps = _unit_projections(k, np.array([(row[_CANDIDATES], 2 + row[_CANDIDATES + 1]) for row in rows]))
         vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
     else:
-        kind = "user_supplied"
         user_xi_perp = user_xi_perp.reshape(k.xi.shape)
-        l1_values, l2_values = (values.tolist() for values in _signs(k, user_xi_perp))
-        by_sign = [(tuple(l1), tuple(l2)) for l1, l2 in zip(l1_values, l2_values)]
-        columns = [(_column(l1), _column(l2)) for l1, l2 in by_sign]
+        rows, kind = _value_rows(k, user_xi_perp), "user_supplied"
         vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
-
     reports = []
-    for var_a, var_b, covq, prod_var, t1, t2, (l1_by_sign, l2_by_sign), (l1_col, l2_col), (l1_vec, l2_vec) in zip(
-        k.var_a, k.var_b, k.covq, *hrsur, by_sign, columns, vectors
-    ):
-        l1, l2 = l1_by_sign[l1_col], l2_by_sign[l2_col]
-        sum_var = var_a + var_b
-        mpur = max(l1, l2)
-        # in BoundReport field order; comm_mean_abs is t2
-        reports.append(_trusted(
-            BoundReport, var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2,
-            _trusted(OrthogonalCandidate, l1_vec, l1, 1 - 2 * l1_col, kind),
-            _trusted(OrthogonalCandidate, l2_vec, l2, 1 - 2 * l2_col, kind),
-            l1_by_sign, l2_by_sign, mpur,
-            bool(t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG),
-            bool(var_a <= TOL_EIG and var_b <= TOL_EIG),
-            sum_var - mpur,
-        ))
+    for row, (l1_vec, l2_vec) in zip(rows, vectors):
+        # the row becomes the report's fields: each sign column gives way to its candidate
+        l1, l2, l1_col, l2_col = row[_CANDIDATES - 2 : _CANDIDATES + 2]
+        row[_CANDIDATES] = _trusted(OrthogonalCandidate, l1_vec, l1, 1 - 2 * l1_col, kind)
+        row[_CANDIDATES + 1] = _trusted(OrthogonalCandidate, l2_vec, l2, 1 - 2 * l2_col, kind)
+        reports.append(_trusted(BoundReport, *row))
     return reports
 
 

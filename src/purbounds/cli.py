@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 
-from .bounds import _kernel, _report, bound_report
+from .bounds import _kernel, _values, bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
 from .quantum import _equatorial_vectors, _integer, pauli_x, pauli_z
@@ -57,10 +57,10 @@ def qubit_sweep(points: int) -> list[tuple[float, ...]]:
         raise ValueError("points must be at least 2")
     a, b = pauli_x(), pauli_z()
     alphas = [math.tau * k / points for k in range(points)]
-    # every point is one row of a single kernel call
+    # every point is one row of a single kernel call, and only its values are read
     xi = _equatorial_vectors(alphas)
-    reports = _report(_kernel(a, b, xi))
-    return [(alpha, *(getattr(rep, name) for name in SWEEP_FIELDS[1:])) for alpha, rep in zip(alphas, reports)]
+    values = _values(_kernel(a, b, xi))
+    return list(zip(alphas, *(getattr(values, name) for name in SWEEP_FIELDS[1:])))
 
 
 def _fmt(x: float) -> str:

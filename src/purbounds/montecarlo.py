@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bounds import bound_report
+from .bounds import _kernel, _values
 from .quantum import (
     TOL_EIG,
     TOL_NORM,
@@ -223,7 +223,8 @@ def statistical_bound_check(
     # an integer, so that (seed, 0) and (seed, 1) seed the two streams
     seed = _integer("seed", seed)
     _same_dim(a.dim, b.dim, state.dim)
-    rep = bound_report(a, b, state)
+    values = _values(_kernel(a, b, state.vector[None]))
+    rep = values._make([column[0] for column in values])
 
     estimates = []
     for stream, obs, analytic in ((0, a, rep.var_a), (1, b, rep.var_b)):

@@ -8,7 +8,7 @@ inputs.
 
 The geometry of the orthogonal complement has one owner, this module: one
 row-norm rule (`_norms`, each row bit for bit `_norm` of that row), one
-complement projection (`_project`, which also holds the one d < 2 check) and
+complement projection (`_project`), the one d < 2 check (`_complement_dim`) and
 one trusted constructor (`_trusted`), through which the package wraps states,
 candidates and reports it built itself without re-validating them.
 """
@@ -117,6 +117,12 @@ def _norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def _complement_dim(dim: int) -> None:
+    """Raises EmptyComplementError when a state of dimension `dim` has an empty orthogonal complement."""
+    if dim < 2:
+        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
+
+
 def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Each row of `vecs` with the component along its state row of `xi` removed.
 
@@ -125,8 +131,7 @@ def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     keep the result orthogonal even when the projection nearly annihilates a
     vector.
     """
-    if xi.shape[-1] < 2:
-        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
+    _complement_dim(xi.shape[-1])
     for _ in range(2):
         vecs = vecs - np.vecdot(xi, vecs)[..., None] * xi
     return vecs

@@ -7,9 +7,11 @@ brute-force optimization over the orthogonal complement as a check on the
 closed-form optima, direct numeric checks of the foundational identities
 (Cauchy-Schwarz, parallelogram law), and the randomized invariant suite that
 drives all of them. The reference is one function of (A, B, state, xi_perp);
-complement samples go through the kernel's own projection and row-norm rule
-(`quantum._project`, `quantum._norms`), so the sampler, the reference's
-xi_perp check and the kernel normalize every row the same way.
+complement samples go through the kernel's own projection and row-norm rules,
+so every row is normalized the same way. The suite checks an instance from one
+2-row kernel call, the state and its phased copy: its values record, one
+projection pass for the candidates and the other-sign optima, and the (B, A)
+record read from the same Gram stack.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -26,13 +28,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import (
+    _Kernel,
     _checked_perp,
+    _exchanged,
     _hrsur,
     _kernel,
-    _report,
     _unit_projections,
     _validate_sign,
     _validate_which,
+    _values,
     optimal_xi_perp,
 )
 from .instances import instance_payload
@@ -282,59 +286,45 @@ DEFECT_CHECKS = (
 
 
 def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np.ndarray, theta: float):
-    """(report, slacks, defects) of one instance, the values in SLACK_CHECKS and DEFECT_CHECKS order.
+    """(rep, slacks, defects) of one instance: the state's row of the values record, then the values
+    in SLACK_CHECKS and DEFECT_CHECKS order.
 
     Values the suite built itself go through the private array forms unchecked,
-    except the sampled `perps` and the vectors at which the report's values are
+    except the sampled `perps` and the vectors at which the record's values are
     attained, which the reference checks as it checks any xi_perp.
     """
-    # the state and its global-phase copy as one 2-row kernel call: every
-    # computed quantity is invariant under a global phase on the state
+    # the state and its global-phase copy as one 2-row kernel call: every value is phase-invariant
     own = _kernel(a, b, np.array((state.vector, np.exp(1j * theta) * state.vector)))
-    rep, rep_phased = _report(own)
-    # the report's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
+    values = _values(own)
+    rep = values._make([column[0] for column in values])
+    # the record's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
     psi, phi = own.psi[0], own.phi[0]
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
-    # each bound's maximizing sign is attained at the report's candidate, the other sign at
-    # its own optimum, optimal_xi_perp's vector for that sign
-    cands = (rep.l1_candidate, rep.l2_candidate)
-    columns = [(1 - cand.sign) // 2 for cand in cands]
-    # direction 2 * bound + column, at the other column of each bound
-    others = _unit_projections(own, np.array([[2 * bound + 1 - column for bound, column in enumerate(columns)]]))[0]
-    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is;
-    # its means <xi|AB|xi> and <xi|BA|xi> also give the Hermiticity residues: <[A,B]> must be
-    # imaginary, <{A,B}> real
-    rows = np.concatenate((perps, [cand.vector.vector for cand in cands], others))
-    values, ab, ba = _reference_values(a, b, state, rows)
-    # Maccone-Pati validity and analytic-optimum dominance at sampled xi_perp:
-    # columns (+1, -1) of each bound, against the optimum of the same sign
-    l1_vals, l2_vals = values[:-4, :2], values[:-4, 2:]
-    # every value the report gives for a bound against the reference at its vector: the bound,
-    # its candidate's value and its by-sign entry at the candidate, the other entry at its optimum
-    attained = []
-    for k, (bound, cand, by_sign, column) in enumerate(
-        zip((rep.l1, rep.l2), cands, (rep.l1_by_sign, rep.l2_by_sign), columns)
-    ):
-        best = float(values[-4 + k, 2 * k + column])
-        other = float(values[-2 + k, 2 * k + 1 - column])
-        gaps = (best - bound, best - cand.bound_value, best - by_sign[column], other - by_sign[1 - column])
-        attained.append(max(map(abs, gaps)))
-    l1_defect, l2_defect = attained
-
-    # swapping the observables must not change the HRSUR bounds, so only they are computed
-    swapped = _hrsur(_kernel(b, a, state.vector))
-
-    slacks = (
-        rep.prod_var - rep.t1,
-        rep.sum_var - sigma_term,
-        sigma_term - rep.t2,
-        _csi(psi, phi),
-        float((rep.sum_var - l1_vals).min()),
-        float((rep.sum_var - l2_vals).min()),
-        float((np.array(rep.l1_by_sign) - l1_vals).min()),
-        float((np.array(rep.l2_by_sign) - l2_vals).min()),
+    # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum:
+    # the directions 2 * bound + column, maximizing columns first, in one projection pass on row 0
+    columns = (rep.l1_column, rep.l2_column)
+    directions = [columns[0], 2 + columns[1], 1 - columns[0], 3 - columns[1]]
+    vectors = _unit_projections(_Kernel(own.xi[:1], psi[None], phi[None], *own[3:]), np.array([directions]))
+    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is; its
+    # means <xi|AB|xi> and <xi|BA|xi> give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
+    reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors[0])))
+    # Maccone-Pati validity against Var(A) + Var(B) and dominance against the optimum of the same
+    # sign at sampled xi_perp: as rounding is monotone, min(v - x) is v - max(x) bit for bit
+    optima = np.array(((rep.sum_var,) * 4, rep.l1_by_sign + rep.l2_by_sign))
+    minima = (optima - reference[:-4].max(axis=0)).reshape(4, 2).min(axis=1).tolist()
+    # every value the record gives for a bound against the reference at its vector: the bound and
+    # its by-sign entry at the candidate, the other entry at its optimum
+    at = reference[[-4, -3, -2, -1], directions].tolist()
+    l1_defect, l2_defect = (
+        max(abs(at[k] - bound), abs(at[k] - by_sign[column]), abs(at[k + 2] - by_sign[1 - column]))
+        for k, bound, by_sign, column in zip((0, 1), (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
     )
+    # swapping the observables must not change the HRSUR bounds, read from the (B, A) record
+    swapped = _hrsur(_exchanged(own))
+    # each column of the phase check holds the state's value and the phased copy's
+    phased = (values.var_a, values.var_b, values.t1, values.t2, values.l1, values.l2, values.mpur)
+    slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, _csi(psi, phi), *minima)
     defects = (
         _parallelogram(psi, phi),
         abs(complex(ab - ba).real),
@@ -343,10 +333,7 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         l1_defect,
         abs(rep.t1 - swapped.t1[0]),
         abs(rep.t2 - swapped.t2[0]),
-        max(
-            abs(getattr(rep, name) - getattr(rep_phased, name))
-            for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")
-        ),
+        max(abs(x - y) for x, y in phased),
     )
     return rep, slacks, defects
 

@@ -8,9 +8,13 @@ corpus covers:
   1e-6, 1 and 1e6, each at the analytic optimum and at a sampled xi_perp;
 - X/Z on equatorial states where projections are null (the fallback vector);
 - common eigenvectors of diagonal pairs at d = 3, 8 and 64;
-- the 241 rows of the qubit sweep, as one stacked kernel call.
+- the 241 rows of the qubit sweep, as one stacked kernel call;
+- three `run_invariant_suite` runs: the defaults, the benchmark's dims at
+  count 64, and count 50 at tol 1e-30, where every instance records violations.
 
-Each digest is the first 16 hex digits of the SHA-256 of `repr(report_bits(report))`.
+Each digest is the first 16 hex digits of the SHA-256 of `repr(report_bits(report))`;
+a suite run's bits are its minimum slacks and maximum defects by hex and its
+violation records.
 
 BLAS kernels and numpy's SIMD loops round differently on different CPUs, so
 the digests are stored per `platform_probe()`, a digest of those primitives on
@@ -38,19 +42,28 @@ import numpy as np
 
 from purbounds.bounds import OrthogonalCandidate, _kernel, _report, bound_report
 from purbounds.quantum import Observable, _equatorial_vectors, basis_state, equatorial_state, pauli_x, pauli_z
-from purbounds.verify import random_observable, random_state, random_unit_in_complement
+from purbounds.verify import SuiteReport, random_observable, random_state, random_unit_in_complement, run_invariant_suite
 
 DIMS = range(2, 65)
 SCALES = (1e-6, 1.0, 1e6)
 NULL_ALPHAS = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 EIGEN_DIMS = (3, 8, 64)
 SWEEP_POINTS = 241
+# the suite runs as (case id, keyword arguments); the second uses the benchmark's dims
+SUITE_RUNS = (
+    ("suite defaults", {}),
+    ("suite dims=2..64 count=64", {"count": 64, "dims": (2, 3, 4, 6, 8, 16, 32, 64)}),
+    ("suite count=50 tol=1e-30", {"count": 50, "tol": 1e-30}),
+)
 # the environment variables that select another CPU class's kernels
 KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 
 def report_bits(rep):
     """Every field of a report, floats by hex and candidate vectors by their bytes."""
+    if isinstance(rep, SuiteReport):
+        tables = (rep.min_slacks, rep.max_defects)
+        return [[(name, value.hex()) for name, value in table.items()] for table in tables] + [rep.violations]
     bits = []
     for field in dataclasses.fields(rep):
         value = getattr(rep, field.name)
@@ -97,6 +110,8 @@ def corpus():
     alphas = [math.tau * k / SWEEP_POINTS for k in range(SWEEP_POINTS)]
     for k, rep in enumerate(_report(_kernel(x, z, _equatorial_vectors(alphas)))):
         yield f"sweep row={k}", rep
+    for case, kwargs in SUITE_RUNS:
+        yield case, run_invariant_suite(**kwargs)
 
 
 def platform_probe() -> str:

@@ -11,9 +11,12 @@ from purbounds.bounds import (
     OrthogonalCandidate,
     OrthogonalityError,
     _checked_perp,
+    _exchanged,
     _hrsur,
     _kernel,
     _report,
+    _unit_projections,
+    _values,
     bound_report,
     optimal_xi_perp,
 )
@@ -509,6 +512,59 @@ class TestStackedKernel:
         with pytest.raises(ValueError, match=re.escape("expected a 1-D vector, got shape (2, 2)")) as info:
             bound_report(pauli_x(), pauli_z(), state, user_xi_perp=rows)
         assert type(info.value) is ValueError
+
+
+def record_bits(k):
+    """Every field of a kernel record: arrays by shape, dtype and bytes, floats by hex."""
+    return [
+        (v.shape, v.dtype.str, np.ascontiguousarray(v).tobytes()) if isinstance(v, np.ndarray) else [x.hex() for x in v]
+        for v in k
+    ]
+
+
+class TestValuesFirst:
+    """The values record, the exchanged record and the suite's one projection pass each equal,
+    bit for bit, what the routes they replace compute."""
+
+    @pytest.mark.parametrize("dim", range(2, 65))
+    def test_exchanged_record_equals_the_kernel_on_b_a(self, dim):
+        rng = np.random.default_rng([107, dim])
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
+        xi = np.stack([random_state(dim, rng).vector for _ in range(5)])
+        for rows in (xi[:1], xi[3:4], xi):
+            assert record_bits(_exchanged(_kernel(a, b, rows))) == record_bits(_kernel(b, a, rows))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_values_record_holds_the_reports_values(self, dim):
+        rng = np.random.default_rng([109, dim])
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
+        k = _kernel(a, b, np.stack([random_state(dim, rng).vector for _ in range(5)]))
+        values, reports = _values(k), _report(k)
+        for name, column in values._asdict().items():
+            if name.endswith("_column"):
+                cands = [getattr(rep, name.replace("column", "candidate")) for rep in reports]
+                assert list(column) == [(1 - cand.sign) // 2 for cand in cands]
+            else:
+                # repr is exact for floats and bools, and tells -0.0 from 0.0
+                assert repr(list(column)) == repr([getattr(rep, name) for rep in reports]), name
+
+    @pytest.mark.parametrize("dim", range(2, 65))
+    def test_one_projection_pass_over_four_directions(self, dim):
+        # per row: the maximizing directions (l1 at column c, l2 at column c2), then the other signs
+        rng = np.random.default_rng([113, dim])
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
+        kernels = [_kernel(a, b, np.stack([random_state(dim, rng).vector for _ in range(4)]))]
+        if dim == 2:
+            # X/Z on equatorial states, where the l2 projections are null and take the fallback
+            alphas = [0.0, np.pi / 2, 0.3, np.pi, 3 * np.pi / 2]
+            kernels.append(_kernel(pauli_x(), pauli_z(), np.stack([equatorial_state(x).vector for x in alphas])))
+        for k in kernels:
+            columns = rng.integers(0, 2, size=(len(k.xi), 2))
+            best = columns + (0, 2)
+            other = best ^ 1
+            both = _unit_projections(k, np.concatenate((best, other), axis=1))
+            split = np.concatenate((_unit_projections(k, best), _unit_projections(k, other)), axis=1)
+            assert both.tobytes() == split.tobytes()
 
 
 def stored_observable(matrix) -> Observable:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import purbounds
+from purbounds import bounds, quantum
 from purbounds.bounds import bound_report
 from purbounds.cli import main, qubit_sweep
 from purbounds.instances import (
@@ -316,6 +317,23 @@ class TestCmdSweep:
             rep = bound_report(a, b, equatorial_state(alpha))
             expected = (alpha, rep.var_a, rep.var_b, rep.sum_var, rep.prod_var, rep.t1, rep.t2, rep.l1, rep.l2)
             assert [value.hex() for value in row] == [value.hex() for value in expected]
+
+    def test_reads_values_and_makes_no_projection(self, monkeypatch):
+        # neither a candidate vector nor any complement projection is formed
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("_unit_projections", "_project", "_trusted_state"):
+            monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        monkeypatch.setattr(quantum, "_project", counted("quantum._project", quantum._project))
+        assert len(qubit_sweep(241)) == 241
+        assert calls == []
 
     def test_points_too_small(self, tmp_path, capsys):
         assert main(["sweep", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2

@@ -239,7 +239,7 @@ class TestStatisticalBoundCheck:
         def no_work(*args, **kwargs):
             raise AssertionError("the seed is checked before any work")
 
-        monkeypatch.setattr(montecarlo, "bound_report", no_work)
+        monkeypatch.setattr(montecarlo, "_kernel", no_work)
         with pytest.raises(ValueError, match="seed must be an integer"):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=100, seed=seed)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -392,24 +391,29 @@ class TestTrustedWraps:
             assert_as_validated_state(random_unit_in_complement(state, seed))
 
     def test_suite_phased_states_and_candidates(self, monkeypatch):
-        # the suite's one Maccone-Pati call per instance has two rows: the state and its phased copy
-        seen = []
+        # the suite's one Maccone-Pati kernel call per instance has two rows: the state and its
+        # phased copy; its one projection pass gives the state's candidates and other-sign optima
+        kernels, projections = [], []
 
-        def recording(k, user_xi_perp=None):
-            reports = bounds._report(k, user_xi_perp)
-            seen.append((k.xi, reports))
-            return reports
+        def recording_kernel(a, b, xi):
+            kernels.append(xi)
+            return bounds._kernel(a, b, xi)
 
-        monkeypatch.setattr(verify, "_report", recording)
+        def recording_projections(k, directions):
+            perps = bounds._unit_projections(k, directions)
+            projections.append(perps)
+            return perps
+
+        monkeypatch.setattr(verify, "_kernel", recording_kernel)
+        monkeypatch.setattr(verify, "_unit_projections", recording_projections)
         run_invariant_suite(count=2 * (MAX_DIM - 1), dims=tuple(range(2, MAX_DIM + 1)), perp_samples=2)
-        assert len(seen) == 2 * (MAX_DIM - 1)
-        for xi, reports in seen:
-            assert xi.shape[0] == len(reports) == 2
-            # the phased row is what QuantumState builds from it, bit for bit
-            assert xi[1].tobytes() == QuantumState(xi[1]).vector.tobytes()
-            for rep in reports:
-                assert_as_validated_state(rep.l1_candidate.vector)
-                assert_as_validated_state(rep.l2_candidate.vector)
+        assert len(kernels) == len(projections) == 2 * (MAX_DIM - 1)
+        for xi, perps in zip(kernels, projections):
+            assert xi.shape[0] == 2 and perps.shape == (1, 4, xi.shape[1])
+            # the phased row, and each vector the reference is evaluated at, is what QuantumState
+            # builds from it, bit for bit
+            for vec in (xi[1], *perps[0]):
+                assert vec.tobytes() == QuantumState(vec).vector.tobytes()
 
     @staticmethod
     def _candidates(a, b, state, perp):
@@ -517,6 +521,30 @@ class TestCheckInstanceRoutes:
                     assert float(value).hex() == float(public).hex(), name
 
 
+class TestOnePassInstance:
+    """Each suite instance makes one kernel call (the state and its phased copy) and one
+    projection pass (its candidates and the other signs' optima), and nothing else does."""
+
+    def test_one_kernel_call_and_one_projection_pass_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("_kernel", "_unit_projections"):
+            wrapper = counted(name, getattr(bounds, name))
+            monkeypatch.setattr(bounds, name, wrapper)
+            monkeypatch.setattr(verify, name, wrapper)
+        dims = (2, 3, 8, 64)
+        report = run_invariant_suite(count=3 * len(dims), dims=dims, perp_samples=5)
+        assert report.passed
+        assert calls == ["_kernel", "_unit_projections"] * 12
+
+
 class TestAnalyticOptimaAgainstSearch:
     """The closed-form optima and the brute-force oracle check each other."""
 
@@ -618,8 +646,10 @@ class TestStackedReference:
 
 
 class TestReroutedChecksFire:
-    """The swap checks read `_hrsur` of the (B, A) kernel record and the phase check the
-    phased row of the suite's 2-row kernel call: a kernel that breaks either invariance fails."""
+    """The suite reads the values record of its 2-row kernel call (state, phased state), the
+    vectors of one projection pass, and for the swap checks `_hrsur` of the (B, A) record read
+    from the same call's Gram stack: a kernel that breaks an invariance, or a value or vector
+    off its optimum, fails."""
 
     @staticmethod
     def _patch_both(monkeypatch, name, patched):
@@ -646,13 +676,13 @@ class TestReroutedChecksFire:
         assert f"{field}_symmetry" in self._failed_checks()
 
     def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
-        original = bounds._report
+        original = bounds._values
 
-        def phase_dependent(k, user_xi_perp=None):
-            reports = original(k, user_xi_perp)
-            return [dataclasses.replace(rep, l1=rep.l1 + abs(row[0].imag)) for rep, row in zip(reports, k.xi)]
+        def phase_dependent(k):
+            values = original(k)
+            return values._replace(l1=[l1 + abs(row[0].imag) for l1, row in zip(values.l1, k.xi)])
 
-        self._patch_both(monkeypatch, "_report", phase_dependent)
+        self._patch_both(monkeypatch, "_values", phase_dependent)
         assert "phase_invariance" in self._failed_checks()
 
     def test_non_hermitian_trusted_observable_fires_residues(self, monkeypatch):
@@ -672,26 +702,25 @@ class TestReroutedChecksFire:
     def test_candidate_off_its_optimum_fires_tightness(self, monkeypatch):
         # the l2 candidate carries the l1 vector: the reported l2 stays Var(A) + Var(B), so only
         # the reference at the candidate can see it
-        original = bounds._report
+        original = bounds._unit_projections
 
-        def swapped_candidates(k, user_xi_perp=None):
-            reports = original(k, user_xi_perp)
-            return [
-                dataclasses.replace(rep, l2_candidate=dataclasses.replace(rep.l2_candidate, vector=rep.l1_candidate.vector))
-                for rep in reports
-            ]
+        def swapped_candidates(k, directions):
+            # directions 0 and 1 are the l1 and l2 candidates
+            perps = original(k, directions)
+            perps[:, 1] = perps[:, 0]
+            return perps
 
-        monkeypatch.setattr(verify, "_report", swapped_candidates)
+        monkeypatch.setattr(verify, "_unit_projections", swapped_candidates)
         assert "tightness_l2" in self._failed_checks()
 
     def test_value_off_the_attained_one_fires_l1_identity(self, monkeypatch):
-        original = bounds._report
+        original = bounds._values
 
-        def bumped(k, user_xi_perp=None):
-            reports = original(k, user_xi_perp)
-            return [dataclasses.replace(rep, l1=rep.l1 + 1e-6) for rep in reports]
+        def bumped(k):
+            values = original(k)
+            return values._replace(l1=[l1 + 1e-6 for l1 in values.l1])
 
-        monkeypatch.setattr(verify, "_report", bumped)
+        monkeypatch.setattr(verify, "_values", bumped)
         assert "l1_identity" in self._failed_checks()
 
     def test_losing_l1_sign_off_its_optimum_fires_l1_identity(self, monkeypatch):
