@@ -35,9 +35,10 @@ independent reference this module is checked against at the returned vectors.
 One private kernel record, from one fused pass over a stack of states with A
 and B as one operand stack, holds the states, psi, phi, their Gram stack,
 Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F); read in the other order,
-it is the record of (B, A). Values come first: a values record holds every
-float of each row's report and no vector, and only a report projects, only
-its returned directions. Every row is bit for bit the one-state result.
+it is the record of (B, A). Values come first: one named values row per
+state holds every float and flag of its report and no vector, and only a
+report projects, only its returned directions. Every row is bit for bit the
+one-state result.
 """
 
 from __future__ import annotations
@@ -165,9 +166,9 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
 
 
 # the kernel record of n states xi with shared A and B: xi, psi = (A - <A>)|xi>, phi = (B - <B>)|xi>
-# (n, d), the Gram stack of (psi, phi) (2, 2, n) and its entry Cov(A,B) = <psi|phi> (n,); Var(A) =
-# |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>, one float per state; and (|A|_F, |B|_F)
-_Kernel = namedtuple("_Kernel", "xi psi phi gram overlap var_a var_b covq norms")
+# (n, d), the Gram stack of (psi, phi) (2, 2, n), whose entry gram[0, 1] is Cov(A,B) = <psi|phi>;
+# Var(A) = |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>, one float per state; and (|A|_F, |B|_F)
+_Kernel = namedtuple("_Kernel", "xi psi phi gram var_a var_b covq norms")
 
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
@@ -178,13 +179,13 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     dev = _deviation_vectors((a, b), xi)
     gram = np.vecdot(dev[:, None], dev)
     (var_a, covq), (_, var_b) = gram.real.tolist()
-    return _Kernel(xi, dev[0], dev[1], gram, gram[0, 1], var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
+    return _Kernel(xi, dev[0], dev[1], gram, var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
 
 
 def _exchanged(k: _Kernel) -> _Kernel:
     """The record of `k` with A and B exchanged, bit for bit `_kernel(b, a, k.xi)`, read from its Gram stack."""
     gram = k.gram[::-1, ::-1]
-    return _Kernel(k.xi, k.phi, k.psi, gram, gram[0, 1], k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
+    return _Kernel(k.xi, k.phi, k.psi, gram, k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
 
 
 # phi's coefficient c in each direction, and whether its term is subtracted, by direction number
@@ -222,7 +223,7 @@ def _signs(k: _Kernel, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
     element = element * element
-    return 0.5 * element[:, :2], _L2_OFFSETS * k.overlap.imag[:, None] + element[:, 2:]
+    return 0.5 * element[:, :2], _L2_OFFSETS * k.gram[0, 1].imag[:, None] + element[:, 2:]
 
 
 def _unit_projections(k: _Kernel, directions: np.ndarray) -> np.ndarray:
@@ -308,18 +309,17 @@ def _hrsur(k: _Kernel) -> _Hrsur:
                 f"(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})"
             )
     # |<[A,B]>| = 2 |Im Cov(A,B)|
-    t2 = [2.0 * abs(im) for im in k.overlap.imag.tolist()]
+    t2 = [2.0 * abs(im) for im in k.gram[0, 1].imag.tolist()]
     t1 = [c * c + 0.25 * t**2 for c, t in zip(k.covq, t2)]
     return _Hrsur(prod_var, t1, t2)
 
 
-# a values record: BoundReport's fields, each candidate replaced by the column of its sign (0: +1, 1: -1)
-_CANDIDATES = list(BoundReport.__dataclass_fields__).index("l1_candidate")
+# a values row: BoundReport's fields in order, each candidate replaced by the column of its sign (0: +1, 1: -1)
 _Values = namedtuple("_Values", [name.replace("candidate", "column") for name in BoundReport.__dataclass_fields__])
 
 
-def _value_rows(k: _Kernel, user_xi_perp=None) -> list[list]:
-    """The values of each state of `k`, no vector: one list per state, in `_Values` field order.
+def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
+    """The values of each state of `k`, no vector: one `_Values` row per state, in row order.
 
     HRSUR bounds from `_hrsur(k)`; at the analytic optimum, closed forms in Var(A), Var(B) and CovQ;
     else both signs at `user_xi_perp` (n, d), checked unit rows. Raises EmptyComplementError at d = 1.
@@ -341,14 +341,9 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[list]:
         sum_var, mpur = var_a + var_b, max(l1, l2)
         trivial = t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG
         # comm_mean_abs is t2
-        rows.append([var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2, l1_col, l2_col, l1_by_sign, l2_by_sign,
-                     mpur, trivial, var_a <= TOL_EIG and var_b <= TOL_EIG, sum_var - mpur])
+        rows.append(_Values(var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2, l1_col, l2_col, l1_by_sign,
+                            l2_by_sign, mpur, trivial, var_a <= TOL_EIG and var_b <= TOL_EIG, sum_var - mpur))
     return rows
-
-
-def _values(k: _Kernel) -> _Values:
-    """The values record of `k` at the analytic optimum, one column per field; nothing is projected."""
-    return _Values._make(list(zip(*_value_rows(k))))
 
 
 def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
@@ -361,7 +356,7 @@ def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
     if user_xi_perp is None:
         rows, kind = _value_rows(k), "analytic_optimum"
         # direction 2 * bound + column at each bound's maximizing sign
-        perps = _unit_projections(k, np.array([(row[_CANDIDATES], 2 + row[_CANDIDATES + 1]) for row in rows]))
+        perps = _unit_projections(k, np.array([(row.l1_column, 2 + row.l2_column) for row in rows]))
         vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
     else:
         user_xi_perp = user_xi_perp.reshape(k.xi.shape)
@@ -369,11 +364,13 @@ def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
         vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
     reports = []
     for row, (l1_vec, l2_vec) in zip(rows, vectors):
-        # the row becomes the report's fields: each sign column gives way to its candidate
-        l1, l2, l1_col, l2_col = row[_CANDIDATES - 2 : _CANDIDATES + 2]
-        row[_CANDIDATES] = _trusted(OrthogonalCandidate, l1_vec, l1, 1 - 2 * l1_col, kind)
-        row[_CANDIDATES + 1] = _trusted(OrthogonalCandidate, l2_vec, l2, 1 - 2 * l2_col, kind)
-        reports.append(_trusted(BoundReport, *row))
+        # the row in field order, then each sign column gives way to its candidate
+        report = _trusted(BoundReport, *row)
+        report.__dict__.update(
+            l1_candidate=_trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
+            l2_candidate=_trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
+        )
+        reports.append(report)
     return reports
 
 

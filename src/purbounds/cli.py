@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from operator import attrgetter
 
-from .bounds import _kernel, _values, bound_report
+from .bounds import _kernel, _value_rows, bound_report
 from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
 from .montecarlo import statistical_bound_check
 from .quantum import _equatorial_vectors, _integer, pauli_x, pauli_z
@@ -58,9 +59,9 @@ def qubit_sweep(points: int) -> list[tuple[float, ...]]:
     a, b = pauli_x(), pauli_z()
     alphas = [math.tau * k / points for k in range(points)]
     # every point is one row of a single kernel call, and only its values are read
-    xi = _equatorial_vectors(alphas)
-    values = _values(_kernel(a, b, xi))
-    return list(zip(alphas, *(getattr(values, name) for name in SWEEP_FIELDS[1:])))
+    fields = attrgetter(*SWEEP_FIELDS[1:])
+    rows = _value_rows(_kernel(a, b, _equatorial_vectors(alphas)))
+    return [(alpha, *fields(row)) for alpha, row in zip(alphas, rows)]
 
 
 def _fmt(x: float) -> str:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bounds import _kernel, _values
+from .bounds import _kernel, _value_rows
 from .quantum import (
     TOL_EIG,
     TOL_NORM,
@@ -92,21 +92,15 @@ def born_distribution(a: Observable, state: QuantumState) -> BornDistribution:
     weights = np.abs(eig_vectors.conj().T @ state.vector) ** 2
     gap_tol = TOL_EIG * a.frobenius_norm()
 
-    values: list[float] = []
-    probs: list[float] = []
-    group_vals: list[float] = [float(eig_values[0])]
-    group_weights: list[float] = [float(weights[0])]
-    for lam, w in zip(eig_values[1:], weights[1:]):
-        if lam - group_vals[0] <= gap_tol:
-            group_vals.append(float(lam))
-            group_weights.append(float(w))
-        else:
-            values.append(_merged_value(group_vals, group_weights))
-            probs.append(sum(group_weights))
-            group_vals = [float(lam)]
-            group_weights = [float(w)]
-    values.append(_merged_value(group_vals, group_weights))
-    probs.append(sum(group_weights))
+    # (eigenvalues, weights) per group; a new group opens more than gap_tol above the open group's first value
+    groups: list[tuple[list[float], list[float]]] = []
+    for lam, w in zip(eig_values.tolist(), weights.tolist()):
+        if not groups or lam - groups[-1][0][0] > gap_tol:
+            groups.append(([], []))
+        groups[-1][0].append(lam)
+        groups[-1][1].append(w)
+    values = [_merged_value(group_vals, group_weights) for group_vals, group_weights in groups]
+    probs = [sum(group_weights) for _, group_weights in groups]
     keep = np.asarray(probs) > _PROB_FLOOR
     return BornDistribution(np.asarray(values)[keep], np.asarray(probs)[keep])
 
@@ -223,8 +217,7 @@ def statistical_bound_check(
     # an integer, so that (seed, 0) and (seed, 1) seed the two streams
     seed = _integer("seed", seed)
     _same_dim(a.dim, b.dim, state.dim)
-    values = _values(_kernel(a, b, state.vector[None]))
-    rep = values._make([column[0] for column in values])
+    (rep,) = _value_rows(_kernel(a, b, state.vector[None]))
 
     estimates = []
     for stream, obs, analytic in ((0, a, rep.var_a), (1, b, rep.var_b)):

@@ -9,9 +9,9 @@ closed-form optima, direct numeric checks of the foundational identities
 drives all of them. The reference is one function of (A, B, state, xi_perp);
 complement samples go through the kernel's own projection and row-norm rules,
 so every row is normalized the same way. The suite checks an instance from one
-2-row kernel call, the state and its phased copy: its values record, one
-projection pass for the candidates and the other-sign optima, and the (B, A)
-record read from the same Gram stack.
+2-row kernel call, the state and its phased copy: one named values row per
+state, one projection pass for the candidates and the other-sign optima, and
+the (B, A) record read from the same Gram stack.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import (
-    _Kernel,
     _checked_perp,
     _exchanged,
     _hrsur,
@@ -36,7 +35,7 @@ from .bounds import (
     _unit_projections,
     _validate_sign,
     _validate_which,
-    _values,
+    _value_rows,
     optimal_xi_perp,
 )
 from .instances import instance_payload
@@ -233,24 +232,21 @@ def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return uv, vv
 
 
-def _parallelogram(u: np.ndarray, v: np.ndarray) -> float:
-    lhs = 2.0 * (_norm(u) ** 2 + _norm(v) ** 2)
-    rhs = _norm(u + v) ** 2 + _norm(u - v) ** 2
-    return abs(lhs - rhs)
-
-
-def _csi(u: np.ndarray, v: np.ndarray) -> float:
-    return float(_norm(u) ** 2 * _norm(v) ** 2 - abs(np.vdot(u, v)) ** 2)
+def _identities(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(Cauchy-Schwarz slack, parallelogram defect) of two vectors, each norm taken once."""
+    uu, vv = _norm(u) ** 2, _norm(v) ** 2
+    csi = float(uu * vv - abs(np.vdot(u, v)) ** 2)
+    return csi, abs(2.0 * (uu + vv) - (_norm(u + v) ** 2 + _norm(u - v) ** 2))
 
 
 def check_parallelogram(u, v) -> float:
     """|2(||u||^2 + ||v||^2) - ||u+v||^2 - ||u-v||^2|, zero in exact arithmetic."""
-    return _parallelogram(*_checked_pair(u, v))
+    return _identities(*_checked_pair(u, v))[1]
 
 
 def check_csi(u, v) -> float:
     """Cauchy-Schwarz slack <u|u><v|v> - |<u|v>|^2; zero iff collinear (or null)."""
-    return _csi(*_checked_pair(u, v))
+    return _identities(*_checked_pair(u, v))[0]
 
 
 @dataclass
@@ -286,8 +282,8 @@ DEFECT_CHECKS = (
 
 
 def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np.ndarray, theta: float):
-    """(rep, slacks, defects) of one instance: the state's row of the values record, then the values
-    in SLACK_CHECKS and DEFECT_CHECKS order.
+    """(rep, slacks, defects) of one instance: the state's values row, then the values in
+    SLACK_CHECKS and DEFECT_CHECKS order.
 
     Values the suite built itself go through the private array forms unchecked,
     except the sampled `perps` and the vectors at which the record's values are
@@ -295,20 +291,19 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     """
     # the state and its global-phase copy as one 2-row kernel call: every value is phase-invariant
     own = _kernel(a, b, np.array((state.vector, np.exp(1j * theta) * state.vector)))
-    values = _values(own)
-    rep = values._make([column[0] for column in values])
+    rep, phased = _value_rows(own)
     # the record's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
     psi, phi = own.psi[0], own.phi[0]
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum:
-    # the directions 2 * bound + column, maximizing columns first, in one projection pass on row 0
+    # the directions 2 * bound + column, maximizing columns first, in one projection pass; row 0 is the state's
     columns = (rep.l1_column, rep.l2_column)
     directions = [columns[0], 2 + columns[1], 1 - columns[0], 3 - columns[1]]
-    vectors = _unit_projections(_Kernel(own.xi[:1], psi[None], phi[None], *own[3:]), np.array([directions]))
+    vectors = _unit_projections(own, np.array([directions]))[0]
     # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is; its
     # means <xi|AB|xi> and <xi|BA|xi> give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
-    reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors[0])))
+    reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors)))
     # Maccone-Pati validity against Var(A) + Var(B) and dominance against the optimum of the same
     # sign at sampled xi_perp: as rounding is monotone, min(v - x) is v - max(x) bit for bit
     optima = np.array(((rep.sum_var,) * 4, rep.l1_by_sign + rep.l2_by_sign))
@@ -322,18 +317,18 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     )
     # swapping the observables must not change the HRSUR bounds, read from the (B, A) record
     swapped = _hrsur(_exchanged(own))
-    # each column of the phase check holds the state's value and the phased copy's
-    phased = (values.var_a, values.var_b, values.t1, values.t2, values.l1, values.l2, values.mpur)
-    slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, _csi(psi, phi), *minima)
+    csi, parallelogram = _identities(psi, phi)
+    slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, csi, *minima)
     defects = (
-        _parallelogram(psi, phi),
+        parallelogram,
         abs(complex(ab - ba).real),
         abs(complex(ab + ba).imag),
         l2_defect,
         l1_defect,
         abs(rep.t1 - swapped.t1[0]),
         abs(rep.t2 - swapped.t2[0]),
-        max(abs(x - y) for x, y in phased),
+        # the state's row against its phased copy's, field by field
+        max(abs(getattr(rep, name) - getattr(phased, name)) for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
     )
     return rep, slacks, defects
 

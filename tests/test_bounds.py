@@ -16,7 +16,7 @@ from purbounds.bounds import (
     _kernel,
     _report,
     _unit_projections,
-    _values,
+    _value_rows,
     bound_report,
     optimal_xi_perp,
 )
@@ -523,7 +523,7 @@ def record_bits(k):
 
 
 class TestValuesFirst:
-    """The values record, the exchanged record and the suite's one projection pass each equal,
+    """The values rows, the exchanged record and the suite's one projection pass each equal,
     bit for bit, what the routes they replace compute."""
 
     @pytest.mark.parametrize("dim", range(2, 65))
@@ -539,32 +539,40 @@ class TestValuesFirst:
         rng = np.random.default_rng([109, dim])
         a, b = random_observable(dim, rng), random_observable(dim, rng)
         k = _kernel(a, b, np.stack([random_state(dim, rng).vector for _ in range(5)]))
-        values, reports = _values(k), _report(k)
-        for name, column in values._asdict().items():
-            if name.endswith("_column"):
-                cands = [getattr(rep, name.replace("column", "candidate")) for rep in reports]
-                assert list(column) == [(1 - cand.sign) // 2 for cand in cands]
-            else:
-                # repr is exact for floats and bools, and tells -0.0 from 0.0
-                assert repr(list(column)) == repr([getattr(rep, name) for rep in reports]), name
+        rows, reports = _value_rows(k), _report(k)
+        assert len(rows) == len(reports) == 5
+        for row, rep in zip(rows, reports):
+            for name, value in row._asdict().items():
+                if name.endswith("_column"):
+                    assert value == (1 - getattr(rep, name.replace("column", "candidate")).sign) // 2
+                else:
+                    # repr is exact for floats and bools, and tells -0.0 from 0.0
+                    assert repr(value) == repr(getattr(rep, name)), name
 
     @pytest.mark.parametrize("dim", range(2, 65))
     def test_one_projection_pass_over_four_directions(self, dim):
         # per row: the maximizing directions (l1 at column c, l2 at column c2), then the other signs
         rng = np.random.default_rng([113, dim])
         a, b = random_observable(dim, rng), random_observable(dim, rng)
-        kernels = [_kernel(a, b, np.stack([random_state(dim, rng).vector for _ in range(4)]))]
+        instances = [(a, b, np.stack([random_state(dim, rng).vector for _ in range(4)]))]
         if dim == 2:
             # X/Z on equatorial states, where the l2 projections are null and take the fallback
             alphas = [0.0, np.pi / 2, 0.3, np.pi, 3 * np.pi / 2]
-            kernels.append(_kernel(pauli_x(), pauli_z(), np.stack([equatorial_state(x).vector for x in alphas])))
-        for k in kernels:
+            instances.append((pauli_x(), pauli_z(), np.stack([equatorial_state(x).vector for x in alphas])))
+        for a, b, xi in instances:
+            k = _kernel(a, b, xi)
             columns = rng.integers(0, 2, size=(len(k.xi), 2))
             best = columns + (0, 2)
             other = best ^ 1
             both = _unit_projections(k, np.concatenate((best, other), axis=1))
             split = np.concatenate((_unit_projections(k, best), _unit_projections(k, other)), axis=1)
             assert both.tobytes() == split.tobytes()
+            # the suite's pass: one row's (1, 4) directions on its (state, phased state) record, read at row 0
+            for row, directions in zip(xi, np.concatenate((best, other), axis=1)):
+                phased = np.array((row, np.exp(2j * np.pi * rng.random()) * row))
+                pair = _unit_projections(_kernel(a, b, phased), directions[None])
+                single = _unit_projections(_kernel(a, b, row[None]), directions[None])
+                assert pair.shape == (2, 4, dim) and pair[0].tobytes() == single[0].tobytes()
 
 
 def stored_observable(matrix) -> Observable:

@@ -392,7 +392,8 @@ class TestTrustedWraps:
 
     def test_suite_phased_states_and_candidates(self, monkeypatch):
         # the suite's one Maccone-Pati kernel call per instance has two rows: the state and its
-        # phased copy; its one projection pass gives the state's candidates and other-sign optima
+        # phased copy; its one projection pass over that record gives, in row 0, the state's
+        # candidates and other-sign optima
         kernels, projections = [], []
 
         def recording_kernel(a, b, xi):
@@ -409,7 +410,7 @@ class TestTrustedWraps:
         run_invariant_suite(count=2 * (MAX_DIM - 1), dims=tuple(range(2, MAX_DIM + 1)), perp_samples=2)
         assert len(kernels) == len(projections) == 2 * (MAX_DIM - 1)
         for xi, perps in zip(kernels, projections):
-            assert xi.shape[0] == 2 and perps.shape == (1, 4, xi.shape[1])
+            assert xi.shape[0] == 2 and perps.shape == (2, 4, xi.shape[1])
             # the phased row, and each vector the reference is evaluated at, is what QuantumState
             # builds from it, bit for bit
             for vec in (xi[1], *perps[0]):
@@ -646,7 +647,7 @@ class TestStackedReference:
 
 
 class TestReroutedChecksFire:
-    """The suite reads the values record of its 2-row kernel call (state, phased state), the
+    """The suite reads the two values rows of its 2-row kernel call (state, phased state), the
     vectors of one projection pass, and for the swap checks `_hrsur` of the (B, A) record read
     from the same call's Gram stack: a kernel that breaks an invariance, or a value or vector
     off its optimum, fails."""
@@ -676,13 +677,13 @@ class TestReroutedChecksFire:
         assert f"{field}_symmetry" in self._failed_checks()
 
     def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
-        original = bounds._values
+        original = bounds._value_rows
 
-        def phase_dependent(k):
-            values = original(k)
-            return values._replace(l1=[l1 + abs(row[0].imag) for l1, row in zip(values.l1, k.xi)])
+        def phase_dependent(k, user_xi_perp=None):
+            rows = original(k, user_xi_perp)
+            return [row._replace(l1=row.l1 + abs(xi[0].imag)) for row, xi in zip(rows, k.xi)]
 
-        self._patch_both(monkeypatch, "_values", phase_dependent)
+        self._patch_both(monkeypatch, "_value_rows", phase_dependent)
         assert "phase_invariance" in self._failed_checks()
 
     def test_non_hermitian_trusted_observable_fires_residues(self, monkeypatch):
@@ -714,13 +715,12 @@ class TestReroutedChecksFire:
         assert "tightness_l2" in self._failed_checks()
 
     def test_value_off_the_attained_one_fires_l1_identity(self, monkeypatch):
-        original = bounds._values
+        original = bounds._value_rows
 
-        def bumped(k):
-            values = original(k)
-            return values._replace(l1=[l1 + 1e-6 for l1 in values.l1])
+        def bumped(k, user_xi_perp=None):
+            return [row._replace(l1=row.l1 + 1e-6) for row in original(k, user_xi_perp)]
 
-        monkeypatch.setattr(verify, "_values", bumped)
+        monkeypatch.setattr(verify, "_value_rows", bumped)
         assert "l1_identity" in self._failed_checks()
 
     def test_losing_l1_sign_off_its_optimum_fires_l1_identity(self, monkeypatch):
