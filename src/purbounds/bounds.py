@@ -362,16 +362,16 @@ def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
         user_xi_perp = user_xi_perp.reshape(k.xi.shape)
         rows, kind = _value_rows(k, user_xi_perp), "user_supplied"
         vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
-    reports = []
-    for row, (l1_vec, l2_vec) in zip(rows, vectors):
-        # the row in field order, then each sign column gives way to its candidate
-        report = _trusted(BoundReport, *row)
-        report.__dict__.update(
+    # the row in field order, each sign column giving way to its candidate
+    return [
+        _trusted(
+            BoundReport,
+            *row,
             l1_candidate=_trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
             l2_candidate=_trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
         )
-        reports.append(report)
-    return reports
+        for row, (l1_vec, l2_vec) in zip(rows, vectors)
+    ]
 
 
 def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp=None) -> BoundReport:

@@ -232,21 +232,26 @@ def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return uv, vv
 
 
-def _identities(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """(Cauchy-Schwarz slack, parallelogram defect) of two vectors, each norm taken once."""
-    uu, vv = _norm(u) ** 2, _norm(v) ** 2
-    csi = float(uu * vv - abs(np.vdot(u, v)) ** 2)
-    return csi, abs(2.0 * (uu + vv) - (_norm(u + v) ** 2 + _norm(u - v) ** 2))
+# the two identities of vectors u and v, given their squared norms uu and vv, so that a caller
+# checking both takes each norm once
+def _csi(u: np.ndarray, v: np.ndarray, uu: float, vv: float) -> float:
+    return float(uu * vv - abs(np.vdot(u, v)) ** 2)
+
+
+def _parallelogram(u: np.ndarray, v: np.ndarray, uu: float, vv: float) -> float:
+    return abs(2.0 * (uu + vv) - (_norm(u + v) ** 2 + _norm(u - v) ** 2))
 
 
 def check_parallelogram(u, v) -> float:
     """|2(||u||^2 + ||v||^2) - ||u+v||^2 - ||u-v||^2|, zero in exact arithmetic."""
-    return _identities(*_checked_pair(u, v))[1]
+    u, v = _checked_pair(u, v)
+    return _parallelogram(u, v, _norm(u) ** 2, _norm(v) ** 2)
 
 
 def check_csi(u, v) -> float:
     """Cauchy-Schwarz slack <u|u><v|v> - |<u|v>|^2; zero iff collinear (or null)."""
-    return _identities(*_checked_pair(u, v))[0]
+    u, v = _checked_pair(u, v)
+    return _csi(u, v, _norm(u) ** 2, _norm(v) ** 2)
 
 
 @dataclass
@@ -317,10 +322,11 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     )
     # swapping the observables must not change the HRSUR bounds, read from the (B, A) record
     swapped = _hrsur(_exchanged(own))
-    csi, parallelogram = _identities(psi, phi)
-    slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, csi, *minima)
+    # both identities of (psi, phi), each squared norm taken once
+    identities = (psi, phi, _norm(psi) ** 2, _norm(phi) ** 2)
+    slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, _csi(*identities), *minima)
     defects = (
-        parallelogram,
+        _parallelogram(*identities),
         abs(complex(ab - ba).real),
         abs(complex(ab + ba).imag),
         l2_defect,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,11 @@ class TestCheckParallelogram:
         scale = 1.0 + np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2
         assert check_parallelogram(u, v) <= 1e-10 * scale
 
+    def test_takes_no_cauchy_schwarz_product(self):
+        # |u|^2 |v|^2 and |<u|v>|^2 would overflow, and the filter turns their warning into an error
+        u, v = 1e100 * np.array([1.0, 2.0j]), 1e100 * np.array([0.5, 1.0j])
+        assert check_parallelogram(u, v) <= 1e-10 * 6.25e200
+
 
 class TestCheckCsi:
     def test_collinear_equality(self):
@@ -216,6 +222,12 @@ class TestCheckCsi:
     def test_nonnegative_for_random_pairs(self, u, v):
         scale = 1.0 + (np.linalg.norm(u) * np.linalg.norm(v)) ** 2
         assert check_csi(u, v) >= -1e-10 * scale
+
+    def test_takes_no_parallelogram_norm(self):
+        # |u + v|^2 would overflow in numpy, and the filter turns its warning into an error; the
+        # product |u|^2 |v|^2 of Python floats reads inf without one
+        u, v = np.array([1e154, 0.0]), np.array([0.0, 1e154])
+        assert check_csi(u, v) == math.inf
 
 
 class TestInvariantSuite:
