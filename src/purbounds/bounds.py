@@ -316,6 +316,8 @@ def _hrsur(k: _Kernel) -> _Hrsur:
 
 # a values row: BoundReport's fields in order, each candidate replaced by the column of its sign (0: +1, 1: -1)
 _Values = namedtuple("_Values", [name.replace("candidate", "column") for name in BoundReport.__dataclass_fields__])
+# a report is its row with the two sign columns, adjacent from this slot on, giving way to their candidates
+_L1_COLUMN = _Values._fields.index("l1_column")
 
 
 def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
@@ -362,13 +364,13 @@ def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
         user_xi_perp = user_xi_perp.reshape(k.xi.shape)
         rows, kind = _value_rows(k, user_xi_perp), "user_supplied"
         vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
-    # the row in field order, each sign column giving way to its candidate
     return [
         _trusted(
             BoundReport,
-            *row,
-            l1_candidate=_trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
-            l2_candidate=_trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
+            *row[:_L1_COLUMN],
+            _trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
+            _trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
+            *row[_L1_COLUMN + 2 :],
         )
         for row, (l1_vec, l2_vec) in zip(rows, vectors)
     ]

@@ -236,15 +236,14 @@ def _store_hermitian_part(obs: Observable, mat: np.ndarray, adjoint: np.ndarray)
     return obs
 
 
-def _trusted(cls, *values, **overrides):
-    """An instance of the dataclass `cls` that the package built itself, `values` in field order,
-    then the fields named in `overrides` set to their values.
+def _trusted(cls, *values):
+    """An instance of the dataclass `cls` that the package built itself, `values` in field order.
 
     It skips `__post_init__`'s checks and the frozen `__init__`, which the
     package's own values never need; the public constructors keep every check.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values), **overrides)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
 
 
