@@ -1,9 +1,11 @@
-"""Print the code-line count of each module of src/purbounds, and the total.
+"""Print the code-line and physical-line counts of each module of src/purbounds, and the totals.
 
-A code line is a physical line that holds at least one token other than a
-comment, a docstring or layout (newlines, indentation, the encoding marker).
-A docstring is a string literal that forms a whole statement. Lines spanned
-by a multi-line token count once each.
+A physical line is any line of the file, docstrings, comments and blank
+lines included, as `wc -l` counts them. A code line is a physical line that
+holds at least one token other than a comment, a docstring or layout
+(newlines, indentation, the encoding marker). A docstring is a string
+literal that forms a whole statement. Lines spanned by a multi-line token
+count once each.
 
     python ci/code_lines.py    # from the repository root
 
@@ -45,12 +47,13 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> None:
-    total = 0
+    print("  code  physical  module")
+    totals = [0, 0]
     for path in sorted(Path("src/purbounds").glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        counts = (code_lines(path), len(path.read_bytes().splitlines()))
+        totals = [total + count for total, count in zip(totals, counts)]
+        print(f"{counts[0]:6d}  {counts[1]:8d}  {path.name}")
+    print(f"{totals[0]:6d}  {totals[1]:8d}  total")
 
 
 if __name__ == "__main__":

@@ -32,13 +32,13 @@ tie, so l2 reports sign +1. The per-xi_perp formulas evaluated from
 (A + s B)|xi> and (A - s i B)|xi> directly live in `verify`, as the
 independent reference this module is checked against at the returned vectors.
 
-One private kernel record, from one fused pass over a stack of states with A
-and B as one operand stack, holds the states, psi, phi, their Gram stack,
-Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F); read in the other order,
-it is the record of (B, A). Values come first: one named values row per
-state holds every float and flag of its report and no vector, and only a
-report projects, only its returned directions. Every row is bit for bit the
-one-state result.
+One private kernel record, from one fused pass over an (n, d) stack of states
+with A and B as one operand stack, holds the states, psi, phi, their Gram
+stack, Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F); read in the other
+order, it is the record of (B, A). Values come first: one named values row per
+state holds every float and flag of its report and no vector. `bound_report`
+builds a report from its one row and projects only the two returned
+directions. Every row of a stacked call is bit for bit the one-state result.
 """
 
 from __future__ import annotations
@@ -172,9 +172,8 @@ _Kernel = namedtuple("_Kernel", "xi psi phi gram var_a var_b covq norms")
 
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
-    """The kernel record of the states in `xi` (..., d), rows in C order, from one fused pass over the stack."""
+    """The kernel record of the n states in `xi` (n, d), one per row, from one fused pass over the stack."""
     _same_dim(a.dim, b.dim, xi.shape[-1])
-    xi = xi.reshape(-1, xi.shape[-1])
     # A and B as one operand stack, and the (2, 2, n) Gram stack of (psi, phi) from one inner product
     dev = _deviation_vectors((a, b), xi)
     gram = np.vecdot(dev[:, None], dev)
@@ -188,10 +187,9 @@ def _exchanged(k: _Kernel) -> _Kernel:
     return _Kernel(k.xi, k.phi, k.psi, gram, k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
 
 
-# phi's coefficient c in each direction, and whether its term is subtracted, by direction number
-# 2 * bound + column (l1(+), l1(-), l2(+), l2(-)): psi + c phi with c = s for l1, psi - c phi with c = s i for l2
-_COEFFS = np.array([[1 + 0j], [-1 + 0j], [1j], [-1j]])
-_SUBTRACTED = np.array([[False], [False], [True], [True]])
+# phi's coefficient c in each direction psi + c phi, by direction number 2 * bound + column
+# (l1(+), l1(-), l2(+), l2(-)): c = s for l1, and c = -s i for l2
+_COEFFS = np.array([[1], [-1], [-1j], [1j]])
 _ALL_DIRECTIONS = np.arange(4)[None]
 # s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
 _L2_OFFSETS = -2.0 * np.array([1, -1])
@@ -200,13 +198,10 @@ _L2_OFFSETS = -2.0 * np.array([1, -1])
 def _directions(k: _Kernel, directions: np.ndarray) -> np.ndarray:
     """The directions numbered in `directions` (n, m), m per state of `k`, or (1, m) for all of them: (n, m, d).
 
-    psi + s phi (l1) and psi - s i phi (l2), from one product over the whole
-    stack, with the coefficients read from a fixed table.
+    psi + s phi (l1) and psi - s i phi (l2), each psi + c phi from one product
+    over the whole stack, with c read from one table.
     """
-    terms = _COEFFS[directions] * k.phi[:, None]
-    # psi - t is psi + (-t) bit for bit, and negation is exact
-    np.negative(terms, out=terms, where=_SUBTRACTED[directions])
-    return k.psi[:, None] + terms
+    return k.psi[:, None] + _COEFFS[directions] * k.phi[:, None]
 
 
 def _signs(k: _Kernel, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,34 +343,6 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
     return rows
 
 
-def _report(k: _Kernel, user_xi_perp=None) -> list[BoundReport]:
-    """The report of each state of `k`, rows in order: its `_value_rows` row and the candidate vectors.
-
-    At the analytic optimum only the two returned directions, psi + s1 phi and
-    psi - s2 i phi, are projected, in one (n, 2, d) pass. A row of the checked
-    `user_xi_perp` (..., d) is both candidates' vector.
-    """
-    if user_xi_perp is None:
-        rows, kind = _value_rows(k), "analytic_optimum"
-        # direction 2 * bound + column at each bound's maximizing sign
-        perps = _unit_projections(k, np.array([(row.l1_column, 2 + row.l2_column) for row in rows]))
-        vectors = [(_trusted_state(l1), _trusted_state(l2)) for l1, l2 in perps]
-    else:
-        user_xi_perp = user_xi_perp.reshape(k.xi.shape)
-        rows, kind = _value_rows(k, user_xi_perp), "user_supplied"
-        vectors = [(user, user) for user in map(_trusted_state, user_xi_perp)]
-    return [
-        _trusted(
-            BoundReport,
-            *row[:_L1_COLUMN],
-            _trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
-            _trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
-            *row[_L1_COLUMN + 2 :],
-        )
-        for row, (l1_vec, l2_vec) in zip(rows, vectors)
-    ]
-
-
 def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp=None) -> BoundReport:
     """All four bounds for one instance, with maximizing signs and candidates.
 
@@ -388,11 +355,23 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     """
     # the one-row view of the stacked kernel
     k = _kernel(a, b, state.vector[None])
-    if user_xi_perp is not None:
+    if user_xi_perp is None:
+        (row,) = _value_rows(k)
+        kind = "analytic_optimum"
+        # direction 2 * bound + column at each bound's maximizing sign, both in one projection pass
+        l1_vec, l2_vec = map(_trusted_state, _unit_projections(k, np.array([[row.l1_column, 2 + row.l2_column]]))[0])
+    else:
         user_xi_perp = _checked_perp(state, user_xi_perp)
         if user_xi_perp.ndim != 1:
             # the candidate is a state, so one vector, as QuantumState requires
             raise ValueError(f"expected a 1-D vector, got shape {user_xi_perp.shape}")
-        user_xi_perp = user_xi_perp[None]
-    (report,) = _report(k, user_xi_perp)
-    return report
+        (row,) = _value_rows(k, user_xi_perp[None])
+        kind = "user_supplied"
+        l1_vec = l2_vec = _trusted_state(user_xi_perp)
+    return _trusted(
+        BoundReport,
+        *row[:_L1_COLUMN],
+        _trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
+        _trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
+        *row[_L1_COLUMN + 2 :],
+    )

@@ -125,9 +125,7 @@ def cmd_random(args) -> int:
     except ValueError:
         return _fail(f"--dims must be a comma-separated integer list, got {args.dims!r}", EXIT_VALIDATION)
     try:
-        report = run_invariant_suite(
-            count=args.count, dims=dims, seed=args.seed, tol=args.tol, perp_samples=args.perp_samples
-        )
+        report = run_invariant_suite(count=args.count, dims=dims, seed=args.seed, tol=args.tol)
     except ValueError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     print(json_dumps(report.to_dict()))
@@ -167,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.add_argument("--dims", default=",".join(str(d) for d in DEFAULT_SUITE_DIMS), help="comma-separated dimensions to cycle")
     p_random.add_argument("--seed", type=int, default=42, help="master seed")
     p_random.add_argument("--tol", type=float, default=DEFAULT_SUITE_TOL, help="violation tolerance")
-    p_random.add_argument("--perp-samples", type=int, default=100, dest="perp_samples", help="random xi_perp samples per instance")
     p_random.set_defaults(func=cmd_random)
 
     p_mc = sub.add_parser("montecarlo", help="statistical bound check from sampled outcomes")

@@ -146,7 +146,10 @@ class EstimateReport:
 
 
 def empirical_variance(samples) -> EstimateReport:
-    """Unbiased sample variance of a 1-D sample, with standard error; ValueError if it leaves the double range."""
+    """Unbiased sample variance of a 1-D sample, with standard error.
+
+    Raises ValueError if the variance of a non-constant sample leaves the double range.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D sample with n >= 2")
@@ -170,7 +173,10 @@ def empirical_variance(samples) -> EstimateReport:
     except OverflowError:
         var_hat = math.inf
     if m2 > 0.0 and not 0.0 < var_hat < math.inf:
-        raise ValueError(f"sample variance leaves the double range (largest |deviation| {peak:.3e})")
+        if arr.min() < arr.max():
+            raise ValueError(f"sample variance leaves the double range (largest |deviation| {peak:.3e})")
+        # a constant sample: its deviations are the rounding error of the mean alone
+        var_hat = stderr = 0.0
     return EstimateReport(n=n, mean_hat=mean, var_hat=var_hat, var_stderr=stderr)
 
 

@@ -145,12 +145,9 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _same_dim(*dims: int) -> int:
-    first = dims[0]
-    for d in dims[1:]:
-        if d != first:
-            raise DimensionMismatchError(f"dimension mismatch: {dims}")
-    return first
+def _same_dim(*dims: int) -> None:
+    if len(set(dims)) > 1:
+        raise DimensionMismatchError(f"dimension mismatch: {dims}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,10 +73,6 @@ DEFAULT_SUITE_DIMS = (2, 3, 4, 6, 8)
 DEFAULT_SUITE_TOL = 1e-9
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _check_dim(dim: int) -> int:
     dim = _integer("dim", dim)
     if not 2 <= dim <= MAX_DIM:
@@ -99,14 +95,14 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def random_state(dim: int, seed) -> QuantumState:
     """Haar-distributed state: standard complex Gaussian components, normalized."""
     dim = _check_dim(dim)
-    vec = _complex_normal(_rng(seed), dim)
+    vec = _complex_normal(np.random.default_rng(seed), dim)
     return _trusted_state(vec / _norm(vec))
 
 
 def random_observable(dim: int, seed) -> Observable:
     """GUE-style observable: (G + G†)/2 for G with standard complex Gaussian entries."""
     dim = _check_dim(dim)
-    return _trusted_observable(_complex_normal(_rng(seed), (dim, dim)))
+    return _trusted_observable(_complex_normal(np.random.default_rng(seed), (dim, dim)))
 
 
 def _complement_samples(state: QuantumState, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,7 +119,7 @@ def _complement_samples(state: QuantumState, count: int, rng: np.random.Generato
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
     """Uniform unit vector orthogonal to the state (a projected complex Gaussian)."""
-    return _trusted_state(_complement_samples(state, 1, _rng(seed))[0])
+    return _trusted_state(_complement_samples(state, 1, np.random.default_rng(seed))[0])
 
 
 # the (bound, sign) columns of the reference, in the order of BoundReport's by-sign pairs
@@ -214,7 +210,7 @@ def search_optimal_xi_perp(
     if samples < 1:
         raise ValueError("samples must be positive")
     _same_dim(a.dim, b.dim, state.dim)
-    perps = _complement_samples(state, samples, _rng(seed))
+    perps = _complement_samples(state, samples, np.random.default_rng(seed))
     values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
     analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
     best = int(np.argmax(values))
@@ -377,7 +373,7 @@ def run_invariant_suite(
     defects = np.empty((count, len(DEFECT_CHECKS)))
     for index in range(count):
         dim = dims[index % len(dims)]
-        rng = _rng([seed, index])
+        rng = np.random.default_rng([seed, index])
         state = random_state(dim, rng)
         a = random_observable(dim, rng)
         b = random_observable(dim, rng)

@@ -8,7 +8,7 @@ corpus covers:
   1e-6, 1 and 1e6, each at the analytic optimum and at a sampled xi_perp;
 - X/Z on equatorial states where projections are null (the fallback vector);
 - common eigenvectors of diagonal pairs at d = 3, 8 and 64;
-- the 241 rows of the qubit sweep, as one stacked kernel call;
+- the 241 states of the qubit sweep, each as a one-row `bound_report`;
 - three `run_invariant_suite` runs: the defaults, the benchmark's dims at
   count 64, and count 50 at tol 1e-30, where every instance records violations.
 
@@ -40,8 +40,16 @@ from pathlib import Path
 
 import numpy as np
 
-from purbounds.bounds import OrthogonalCandidate, _kernel, _report, bound_report
-from purbounds.quantum import Observable, _equatorial_vectors, basis_state, equatorial_state, pauli_x, pauli_z
+from purbounds.bounds import OrthogonalCandidate, bound_report
+from purbounds.quantum import (
+    Observable,
+    QuantumState,
+    _equatorial_vectors,
+    basis_state,
+    equatorial_state,
+    pauli_x,
+    pauli_z,
+)
 from purbounds.verify import SuiteReport, random_observable, random_state, random_unit_in_complement, run_invariant_suite
 
 DIMS = range(2, 65)
@@ -108,8 +116,8 @@ def corpus():
                 Observable(1e6 * a.matrix), Observable(1e-6 * b.matrix), basis_state(dim, index)
             )
     alphas = [math.tau * k / SWEEP_POINTS for k in range(SWEEP_POINTS)]
-    for k, rep in enumerate(_report(_kernel(x, z, _equatorial_vectors(alphas)))):
-        yield f"sweep row={k}", rep
+    for k, row in enumerate(_equatorial_vectors(alphas)):
+        yield f"sweep row={k}", bound_report(x, z, QuantumState(row))
     for case, kwargs in SUITE_RUNS:
         yield case, run_invariant_suite(**kwargs)
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import purbounds
+from purbounds.cli import build_parser
 
 # __main__ runs the CLI on import
 MODULES = [info.name for info in pkgutil.iter_modules(purbounds.__path__) if not info.name.startswith("_")]
@@ -27,9 +29,9 @@ def test_package_reexports_only_module_exports():
     assert sorted(public - exported) == []
 
 
-def _readme_blocks():
+def _readme_blocks(language="python"):
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    return re.findall(rf"```{language}\n(.*?)```", text, flags=re.S)
 
 
 def _readme_imports():
@@ -71,3 +73,19 @@ def test_readme_library_example_reads_its_commented_values():
                 assert abs(value - expected) <= 1e-12, line
         checked.append(match["expr"].strip())
     assert checked == ["rep.t1, rep.t2", "rep.l1, rep.l2", "rep.mpur", "rep.hrsur_trivial"]
+
+
+def test_readme_cli_block_names_exactly_the_parser_options():
+    # each `purbounds <command>` line of the README's shell blocks passes every option of its subcommand
+    documented = {}
+    for block in _readme_blocks("sh"):
+        for line in block.splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] == ["purbounds"]:
+                documented[words[1]] = {word for word in words[2:] if word.startswith("--")}
+    (commands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == options

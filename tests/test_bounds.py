@@ -14,8 +14,8 @@ from purbounds.bounds import (
     _exchanged,
     _hrsur,
     _kernel,
-    _report,
     _unit_projections,
+    _Values,
     _value_rows,
     bound_report,
     optimal_xi_perp,
@@ -25,6 +25,7 @@ from purbounds.quantum import (
     HermiticityError,
     Observable,
     QuantumState,
+    _equatorial_vectors,
     basis_state,
     deviation_vector,
     equatorial_state,
@@ -436,8 +437,30 @@ class TestKernelHalves:
                 assert rep.comm_mean_abs.hex() == hrsur.t2[0].hex()
 
 
-def stacked_reports(a, b, xi, xi_perp=None):
-    return _report(_kernel(a, b, xi), xi_perp)
+def assert_rows_equal_reports(a, b, states, perps=None):
+    """Each row of one stacked `_value_rows` call equals the one-row `bound_report` on that row's state,
+    field by field by `repr`, and each row of one `(n, 2)` projection pass equals its candidate vectors
+    byte for byte; with `perps` the rows are the checked user vectors. Returns the reports."""
+    k = _kernel(a, b, np.stack([state.vector for state in states]))
+    if perps is None:
+        rows = _value_rows(k)
+        vectors = _unit_projections(k, np.array([(row.l1_column, 2 + row.l2_column) for row in rows]))
+        reports = [bound_report(a, b, state) for state in states]
+    else:
+        checked = np.stack([_checked_perp(state, perp) for state, perp in zip(states, perps)])
+        rows, vectors = _value_rows(k, checked), np.stack((checked, checked), axis=1)
+        reports = [bound_report(a, b, state, user_xi_perp=perp) for state, perp in zip(states, perps)]
+    assert len(rows) == len(vectors) == len(states)
+    for row, candidates, rep in zip(rows, vectors, reports):
+        for name, value in row._asdict().items():
+            if name.endswith("_column"):
+                assert value == (1 - getattr(rep, name.replace("column", "candidate")).sign) // 2, name
+            else:
+                # repr is exact for floats and bools, and tells -0.0 from 0.0
+                assert repr(value) == repr(getattr(rep, name)), name
+        for vector, cand in zip(candidates, (rep.l1_candidate, rep.l2_candidate)):
+            assert vector.tobytes() == cand.vector.vector.tobytes()
+    return reports
 
 
 class TestStackedKernel:
@@ -448,10 +471,9 @@ class TestStackedKernel:
         rng = np.random.default_rng([89, dim])
         a, b = random_observable(dim, rng), random_observable(dim, rng)
         states = [random_state(dim, rng) for _ in range(5)]
-        xi = np.stack([state.vector for state in states])
-        kernel = _kernel(a, b, xi)
-        for row, (state, rep) in enumerate(zip(states, _report(kernel))):
-            assert report_bits(rep) == report_bits(bound_report(a, b, state))
+        assert_rows_equal_reports(a, b, states)
+        kernel = _kernel(a, b, np.stack([state.vector for state in states]))
+        for row, state in enumerate(states):
             assert kernel.psi[row].tobytes() == deviation_vector(a, state).tobytes()
             assert kernel.phi[row].tobytes() == deviation_vector(b, state).tobytes()
 
@@ -460,20 +482,14 @@ class TestStackedKernel:
         rng = np.random.default_rng([97, dim])
         a, b = random_observable(dim, rng), random_observable(dim, rng)
         states = [random_state(dim, rng) for _ in range(5)]
-        perps = [random_unit_in_complement(state, rng) for state in states]
-        xi = np.stack([state.vector for state in states])
-        checked = np.stack([_checked_perp(state, perp) for state, perp in zip(states, perps)])
-        for state, perp, rep in zip(states, perps, stacked_reports(a, b, xi, checked)):
-            assert report_bits(rep) == report_bits(bound_report(a, b, state, user_xi_perp=perp))
+        assert_rows_equal_reports(a, b, states, [random_unit_in_complement(state, rng) for state in states])
 
     def test_null_fallback_rows_among_ordinary_rows(self):
         # X/Z on the equatorial states: at alpha = pi/2 the l2(+) direction psi - i phi vanishes
         # and at alpha = 0 (an X eigenstate) both l2 directions do
         alphas = [0.3, np.pi / 2, 2.0, 0.0, 3 * np.pi / 2, np.pi / 2]
         states = [equatorial_state(alpha) for alpha in alphas]
-        reports = stacked_reports(pauli_x(), pauli_z(), np.stack([state.vector for state in states]))
-        for state, rep in zip(states, reports):
-            assert report_bits(rep) == report_bits(bound_report(pauli_x(), pauli_z(), state))
+        reports = assert_rows_equal_reports(pauli_x(), pauli_z(), states)
         # the null row's candidate is the normalized complement projection of e_k,
         # k the first index other than that of the largest |xi_k|
         xi = states[1].vector
@@ -490,20 +506,15 @@ class TestStackedKernel:
         a = Observable(np.diag(np.arange(1.0, dim + 1.0)).astype(complex))
         b = Observable(np.diag(np.linspace(-1.0, 2.0, dim)).astype(complex))
         states = [random_state(dim, rng), basis_state(dim, dim - 1), random_state(dim, rng), basis_state(dim, 0)]
-        reports = stacked_reports(a, b, np.stack([state.vector for state in states]))
+        reports = assert_rows_equal_reports(a, b, states)
         assert [rep.common_eigenvector for rep in reports] == [False, True, False, True]
-        for state, rep in zip(states, reports):
-            assert report_bits(rep) == report_bits(bound_report(a, b, state))
 
-    def test_leading_shape_rows_in_c_order(self):
-        rng = np.random.default_rng(103)
-        a, b = random_observable(3, rng), random_observable(3, rng)
-        states = [random_state(3, rng) for _ in range(6)]
-        xi = np.stack([state.vector for state in states]).reshape(2, 3, 3)
-        reports = stacked_reports(a, b, xi)
-        assert len(reports) == 6
-        for state, rep in zip(states, reports):
-            assert report_bits(rep) == report_bits(bound_report(a, b, state))
+    def test_sweep_rows(self):
+        # the 241 states of the qubit sweep, which reads them from one stacked call
+        alphas = [2.0 * np.pi * k / 241 for k in range(241)]
+        states = [QuantumState(row) for row in _equatorial_vectors(alphas)]
+        assert_rows_equal_reports(pauli_x(), pauli_z(), states)
+        assert_rows_equal_reports(pauli_x(), pauli_z(), states, [equatorial_state(x + np.pi) for x in alphas])
 
     def test_stack_of_rows_user_xi_perp_rejected_as_before(self):
         # each row is a valid xi_perp, but the candidate is one state
@@ -536,18 +547,14 @@ class TestValuesFirst:
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_values_record_holds_the_reports_values(self, dim):
+        # a values row has the report's fields in order, each candidate replaced by its sign's column
+        names = [name.replace("candidate", "column") for name in BoundReport.__dataclass_fields__]
+        assert list(_Values._fields) == names
         rng = np.random.default_rng([109, dim])
         a, b = random_observable(dim, rng), random_observable(dim, rng)
-        k = _kernel(a, b, np.stack([random_state(dim, rng).vector for _ in range(5)]))
-        rows, reports = _value_rows(k), _report(k)
-        assert len(rows) == len(reports) == 5
-        for row, rep in zip(rows, reports):
-            for name, value in row._asdict().items():
-                if name.endswith("_column"):
-                    assert value == (1 - getattr(rep, name.replace("column", "candidate")).sign) // 2
-                else:
-                    # repr is exact for floats and bools, and tells -0.0 from 0.0
-                    assert repr(value) == repr(getattr(rep, name)), name
+        states = [random_state(dim, rng) for _ in range(5)]
+        assert_rows_equal_reports(a, b, states)
+        assert_rows_equal_reports(a, b, states, [random_unit_in_complement(state, rng) for state in states])
 
     @pytest.mark.parametrize("dim", range(2, 65))
     def test_one_projection_pass_over_four_directions(self, dim):

@@ -499,3 +499,8 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_unknown_option_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["random", "--perp-samples", "5"])
+        assert err.value.code == 2

@@ -180,6 +180,15 @@ class TestEmpiricalVariance:
         with pytest.raises(ValueError, match="sample variance leaves the double range"):
             empirical_variance(samples)
 
+    @pytest.mark.parametrize("value", [1e-150, 1e-160, 1e300])
+    def test_constant_sample_never_leaves_the_range(self, value):
+        # the mean of 1000 equal samples is off by its rounding error, so every deviation is that
+        # error: its square underflowed (or overflowed) to a variance the range check rejected
+        samples = np.full(1_000, value)
+        assert samples.mean() != value
+        rep = empirical_variance(samples)
+        assert (rep.var_hat, rep.var_stderr) == (0.0, 0.0)
+
 
 class TestStatisticalBoundCheck:
     def test_quarter_turn_instance(self):
@@ -201,6 +210,14 @@ class TestStatisticalBoundCheck:
         assert rep.empirical_sum == 0.0
         assert rep.mpur == pytest.approx(0.0, abs=1e-15)
         assert np.isfinite(rep.z_margin)
+
+    def test_sharp_observable_at_small_scale(self):
+        # |0> is an eigenstate of 1e-150 Z, so every B outcome is 1e-150 and B's sample is constant
+        small_z = Observable(1e-150 * pauli_z().matrix)
+        rep = statistical_bound_check(pauli_x(), small_z, basis_state(2, 0), n=2_000, seed=42)
+        assert not rep.violation
+        assert (rep.estimate_b.var_hat, rep.estimate_b.var_stderr) == (0.0, 0.0)
+        assert rep.mpur == 1.0
 
     def test_operands_scaled_past_dev4_overflow(self):
         # Var(A) Var(B) ~ 1 passes the report's scale limit, but the A samples ~1e100 overflowed
