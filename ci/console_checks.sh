@@ -35,6 +35,18 @@ python -c "import json; assert json.load(open('violations.json'))['violations']"
 # the README instance passes the 5-sigma sampling check
 purbounds montecarlo --file readme_d2.json --samples 2000 > montecarlo.json
 python -c "import json; assert json.load(open('montecarlo.json'))['violation'] is False"
+# both observables are sharp on |0>: every outcome is 0.1, though the sample mean is not, and the
+# check reads no violation
+cat > sharp.json <<'JSON'
+{
+  "dim": 2,
+  "state": [[1.0, 0.0], [0.0, 0.0]],
+  "A": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+  "B": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]
+}
+JSON
+purbounds montecarlo --file sharp.json --samples 1000 --seed 0 > sharp_montecarlo.json
+python -c "import json; assert json.load(open('sharp_montecarlo.json'))['violation'] is False"
 # the suite at the largest dimensions is byte-identical across reruns
 purbounds random --count 24 --dims 16,32,64 > large_1.json
 purbounds random --count 24 --dims 16,32,64 > large_2.json

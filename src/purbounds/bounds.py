@@ -148,11 +148,16 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     """xi_perp renormalized, after checking unit norm and orthogonality to the state.
 
     Takes one vector or a stack of row vectors, and checks every row. Each row
-    is divided by its `_norms` entry, bit for bit `row / _norm(row)`.
+    is divided by its `_norms` entry, bit for bit `row / _norm(row)`. A
+    QuantumState's vector is finite and 1-D by construction, so only an array
+    is checked for both.
     """
-    vec = xi_perp.vector if isinstance(xi_perp, QuantumState) else np.asarray(xi_perp, dtype=complex)
-    if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
-        raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
+    if isinstance(xi_perp, QuantumState):
+        vec = xi_perp.vector
+    else:
+        vec = np.asarray(xi_perp, dtype=complex)
+        if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
+            raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
     _same_dim(state.dim, vec.shape[-1])
     nrm = _norms(vec)
     off = np.abs(nrm - 1.0) > RENORM_WINDOW
@@ -187,42 +192,41 @@ def _exchanged(k: _Kernel) -> _Kernel:
     return _Kernel(k.xi, k.phi, k.psi, gram, k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
 
 
+def _first_row(k: _Kernel) -> _Kernel:
+    """The one-row record of the first state of `k`: views of its arrays and the first float of each list."""
+    return _Kernel(k.xi[:1], k.psi[:1], k.phi[:1], k.gram[..., :1], k.var_a[:1], k.var_b[:1], k.covq[:1], k.norms)
+
+
 # phi's coefficient c in each direction psi + c phi, by direction number 2 * bound + column
-# (l1(+), l1(-), l2(+), l2(-)): c = s for l1, and c = -s i for l2
+# (l1(+), l1(-), l2(+), l2(-)): c = s for l1, and c = -s i for l2. `_COEFFS[directions]` of (n, m)
+# direction numbers broadcasts against (n, 1, d) rows, and so does the whole (4, 1) table
 _COEFFS = np.array([[1], [-1], [-1j], [1j]])
-_ALL_DIRECTIONS = np.arange(4)[None]
-# s i <[A,B]> = s i (2i Im Cov) = -2 s Im Cov is real
-_L2_OFFSETS = -2.0 * np.array([1, -1])
+# a report's two candidate directions, l1 then l2, keyed by the columns (l1_column, l2_column): (1, 2, 1)
+_CANDIDATE_COEFFS = {(c1, c2): _COEFFS[[[c1, 2 + c2]]] for c1 in (0, 1) for c2 in (0, 1)}
 
 
-def _directions(k: _Kernel, directions: np.ndarray) -> np.ndarray:
-    """The directions numbered in `directions` (n, m), m per state of `k`, or (1, m) for all of them: (n, m, d).
-
-    psi + s phi (l1) and psi - s i phi (l2), each psi + c phi from one product
-    over the whole stack, with c read from one table.
-    """
-    return k.psi[:, None] + _COEFFS[directions] * k.phi[:, None]
-
-
-def _signs(k: _Kernel, xi_perp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both signs of l1 and of l2 at checked unit rows `xi_perp` (n, d), one per state: two (n, 2) arrays.
+def _signs(k: _Kernel, xi_perp: np.ndarray):
+    """Both signs of l1 and of l2 at checked unit rows `xi_perp` (n, d), one per state, as a lazy iterator:
+    per row, the tuples (l1(+1), l1(-1)) and (l2(+1), l2(-1)); every row is formed at the first row's turn.
 
     Each bound is the square of one matrix element, <psi + s phi|xi_perp> for
     l1 (<xi|(A + s B)|xi_perp>) and <psi - s i phi|xi_perp> for l2
-    (<xi|(A + s i B)|xi_perp>), with s = +1 in column 0 and -1 in column 1;
-    the four directions are one (n, 4, d) pass. The l2 value may be negative
-    for the non-maximizing sign and is kept unclamped.
+    (<xi|(A + s i B)|xi_perp>); the four directions are one (n, 4, d) pass.
+    The l2 value may be negative for the non-maximizing sign and is kept
+    unclamped.
     """
-    direction = _directions(k, _ALL_DIRECTIONS)
+    direction = k.psi[:, None] + _COEFFS * k.phi[:, None]
     # |z| by hypot, as abs() of one complex scalar takes it; np.abs of a complex array may round differently
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
-    element = element * element
-    return 0.5 * element[:, :2], _L2_OFFSETS * k.gram[0, 1].imag[:, None] + element[:, 2:]
+    # the rest in Python floats, each the one IEEE operation numpy would take; s i <[A,B]> = -2 s Im Cov is real
+    for (l1_plus, l1_minus, l2_plus, l2_minus), im in zip((element * element).tolist(), k.gram[0, 1].imag.tolist()):
+        yield (0.5 * l1_plus, 0.5 * l1_minus), (-2.0 * im + l2_plus, 2.0 * im + l2_minus)
 
 
-def _unit_projections(k: _Kernel, directions: np.ndarray) -> np.ndarray:
-    """The normalized complement projection of each direction `_directions(k, directions)`: (n, m, d).
+def _unit_projections(k: _Kernel, coeffs: np.ndarray) -> np.ndarray:
+    """The normalized complement projection of each direction psi + c phi of `k`, with phi's coefficients
+    `coeffs` (n, m, 1), or (1, m, 1) for every state, read from `_COEFFS`: (n, m, d). The caller checks d >= 2.
 
     This is the Cauchy-Schwarz optimum of the direction's bound. Where a
     projection is numerically null, at most TOL_NULL (1 + |A|_F + |B|_F),
@@ -231,14 +235,20 @@ def _unit_projections(k: _Kernel, directions: np.ndarray) -> np.ndarray:
     with j the first index other than that of the largest |xi_j|. Then
     |xi_j|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
     """
-    xi = k.xi
-    perp = _project(xi[:, None], _directions(k, directions))
-    nrm = _norms(perp)
-    null = nrm <= TOL_NULL * (1.0 + k.norms[0] + k.norms[1])
-    if np.count_nonzero(null):
+    xi = k.xi[:, None]
+    perp = k.psi[:, None] + coeffs * k.phi[:, None]
+    # `_project` and `_norms` written out, bit for bit: two passes against each row's state, then the row norms
+    for _ in range(2):
+        perp = perp - np.vecdot(xi, perp)[..., None] * xi
+    re, im = perp.real, perp.imag
+    nrm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    tol = TOL_NULL * (1.0 + k.norms[0] + k.norms[1])
+    # one Python comparison of the smallest norm, and the null mask only when it is at most tol (or NaN)
+    if not min(nrm.ravel().tolist()) > tol:
+        null = nrm <= tol
         # e_j with j = 0, or j = 1 where |xi_0| is the largest
-        e_j = np.eye(xi.shape[-1], dtype=complex)[(np.abs(xi).argmax(axis=-1) == 0).astype(int)]
-        fallback = _project(xi, e_j)[:, None]
+        e_j = np.eye(k.xi.shape[-1], dtype=complex)[(np.abs(k.xi).argmax(axis=-1) == 0).astype(int)]
+        fallback = _project(k.xi, e_j)[:, None]
         perp = np.where(null[..., None], fallback, perp)
         nrm = np.where(null, _norms(fallback), nrm)
     return perp / nrm[..., None]
@@ -261,11 +271,6 @@ def _optimum_values(var_a: float, var_b: float, covq: float) -> tuple[tuple[floa
     return (half + covq, half - covq), (sum_var, sum_var)
 
 
-def _column(values: tuple[float, float]) -> int:
-    """The column of the maximizing sign: values equal within TOL_EIG are a tie, which goes to +1."""
-    return 0 if values[0] >= values[1] - TOL_EIG else 1
-
-
 def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: str, sign: int) -> OrthogonalCandidate:
     """Closed-form optimal xi_perp for bound `which` ("l1" or "l2") at `sign`, with its value.
 
@@ -281,65 +286,49 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     k = _kernel(a, b, state.vector[None])
     column = (1 - sign) // 2
     value = _optimum_values(k.var_a[0], k.var_b[0], k.covq[0])[MP_BOUNDS.index(which)][column]
-    perp = _unit_projections(k, np.array([[2 * MP_BOUNDS.index(which) + column]]))
+    _complement_dim(state.dim)
+    perp = _unit_projections(k, _COEFFS[[[2 * MP_BOUNDS.index(which) + column]]])
     return _trusted(OrthogonalCandidate, _trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
-
-
-# Var(A) Var(B), t1 and t2 of each state of a kernel record, one float per state in row order
-_Hrsur = namedtuple("_Hrsur", "prod_var t1 t2")
-
-
-def _hrsur(k: _Kernel) -> _Hrsur:
-    """The Heisenberg-Robertson-Schrodinger bounds of each state of `k`, closed forms taken per row in Python floats.
-
-    Raises ValueError when Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in any row,
-    where the degree-4 quantities (prod_var, t1, t2^2) would leave the double
-    range.
-    """
-    prod_var = [x * y for x, y in zip(k.var_a, k.var_b)]
-    for product in prod_var:
-        if product > _MAX_VAR_PRODUCT:
-            raise ValueError(
-                f"operand scale too large: Var(A) Var(B) = {product:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
-                f"(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})"
-            )
-    # |<[A,B]>| = 2 |Im Cov(A,B)|
-    t2 = [2.0 * abs(im) for im in k.gram[0, 1].imag.tolist()]
-    t1 = [c * c + 0.25 * t**2 for c, t in zip(k.covq, t2)]
-    return _Hrsur(prod_var, t1, t2)
 
 
 # a values row: BoundReport's fields in order, each candidate replaced by the column of its sign (0: +1, 1: -1)
 _Values = namedtuple("_Values", [name.replace("candidate", "column") for name in BoundReport.__dataclass_fields__])
-# a report is its row with the two sign columns, adjacent from this slot on, giving way to their candidates
-_L1_COLUMN = _Values._fields.index("l1_column")
 
 
 def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
-    """The values of each state of `k`, no vector: one `_Values` row per state, in row order.
+    """The values of each state of `k`, no vector: one `_Values` row per state, in row order, from one loop.
 
-    HRSUR bounds from `_hrsur(k)`; at the analytic optimum, closed forms in Var(A), Var(B) and CovQ;
-    else both signs at `user_xi_perp` (n, d), checked unit rows. Raises EmptyComplementError at d = 1.
+    HRSUR bounds as closed forms in each row's Python floats; at the analytic
+    optimum, the closed forms in Var(A), Var(B) and CovQ; else both signs at
+    `user_xi_perp` (n, d), checked unit rows. Raises ValueError when
+    Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in a row, where the degree-4
+    quantities (prod_var, t1, t2^2) would leave the double range, before that
+    row's Maccone-Pati values are read; then EmptyComplementError at d = 1.
     """
-    hrsur = _hrsur(k)
-    _complement_dim(k.xi.shape[-1])
-    if user_xi_perp is None:
-        by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq)
-    else:
-        l1_values, l2_values = _signs(k, user_xi_perp)
-        by_sign = zip(map(tuple, l1_values.tolist()), map(tuple, l2_values.tolist()))
+    by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq) if user_xi_perp is None else _signs(k, user_xi_perp)
     rows = []
-    for var_a, var_b, covq, prod_var, t1, t2, (l1_by_sign, l2_by_sign) in zip(
-        k.var_a, k.var_b, k.covq, *hrsur, by_sign
-    ):
-        # at the analytic optimum the two l2 values are one float, so l2 takes sign +1 by the tie rule
-        l1_col, l2_col = _column(l1_by_sign), _column(l2_by_sign)
+    for var_a, var_b, covq, im in zip(k.var_a, k.var_b, k.covq, k.gram[0, 1].imag.tolist()):
+        prod_var = var_a * var_b
+        if prod_var > _MAX_VAR_PRODUCT:
+            raise ValueError(
+                f"operand scale too large: Var(A) Var(B) = {prod_var:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
+                f"(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})"
+            )
+        # |<[A,B]>| = 2 |Im Cov(A,B)|
+        t2 = 2.0 * abs(im)
+        t1 = covq * covq + 0.25 * t2**2
+        l1_by_sign, l2_by_sign = next(by_sign)
+        # the column of each maximizing sign: values equal within TOL_EIG are a tie, which goes to +1; at the
+        # analytic optimum the two l2 values are one float, so l2 takes sign +1
+        l1_col = 0 if l1_by_sign[0] >= l1_by_sign[1] - TOL_EIG else 1
+        l2_col = 0 if l2_by_sign[0] >= l2_by_sign[1] - TOL_EIG else 1
         l1, l2 = l1_by_sign[l1_col], l2_by_sign[l2_col]
         sum_var, mpur = var_a + var_b, max(l1, l2)
         trivial = t1 <= TOL_EIG and t2 <= TOL_EIG and sum_var > TOL_EIG
         # comm_mean_abs is t2
         rows.append(_Values(var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2, l1_col, l2_col, l1_by_sign,
                             l2_by_sign, mpur, trivial, var_a <= TOL_EIG and var_b <= TOL_EIG, sum_var - mpur))
+    _complement_dim(k.xi.shape[-1])
     return rows
 
 
@@ -355,11 +344,16 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     """
     # the one-row view of the stacked kernel
     k = _kernel(a, b, state.vector[None])
+    # the trusted wraps of `_trusted_state` and `_trusted` written out: each state, candidate and the report
+    # is filled by one __dict__ update, and each vector is a read-only row the package normalized itself
     if user_xi_perp is None:
         (row,) = _value_rows(k)
         kind = "analytic_optimum"
-        # direction 2 * bound + column at each bound's maximizing sign, both in one projection pass
-        l1_vec, l2_vec = map(_trusted_state, _unit_projections(k, np.array([[row.l1_column, 2 + row.l2_column]]))[0])
+        # both maximizing directions in one projection pass, their coefficients read by the two columns
+        vectors = _unit_projections(k, _CANDIDATE_COEFFS[row.l1_column, row.l2_column])[0]
+        vectors.setflags(write=False)
+        l1_vec, l2_vec = object.__new__(QuantumState), object.__new__(QuantumState)
+        l1_vec.__dict__["vector"], l2_vec.__dict__["vector"] = vectors
     else:
         user_xi_perp = _checked_perp(state, user_xi_perp)
         if user_xi_perp.ndim != 1:
@@ -367,11 +361,13 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
             raise ValueError(f"expected a 1-D vector, got shape {user_xi_perp.shape}")
         (row,) = _value_rows(k, user_xi_perp[None])
         kind = "user_supplied"
-        l1_vec = l2_vec = _trusted_state(user_xi_perp)
-    return _trusted(
-        BoundReport,
-        *row[:_L1_COLUMN],
-        _trusted(OrthogonalCandidate, l1_vec, row.l1, 1 - 2 * row.l1_column, kind),
-        _trusted(OrthogonalCandidate, l2_vec, row.l2, 1 - 2 * row.l2_column, kind),
-        *row[_L1_COLUMN + 2 :],
-    )
+        user_xi_perp.setflags(write=False)
+        l1_vec = l2_vec = object.__new__(QuantumState)
+        l1_vec.__dict__["vector"] = user_xi_perp
+    l1_candidate, l2_candidate = object.__new__(OrthogonalCandidate), object.__new__(OrthogonalCandidate)
+    l1_candidate.__dict__.update(vector=l1_vec, bound_value=row.l1, sign=1 - 2 * row.l1_column, kind=kind)
+    l2_candidate.__dict__.update(vector=l2_vec, bound_value=row.l2, sign=1 - 2 * row.l2_column, kind=kind)
+    report = object.__new__(BoundReport)
+    # the row's fields are the report's in order; each sign column gives way to its candidate
+    report.__dict__.update(zip(BoundReport.__dataclass_fields__, row), l1_candidate=l1_candidate, l2_candidate=l2_candidate)
+    return report

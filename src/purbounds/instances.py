@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, OrthogonalCandidate
+from .bounds import MP_BOUNDS, BoundReport, OrthogonalCandidate
 from .quantum import HermiticityError, Observable, QuantumState
 
 __all__ = [
@@ -145,24 +145,12 @@ def candidate_to_dict(candidate: OrthogonalCandidate) -> dict:
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    return {
-        "var_a": report.var_a,
-        "var_b": report.var_b,
-        "sum_var": report.sum_var,
-        "prod_var": report.prod_var,
-        "covq": report.covq,
-        "comm_mean_abs": report.comm_mean_abs,
-        "t1": report.t1,
-        "t2": report.t2,
-        "l1": candidate_to_dict(report.l1_candidate),
-        "l2": candidate_to_dict(report.l2_candidate),
-        "l1_by_sign": {"plus": report.l1_by_sign[0], "minus": report.l1_by_sign[1]},
-        "l2_by_sign": {"plus": report.l2_by_sign[0], "minus": report.l2_by_sign[1]},
-        "mpur": report.mpur,
-        "hrsur_trivial": report.hrsur_trivial,
-        "common_eigenvector": report.common_eigenvector,
-        "saturation_gap": report.saturation_gap,
-    }
+    """The report's fields by name, each candidate under its bound's name and each by-sign pair as plus/minus."""
+    out = {name: getattr(report, name) for name in BoundReport.__dataclass_fields__ if not name.endswith("_candidate")}
+    for which in MP_BOUNDS:
+        out[which] = candidate_to_dict(getattr(report, f"{which}_candidate"))
+        out[f"{which}_by_sign"] = dict(zip(("plus", "minus"), out[f"{which}_by_sign"]))
+    return out
 
 
 def json_dumps(obj) -> str:

@@ -148,7 +148,9 @@ class EstimateReport:
 def empirical_variance(samples) -> EstimateReport:
     """Unbiased sample variance of a 1-D sample, with standard error.
 
-    Raises ValueError if the variance of a non-constant sample leaves the double range.
+    A sample of one value reads var_hat = var_stderr = 0 and that value as its
+    mean. Raises ValueError if the variance of any other sample leaves the
+    double range.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -156,6 +158,9 @@ def empirical_variance(samples) -> EstimateReport:
     if not np.isfinite(arr).all():
         raise ValueError("samples must be finite")
     n = arr.size
+    if (arr == arr[0]).all():
+        # one outcome: the variance is exactly 0, where the deviations from the mean would be its rounding error
+        return EstimateReport(n=n, mean_hat=float(arr[0]), var_hat=0.0, var_stderr=0.0)
     mean = float(arr.mean())
     dev = arr - mean
     # m2, m4 and the stderr's square root in units of 2^e, e the binary exponent of the largest |dev|
@@ -172,11 +177,8 @@ def empirical_variance(samples) -> EstimateReport:
         stderr = math.ldexp(math.sqrt(max(m4 - (n - 3) / (n - 1) * m2 * m2, 0.0) / n), 2 * e)
     except OverflowError:
         var_hat = math.inf
-    if m2 > 0.0 and not 0.0 < var_hat < math.inf:
-        if arr.min() < arr.max():
-            raise ValueError(f"sample variance leaves the double range (largest |deviation| {peak:.3e})")
-        # a constant sample: its deviations are the rounding error of the mean alone
-        var_hat = stderr = 0.0
+    if not 0.0 < var_hat < math.inf:
+        raise ValueError(f"sample variance leaves the double range (largest |deviation| {peak:.3e})")
     return EstimateReport(n=n, mean_hat=mean, var_hat=var_hat, var_stderr=stderr)
 
 

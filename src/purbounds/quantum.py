@@ -10,7 +10,9 @@ The geometry of the orthogonal complement has one owner, this module: one
 row-norm rule (`_norms`, each row bit for bit `_norm` of that row), one
 complement projection (`_project`), the one d < 2 check (`_complement_dim`) and
 one trusted constructor (`_trusted`), through which the package wraps states,
-candidates and reports it built itself without re-validating them.
+candidates and reports it built itself without re-validating them. A report's
+candidate pass writes `_project` and `_norms` out, and `bound_report` writes
+`_trusted` out, with the same operations in the same order, to save the calls.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ drives all of them. The reference is one function of (A, B, state, xi_perp);
 complement samples go through the kernel's own projection and row-norm rules,
 so every row is normalized the same way. The suite checks an instance from one
 2-row kernel call, the state and its phased copy: one named values row per
-state, one projection pass for the candidates and the other-sign optima, and
-the (B, A) record read from the same Gram stack.
+state, one projection pass over the state's row for the candidates and the
+other-sign optima, and the state's (B, A) record read from the same Gram stack.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -28,9 +28,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import (
+    _COEFFS,
     _checked_perp,
     _exchanged,
-    _hrsur,
+    _first_row,
     _kernel,
     _unit_projections,
     _validate_sign,
@@ -298,10 +299,11 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum:
-    # the directions 2 * bound + column, maximizing columns first, in one projection pass; row 0 is the state's
+    # the directions 2 * bound + column, maximizing columns first, in one projection pass over the state's row
     columns = (rep.l1_column, rep.l2_column)
     directions = [columns[0], 2 + columns[1], 1 - columns[0], 3 - columns[1]]
-    vectors = _unit_projections(own, np.array([directions]))[0]
+    state_record = _first_row(own)
+    vectors = _unit_projections(state_record, _COEFFS[[directions]])[0]
     # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is; its
     # means <xi|AB|xi> and <xi|BA|xi> give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
     reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors)))
@@ -316,8 +318,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         max(abs(at[k] - bound), abs(at[k] - by_sign[column]), abs(at[k + 2] - by_sign[1 - column]))
         for k, bound, by_sign, column in zip((0, 1), (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
     )
-    # swapping the observables must not change the HRSUR bounds, read from the (B, A) record
-    swapped = _hrsur(_exchanged(own))
+    # swapping the observables must not change the HRSUR bounds, read from the state's (B, A) record
+    (swapped,) = _value_rows(_exchanged(state_record))
     # both identities of (psi, phi), each squared norm taken once
     identities = (psi, phi, _norm(psi) ** 2, _norm(phi) ** 2)
     slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, _csi(*identities), *minima)
@@ -327,8 +329,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         abs(complex(ab + ba).imag),
         l2_defect,
         l1_defect,
-        abs(rep.t1 - swapped.t1[0]),
-        abs(rep.t2 - swapped.t2[0]),
+        abs(rep.t1 - swapped.t1),
+        abs(rep.t2 - swapped.t2),
         # the state's row against its phased copy's, field by field
         max(abs(getattr(rep, name) - getattr(phased, name)) for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
     )

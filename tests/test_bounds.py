@@ -1,18 +1,22 @@
 import dataclasses
+import os
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import purbounds
 from golden import report_bits
 from purbounds.bounds import (
     BoundReport,
     OrthogonalCandidate,
     OrthogonalityError,
+    _COEFFS,
     _checked_perp,
     _exchanged,
-    _hrsur,
+    _first_row,
     _kernel,
     _unit_projections,
     _Values,
@@ -26,6 +30,8 @@ from purbounds.quantum import (
     Observable,
     QuantumState,
     _equatorial_vectors,
+    _norms,
+    _project,
     basis_state,
     deviation_vector,
     equatorial_state,
@@ -418,23 +424,25 @@ class TestInvariances:
 
 
 class TestKernelHalves:
-    """bound_report's moments and HRSUR bounds are the kernel record's and `_hrsur`'s, bit for bit."""
+    """bound_report's moments and HRSUR bounds are the kernel record's and its `_value_rows` row's, bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_shared_fields_equal_by_hex(self, dim):
         rng = np.random.default_rng([47, dim])
         for _ in range(4):
             state, a, b = random_instance(rng, dim)
-            # bound_report is the one-row view: the record and _hrsur keep one float per row
+            # bound_report is the one-row view: the record keeps one float per row, and the HRSUR bounds
+            # do not depend on xi_perp, so the analytic row holds them for both branches
             k = _kernel(a, b, state.vector[None])
-            hrsur = _hrsur(k)
+            (row,) = _value_rows(k)
             for xi_perp in (None, random_unit_in_complement(state, rng)):
                 rep = bound_report(a, b, state, user_xi_perp=xi_perp)
-                for source, names in ((k, ("var_a", "var_b", "covq")), (hrsur, ("prod_var", "t1", "t2"))):
-                    for name in names:
-                        (value,) = getattr(source, name)
-                        assert getattr(rep, name).hex() == value.hex(), name
-                assert rep.comm_mean_abs.hex() == hrsur.t2[0].hex()
+                for name in ("var_a", "var_b", "covq"):
+                    (value,) = getattr(k, name)
+                    assert getattr(rep, name).hex() == value.hex(), name
+                for name in ("prod_var", "t1", "t2"):
+                    assert getattr(rep, name).hex() == getattr(row, name).hex(), name
+                assert rep.comm_mean_abs.hex() == row.t2.hex()
 
 
 def assert_rows_equal_reports(a, b, states, perps=None):
@@ -444,7 +452,7 @@ def assert_rows_equal_reports(a, b, states, perps=None):
     k = _kernel(a, b, np.stack([state.vector for state in states]))
     if perps is None:
         rows = _value_rows(k)
-        vectors = _unit_projections(k, np.array([(row.l1_column, 2 + row.l2_column) for row in rows]))
+        vectors = _unit_projections(k, _COEFFS[np.array([(row.l1_column, 2 + row.l2_column) for row in rows])])
         reports = [bound_report(a, b, state) for state in states]
     else:
         checked = np.stack([_checked_perp(state, perp) for state, perp in zip(states, perps)])
@@ -557,6 +565,17 @@ class TestValuesFirst:
         assert_rows_equal_reports(a, b, states, [random_unit_in_complement(state, rng) for state in states])
 
     @pytest.mark.parametrize("dim", range(2, 65))
+    def test_projection_pass_is_the_complement_rules(self, dim):
+        # the pass writes out `_project` and `_norms`: each unit row is the projected direction over its norm
+        rng = np.random.default_rng([127, dim])
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
+        k = _kernel(a, b, np.stack([random_state(dim, rng).vector for _ in range(3)]))
+        directions = rng.integers(0, 4, size=(3, 4))
+        projected = _project(k.xi[:, None], k.psi[:, None] + _COEFFS[directions] * k.phi[:, None])
+        expected = projected / _norms(projected)[..., None]
+        assert _unit_projections(k, _COEFFS[directions]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", range(2, 65))
     def test_one_projection_pass_over_four_directions(self, dim):
         # per row: the maximizing directions (l1 at column c, l2 at column c2), then the other signs
         rng = np.random.default_rng([113, dim])
@@ -571,15 +590,57 @@ class TestValuesFirst:
             columns = rng.integers(0, 2, size=(len(k.xi), 2))
             best = columns + (0, 2)
             other = best ^ 1
-            both = _unit_projections(k, np.concatenate((best, other), axis=1))
-            split = np.concatenate((_unit_projections(k, best), _unit_projections(k, other)), axis=1)
+            both = _unit_projections(k, _COEFFS[np.concatenate((best, other), axis=1)])
+            split = np.concatenate((_unit_projections(k, _COEFFS[best]), _unit_projections(k, _COEFFS[other])), axis=1)
             assert both.tobytes() == split.tobytes()
-            # the suite's pass: one row's (1, 4) directions on its (state, phased state) record, read at row 0
+            # the suite's pass: one row's (1, 4) directions on the first row of its (state, phased state)
+            # record, and row 0 of a pass over both rows, are the one-row record's pass
             for row, directions in zip(xi, np.concatenate((best, other), axis=1)):
-                phased = np.array((row, np.exp(2j * np.pi * rng.random()) * row))
-                pair = _unit_projections(_kernel(a, b, phased), directions[None])
-                single = _unit_projections(_kernel(a, b, row[None]), directions[None])
+                phased = _kernel(a, b, np.array((row, np.exp(2j * np.pi * rng.random()) * row)))
+                pair = _unit_projections(phased, _COEFFS[directions[None]])
+                first = _unit_projections(_first_row(phased), _COEFFS[directions[None]])
+                single = _unit_projections(_kernel(a, b, row[None]), _COEFFS[directions[None]])
                 assert pair.shape == (2, 4, dim) and pair[0].tobytes() == single[0].tobytes()
+                assert first.shape == (1, 4, dim) and first.tobytes() == single.tobytes()
+
+
+class TestDispatchFloor:
+    """A report costs a handful of matrix-vector products plus its Python dispatch; these counts hold the
+    dispatch where it is. Only frames of the package's own functions are counted: numpy's C calls
+    vary with the numpy version."""
+
+    # frames of package functions per report, analytic and with a user xi_perp; lower is fine
+    ANALYTIC_FRAMES = 15
+    USER_FRAMES = 19
+
+    @staticmethod
+    def _frames(call):
+        package = os.path.dirname(purbounds.__file__) + os.sep
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                names.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(previous)
+        return names
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_frames_per_report(self, dim):
+        rng = np.random.default_rng([131, dim])
+        state, a, b = random_instance(rng, dim)
+        perp = random_unit_in_complement(state, rng)
+        analytic = self._frames(lambda: bound_report(a, b, state))
+        assert len(analytic) <= self.ANALYTIC_FRAMES, analytic
+        # a QuantumState and a raw array take the same package functions
+        for xi_perp in (perp, perp.vector.copy()):
+            user = self._frames(lambda: bound_report(a, b, state, user_xi_perp=xi_perp))
+            assert len(user) <= self.USER_FRAMES, user
 
 
 def stored_observable(matrix) -> Observable:

@@ -433,6 +433,13 @@ class TestCmdMontecarlo:
         assert out["estimate_a"]["var_hat"] == 0.0
         assert out["estimate_b"]["var_hat"] == 0.0
 
+    def test_sharp_observables_exit_zero(self, tmp_path, capsys):
+        # both observables are sharp on |0>: every outcome is 0.1, and the sample mean is not
+        payload = instance_dict(basis_state(2, 0), Observable(np.diag([0.1, 0.3])), Observable(np.diag([0.1, 0.7])))
+        path = write_instance(tmp_path, "sharp.json", payload)
+        assert main(["montecarlo", "--file", path, "--samples", "1000", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["violation"] is False
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["montecarlo", "--file", str(tmp_path / "none.json"), "--samples", "100"]) == 1
 

@@ -187,7 +187,7 @@ class TestEmpiricalVariance:
         samples = np.full(1_000, value)
         assert samples.mean() != value
         rep = empirical_variance(samples)
-        assert (rep.var_hat, rep.var_stderr) == (0.0, 0.0)
+        assert (rep.mean_hat, rep.var_hat, rep.var_stderr) == (value, 0.0, 0.0)
 
 
 class TestStatisticalBoundCheck:
@@ -218,6 +218,18 @@ class TestStatisticalBoundCheck:
         assert not rep.violation
         assert (rep.estimate_b.var_hat, rep.estimate_b.var_stderr) == (0.0, 0.0)
         assert rep.mpur == 1.0
+
+    def test_sharp_observables_read_no_overshoot(self):
+        # every outcome of both is 0.1 on |0>, and 1000 copies of 0.1 do not average to 0.1: the mean's
+        # rounding error read as a variance of ~1.9e-34 with a stderr of ~2.7e-37, and the overshoot
+        # check fired at z = 1000.5 against the analytic sum 0
+        a, b = Observable(np.diag([0.1, 0.3])), Observable(np.diag([0.1, 0.7]))
+        assert np.full(1_000, 0.1).mean() != 0.1
+        rep = statistical_bound_check(a, b, basis_state(2, 0), n=1_000, seed=0)
+        assert not rep.violation
+        for est in (rep.estimate_a, rep.estimate_b):
+            assert (est.mean_hat, est.var_hat, est.var_stderr) == (0.1, 0.0, 0.0)
+        assert (rep.empirical_sum, rep.analytic_sum, rep.z_margin) == (0.0, 0.0, 0.0)
 
     def test_operands_scaled_past_dev4_overflow(self):
         # Var(A) Var(B) ~ 1 passes the report's scale limit, but the A samples ~1e100 overflowed

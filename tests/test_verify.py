@@ -404,7 +404,7 @@ class TestTrustedWraps:
 
     def test_suite_phased_states_and_candidates(self, monkeypatch):
         # the suite's one Maccone-Pati kernel call per instance has two rows: the state and its
-        # phased copy; its one projection pass over that record gives, in row 0, the state's
+        # phased copy; its one projection pass reads the state's row alone and gives the state's
         # candidates and other-sign optima
         kernels, projections = [], []
 
@@ -412,8 +412,8 @@ class TestTrustedWraps:
             kernels.append(xi)
             return bounds._kernel(a, b, xi)
 
-        def recording_projections(k, directions):
-            perps = bounds._unit_projections(k, directions)
+        def recording_projections(k, coeffs):
+            perps = bounds._unit_projections(k, coeffs)
             projections.append(perps)
             return perps
 
@@ -422,7 +422,7 @@ class TestTrustedWraps:
         run_invariant_suite(count=2 * (MAX_DIM - 1), dims=tuple(range(2, MAX_DIM + 1)), perp_samples=2)
         assert len(kernels) == len(projections) == 2 * (MAX_DIM - 1)
         for xi, perps in zip(kernels, projections):
-            assert xi.shape[0] == 2 and perps.shape == (2, 4, xi.shape[1])
+            assert xi.shape[0] == 2 and perps.shape == (1, 4, xi.shape[1])
             # the phased row, and each vector the reference is evaluated at, is what QuantumState
             # builds from it, bit for bit
             for vec in (xi[1], *perps[0]):
@@ -660,7 +660,7 @@ class TestStackedReference:
 
 class TestReroutedChecksFire:
     """The suite reads the two values rows of its 2-row kernel call (state, phased state), the
-    vectors of one projection pass, and for the swap checks `_hrsur` of the (B, A) record read
+    vectors of one projection pass, and for the swap checks the values row of the (B, A) record read
     from the same call's Gram stack: a kernel that breaks an invariance, or a value or vector
     off its optimum, fails."""
 
@@ -677,15 +677,15 @@ class TestReroutedChecksFire:
 
     @pytest.mark.parametrize("field", ["t1", "t2"])
     def test_operand_order_dependence_fires_symmetry(self, monkeypatch, field):
-        original = bounds._hrsur
+        original = bounds._value_rows
 
-        def order_dependent(k):
-            hrsur = original(k)
+        def order_dependent(k, user_xi_perp=None):
+            rows = original(k, user_xi_perp)
             if k.norms[0] > k.norms[1]:
-                return hrsur._replace(**{field: [value + 1.0 for value in getattr(hrsur, field)]})
-            return hrsur
+                return [row._replace(**{field: getattr(row, field) + 1.0}) for row in rows]
+            return rows
 
-        self._patch_both(monkeypatch, "_hrsur", order_dependent)
+        self._patch_both(monkeypatch, "_value_rows", order_dependent)
         assert f"{field}_symmetry" in self._failed_checks()
 
     def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
@@ -717,9 +717,9 @@ class TestReroutedChecksFire:
         # the reference at the candidate can see it
         original = bounds._unit_projections
 
-        def swapped_candidates(k, directions):
+        def swapped_candidates(k, coeffs):
             # directions 0 and 1 are the l1 and l2 candidates
-            perps = original(k, directions)
+            perps = original(k, coeffs)
             perps[:, 1] = perps[:, 0]
             return perps
 
