@@ -47,6 +47,30 @@ cat > sharp.json <<'JSON'
 JSON
 purbounds montecarlo --file sharp.json --samples 1000 --seed 0 > sharp_montecarlo.json
 python -c "import json; assert json.load(open('sharp_montecarlo.json'))['violation'] is False"
+# A = X and B = X + I/2 share the eigenvector |+>, not a basis vector: both samples are constant, and
+# mpur is only rounding residue, within the analytic allowance 4 eps (|A|_F^2 + |B|_F^2)
+cat > common_plus.json <<'JSON'
+{
+  "dim": 2,
+  "state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+  "A": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+  "B": [[[0.5, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]]
+}
+JSON
+purbounds montecarlo --file common_plus.json --samples 1000 --seed 0 > common_plus_montecarlo.json
+python -c "import json; assert json.load(open('common_plus_montecarlo.json'))['violation'] is False"
+# the paper's triviality example, A = Z and B = X on |0>: HRSUR reads 0 >= 0, and Maccone-Pati still
+# bounds the sum, l2 = Var(A) + Var(B) = 1
+cat > triviality.json <<'JSON'
+{
+  "dim": 2,
+  "state": [[1.0, 0.0], [0.0, 0.0]],
+  "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+  "B": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+}
+JSON
+purbounds bounds triviality.json > triviality.out
+python -c "import json; r = json.load(open('triviality.out')); assert (r['t1'], r['t2'], r['hrsur_trivial']) == (0.0, 0.0, True); assert r['l2']['value'] == r['sum_var'] == r['mpur'] == 1.0"
 # the suite at the largest dimensions is byte-identical across reruns
 purbounds random --count 24 --dims 16,32,64 > large_1.json
 purbounds random --count 24 --dims 16,32,64 > large_2.json

@@ -183,7 +183,7 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     dev = _deviation_vectors((a, b), xi)
     gram = np.vecdot(dev[:, None], dev)
     (var_a, covq), (_, var_b) = gram.real.tolist()
-    return _Kernel(xi, dev[0], dev[1], gram, var_a, var_b, covq, (a.frobenius_norm(), b.frobenius_norm()))
+    return _Kernel(xi, dev[0], dev[1], gram, var_a, var_b, covq, (a._frobenius, b._frobenius))
 
 
 def _exchanged(k: _Kernel) -> _Kernel:
@@ -197,9 +197,9 @@ def _first_row(k: _Kernel) -> _Kernel:
     return _Kernel(k.xi[:1], k.psi[:1], k.phi[:1], k.gram[..., :1], k.var_a[:1], k.var_b[:1], k.covq[:1], k.norms)
 
 
-# phi's coefficient c in each direction psi + c phi, by direction number 2 * bound + column
-# (l1(+), l1(-), l2(+), l2(-)): c = s for l1, and c = -s i for l2. `_COEFFS[directions]` of (n, m)
-# direction numbers broadcasts against (n, 1, d) rows, and so does the whole (4, 1) table
+# phi's coefficient c in each direction psi + c phi, in table order (l1(+), l1(-), l2(+), l2(-)), row
+# 2 * bound + column: c = s for l1, and c = -s i for l2. The whole (4, 1) table broadcasts against (n, 1, d)
+# rows, and so does a (1, m, 1) selection of its rows
 _COEFFS = np.array([[1], [-1], [-1j], [1j]])
 # a report's two candidate directions, l1 then l2, keyed by the columns (l1_column, l2_column): (1, 2, 1)
 _CANDIDATE_COEFFS = {(c1, c2): _COEFFS[[[c1, 2 + c2]]] for c1 in (0, 1) for c2 in (0, 1)}
@@ -226,7 +226,8 @@ def _signs(k: _Kernel, xi_perp: np.ndarray):
 
 def _unit_projections(k: _Kernel, coeffs: np.ndarray) -> np.ndarray:
     """The normalized complement projection of each direction psi + c phi of `k`, with phi's coefficients
-    `coeffs` (n, m, 1), or (1, m, 1) for every state, read from `_COEFFS`: (n, m, d). The caller checks d >= 2.
+    `coeffs` (n, m, 1), or (1, m, 1) for every state, read from `_COEFFS`: (n, m, d). `_project` raises
+    EmptyComplementError at d = 1.
 
     This is the Cauchy-Schwarz optimum of the direction's bound. Where a
     projection is numerically null, at most TOL_NULL (1 + |A|_F + |B|_F),
@@ -235,13 +236,8 @@ def _unit_projections(k: _Kernel, coeffs: np.ndarray) -> np.ndarray:
     with j the first index other than that of the largest |xi_j|. Then
     |xi_j|^2 <= 1/2, so that projection has norm at least 1/sqrt(2).
     """
-    xi = k.xi[:, None]
-    perp = k.psi[:, None] + coeffs * k.phi[:, None]
-    # `_project` and `_norms` written out, bit for bit: two passes against each row's state, then the row norms
-    for _ in range(2):
-        perp = perp - np.vecdot(xi, perp)[..., None] * xi
-    re, im = perp.real, perp.imag
-    nrm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    perp = _project(k.xi[:, None], k.psi[:, None] + coeffs * k.phi[:, None])
+    nrm = _norms(perp)
     tol = TOL_NULL * (1.0 + k.norms[0] + k.norms[1])
     # one Python comparison of the smallest norm, and the null mask only when it is at most tol (or NaN)
     if not min(nrm.ravel().tolist()) > tol:
@@ -286,7 +282,6 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     k = _kernel(a, b, state.vector[None])
     column = (1 - sign) // 2
     value = _optimum_values(k.var_a[0], k.var_b[0], k.covq[0])[MP_BOUNDS.index(which)][column]
-    _complement_dim(state.dim)
     perp = _unit_projections(k, _COEFFS[[[2 * MP_BOUNDS.index(which) + column]]])
     return _trusted(OrthogonalCandidate, _trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
 
@@ -344,8 +339,9 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     """
     # the one-row view of the stacked kernel
     k = _kernel(a, b, state.vector[None])
-    # the trusted wraps of `_trusted_state` and `_trusted` written out: each state, candidate and the report
-    # is filled by one __dict__ update, and each vector is a read-only row the package normalized itself
+    # the trusted wraps of `_trusted_state` and `_trusted` written out, as their calls would lift a report above
+    # its pinned frame count: each state, candidate and the report is filled by one __dict__ update, and each
+    # vector is a read-only row the package normalized itself
     if user_xi_perp is None:
         (row,) = _value_rows(k)
         kind = "analytic_optimum"

@@ -10,9 +10,12 @@ The geometry of the orthogonal complement has one owner, this module: one
 row-norm rule (`_norms`, each row bit for bit `_norm` of that row), one
 complement projection (`_project`), the one d < 2 check (`_complement_dim`) and
 one trusted constructor (`_trusted`), through which the package wraps states,
-candidates and reports it built itself without re-validating them. A report's
-candidate pass writes `_project` and `_norms` out, and `bound_report` writes
-`_trusted` out, with the same operations in the same order, to save the calls.
+candidates and reports it built itself without re-validating them. The one
+helper written out elsewhere is `_trusted`: `bound_report` fills its states,
+candidates and report by `__dict__` updates, the same operations in the same
+order, since the calls would lift a report above its pinned count of Python
+frames. The stored `Observable._frobenius` is read directly on that path, for
+the same reason; `frobenius_norm()` returns it.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ def _means(ops, xi: np.ndarray, images: np.ndarray) -> np.ndarray:
     """
     raw = np.vecdot(xi, images)
     for op, residues in zip(ops, raw.imag.tolist()):
-        tol = TOL_EIG * (1.0 + op.frobenius_norm())
+        tol = TOL_EIG * (1.0 + op._frobenius)
         if max(map(abs, residues), default=0.0) > tol:
             residue = next(r for r in residues if abs(r) > tol)
             raise HermiticityError(f"expectation has imaginary part {residue:.3e} above tolerance")

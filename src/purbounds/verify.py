@@ -10,8 +10,9 @@ drives all of them. The reference is one function of (A, B, state, xi_perp);
 complement samples go through the kernel's own projection and row-norm rules,
 so every row is normalized the same way. The suite checks an instance from one
 2-row kernel call, the state and its phased copy: one named values row per
-state, one projection pass over the state's row for the candidates and the
-other-sign optima, and the state's (B, A) record read from the same Gram stack.
+state, one projection pass over the state's row for the four directions in
+table order, each its own sign's optimum, and the state's (B, A) record read
+from the same Gram stack.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -298,12 +299,10 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     psi, phi = own.psi[0], own.phi[0]
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
-    # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum:
-    # the directions 2 * bound + column, maximizing columns first, in one projection pass over the state's row
-    columns = (rep.l1_column, rep.l2_column)
-    directions = [columns[0], 2 + columns[1], 1 - columns[0], 3 - columns[1]]
+    # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum: the
+    # four directions in table order (l1(+), l1(-), l2(+), l2(-)), in one projection pass over the state's row
     state_record = _first_row(own)
-    vectors = _unit_projections(state_record, _COEFFS[[directions]])[0]
+    vectors = _unit_projections(state_record, _COEFFS)[0]
     # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is; its
     # means <xi|AB|xi> and <xi|BA|xi> give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
     reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors)))
@@ -311,12 +310,13 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     # sign at sampled xi_perp: as rounding is monotone, min(v - x) is v - max(x) bit for bit
     optima = np.array(((rep.sum_var,) * 4, rep.l1_by_sign + rep.l2_by_sign))
     minima = (optima - reference[:-4].max(axis=0)).reshape(4, 2).min(axis=1).tolist()
-    # every value the record gives for a bound against the reference at its vector: the bound and
-    # its by-sign entry at the candidate, the other entry at its optimum
-    at = reference[[-4, -3, -2, -1], directions].tolist()
+    # every value the record gives for a bound against the reference at its vector: each by-sign entry at
+    # its own direction's vector, the diagonal of the last four rows, and the bound at its column's
+    columns = (rep.l1_column, rep.l2_column)
+    at = np.diagonal(reference[-4:]).reshape(2, 2).tolist()
     l1_defect, l2_defect = (
-        max(abs(at[k] - bound), abs(at[k] - by_sign[column]), abs(at[k + 2] - by_sign[1 - column]))
-        for k, bound, by_sign, column in zip((0, 1), (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
+        max(abs(pair[column] - bound), abs(pair[0] - by_sign[0]), abs(pair[1] - by_sign[1]))
+        for pair, bound, by_sign, column in zip(at, (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
     )
     # swapping the observables must not change the HRSUR bounds, read from the state's (B, A) record
     (swapped,) = _value_rows(_exchanged(state_record))

@@ -231,6 +231,44 @@ class TestStatisticalBoundCheck:
             assert (est.mean_hat, est.var_hat, est.var_stderr) == (0.1, 0.0, 0.0)
         assert (rep.empirical_sum, rep.analytic_sum, rep.z_margin) == (0.0, 0.0, 0.0)
 
+    # A = X and B = X + I/2 share the eigenvector |+>, which is not a basis vector: both samples hold one
+    # outcome, so the sampled sum and its stderr are exactly 0, while mpur is the kernel's rounding residue
+    PLUS = QuantumState(np.array([0.7071067811865476, 0.7071067811865476]))
+    X_PLUS_HALF = Observable(np.array([[0.5, 1.0], [1.0, 0.5]]))
+
+    def test_common_eigenvector_off_the_basis_reads_no_undercut(self):
+        # 0 + 5 * 0 < mpur ~ 2.5e-32 fired the undercut check
+        rep = statistical_bound_check(pauli_x(), self.X_PLUS_HALF, self.PLUS, n=1_000, seed=0)
+        assert (rep.empirical_sum, rep.combined_stderr) == (0.0, 0.0)
+        # within the analytic allowance 4 eps (|A|_F^2 + |B|_F^2)
+        assert rep.mpur <= 4 * np.finfo(float).eps * (2.0 + self.X_PLUS_HALF.frobenius_norm() ** 2)
+        assert not rep.violation
+
+    def test_rotated_diagonal_pair_reads_no_violation(self):
+        # a common eigenvector of two diagonal observables in a random basis at d = 8
+        rng = np.random.default_rng(8)
+        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        a, b = (Observable(u @ np.diag(rng.standard_normal(8)) @ u.conj().T) for _ in range(2))
+        rep = statistical_bound_check(a, b, QuantumState(u[:, 0]), n=1_000, seed=0)
+        assert (rep.empirical_sum, rep.combined_stderr) == (0.0, 0.0)
+        assert not rep.violation
+
+    @pytest.mark.parametrize(
+        "field,shift,flag",
+        [("mpur", 1.0, "undercut_violation"), ("sum_var", -1.0, "overshoot_violation")],
+        ids=["undercut", "overshoot"],
+    )
+    def test_analytic_value_off_the_sampled_sum_still_fires(self, monkeypatch, field, shift, flag):
+        # the allowance is rounding-sized: an analytic value a unit away from the exact sampled sum fires
+        original = montecarlo._value_rows
+
+        def shifted(k, user_xi_perp=None):
+            return [row._replace(**{field: getattr(row, field) + shift}) for row in original(k, user_xi_perp)]
+
+        monkeypatch.setattr(montecarlo, "_value_rows", shifted)
+        rep = statistical_bound_check(pauli_x(), self.X_PLUS_HALF, self.PLUS, n=1_000, seed=0)
+        assert getattr(rep, flag) and rep.violation
+
     def test_operands_scaled_past_dev4_overflow(self):
         # Var(A) Var(B) ~ 1 passes the report's scale limit, but the A samples ~1e100 overflowed
         # dev**4: var_stderr and z_margin read nan, so the check could never fire

@@ -713,14 +713,14 @@ class TestReroutedChecksFire:
         assert self._failed_checks() & {"commutator_mean_realpart", "anticommutator_mean_imagpart"}
 
     def test_candidate_off_its_optimum_fires_tightness(self, monkeypatch):
-        # the l2 candidate carries the l1 vector: the reported l2 stays Var(A) + Var(B), so only
-        # the reference at the candidate can see it
+        # each l2 direction carries the l1 vector of its sign: the reported l2 stays Var(A) + Var(B), so
+        # only the reference at the candidate can see it
         original = bounds._unit_projections
 
         def swapped_candidates(k, coeffs):
-            # directions 0 and 1 are the l1 and l2 candidates
+            # the directions in table order (l1(+), l1(-), l2(+), l2(-)): both l2 vectors read the l1 ones
             perps = original(k, coeffs)
-            perps[:, 1] = perps[:, 0]
+            perps[:, 2:] = perps[:, :2]
             return perps
 
         monkeypatch.setattr(verify, "_unit_projections", swapped_candidates)
