@@ -26,6 +26,17 @@ cmp script_analytic.out module_analytic.out
 python -c "import json; r = json.load(open('script_analytic.out')); assert r['l2']['kind'] == 'analytic_optimum'; assert abs(r['l2']['value'] - r['sum_var']) <= 1e-12; assert r['l2']['sign'] == 1; assert abs(r['l1']['value'] - (r['sum_var'] / 2 + abs(r['covq']))) <= 1e-12"
 purbounds sweep --points 241 --out sweep.csv
 test "$(wc -l < sweep.csv)" -eq 242
+# the console script loads only what each subcommand runs: neither `bounds` nor `sweep` imports verify or
+# montecarlo. Each import log must list purbounds.bounds, so that an empty log cannot pass
+PYTHONPROFILEIMPORTTIME=1 purbounds bounds readme_d2.json 2> bounds_imports.log > /dev/null
+PYTHONPROFILEIMPORTTIME=1 purbounds sweep --points 241 --out sweep_imports.csv 2> sweep_imports.log
+for log in bounds_imports.log sweep_imports.log; do
+  grep -Eq '\| +purbounds\.bounds$' "$log"
+  if grep -E '\| +purbounds\.(verify|montecarlo)$' "$log"; then
+    echo "$log: a module the subcommand does not run was imported" >&2
+    exit 1
+  fi
+done
 purbounds random --count 20 > random.json
 # a violation exits 3 and names the failing checks
 status=0
@@ -59,6 +70,8 @@ cat > common_plus.json <<'JSON'
 JSON
 purbounds montecarlo --file common_plus.json --samples 1000 --seed 0 > common_plus_montecarlo.json
 python -c "import json; assert json.load(open('common_plus_montecarlo.json'))['violation'] is False"
+# a zero standard error with the residue inside that allowance reads 0 sigma, not the residue over 1e-300
+python -c "import json; r = json.load(open('common_plus_montecarlo.json')); assert r['z_margin'] == r['estimate_a']['z_margin'] == r['estimate_b']['z_margin'] == 0.0"
 # the paper's triviality example, A = Z and B = X on |0>: HRSUR reads 0 >= 0, and Maccone-Pati still
 # bounds the sum, l2 = Var(A) + Var(B) = 1
 cat > triviality.json <<'JSON'

@@ -54,7 +54,6 @@ from .quantum import (
     TOL_NULL,
     Observable,
     QuantumState,
-    _complement_dim,
     _deviation_vectors,
     _integer,
     _norms,
@@ -178,7 +177,8 @@ _Kernel = namedtuple("_Kernel", "xi psi phi gram var_a var_b covq norms")
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     """The kernel record of the n states in `xi` (n, d), one per row, from one fused pass over the stack."""
-    _same_dim(a.dim, b.dim, xi.shape[-1])
+    # the shapes read directly: the `dim` properties would add two Python calls per report
+    _same_dim(a.matrix.shape[0], b.matrix.shape[0], xi.shape[-1])
     # A and B as one operand stack, and the (2, 2, n) Gram stack of (psi, phi) from one inner product
     dev = _deviation_vectors((a, b), xi)
     gram = np.vecdot(dev[:, None], dev)
@@ -298,7 +298,8 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
     `user_xi_perp` (n, d), checked unit rows. Raises ValueError when
     Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in a row, where the degree-4
     quantities (prod_var, t1, t2^2) would leave the double range, before that
-    row's Maccone-Pati values are read; then EmptyComplementError at d = 1.
+    row's Maccone-Pati values are read. The d < 2 check is the caller's: a
+    report's projection pass makes it through `_project`.
     """
     by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq) if user_xi_perp is None else _signs(k, user_xi_perp)
     rows = []
@@ -323,7 +324,6 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
         # comm_mean_abs is t2
         rows.append(_Values(var_a, var_b, sum_var, prod_var, covq, t2, t1, t2, l1, l2, l1_col, l2_col, l1_by_sign,
                             l2_by_sign, mpur, trivial, var_a <= TOL_EIG and var_b <= TOL_EIG, sum_var - mpur))
-    _complement_dim(k.xi.shape[-1])
     return rows
 
 

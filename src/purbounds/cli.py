@@ -19,10 +19,10 @@ import sys
 from operator import attrgetter
 
 from .bounds import _kernel, _value_rows, bound_report
-from .instances import InstanceFormatError, json_dumps, load_instance, report_to_dict
-from .montecarlo import statistical_bound_check
 from .quantum import _equatorial_vectors, _integer, pauli_x, pauli_z
-from .verify import DEFAULT_SUITE_DIMS, DEFAULT_SUITE_TOL, run_invariant_suite
+
+# `instances`, `verify` and `montecarlo` are imported inside the commands that run them, so that a cold
+# process loads only the modules of its own subcommand
 
 __all__ = [
     "SWEEP_FIELDS",
@@ -82,6 +82,8 @@ def _fail(message: str, code: int) -> int:
 
 def _load_instance_checked(path: str):
     """Returns (instance, None) or (None, exit_code) with the diagnostic printed."""
+    from .instances import InstanceFormatError, load_instance
+
     try:
         instance = load_instance(path)
     except OSError as exc:
@@ -95,6 +97,8 @@ def _load_instance_checked(path: str):
 
 
 def cmd_bounds(args) -> int:
+    from .instances import json_dumps, report_to_dict
+
     instance, code = _load_instance_checked(args.file)
     if instance is None:
         return code
@@ -120,12 +124,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .instances import json_dumps
+    from .verify import run_invariant_suite
+
+    # an option left unset takes run_invariant_suite's own default
+    options = {name: getattr(args, name) for name in ("count", "seed", "tol") if getattr(args, name) is not None}
+    if args.dims is not None:
+        try:
+            options["dims"] = tuple(int(part) for part in args.dims.split(","))
+        except ValueError:
+            return _fail(f"--dims must be a comma-separated integer list, got {args.dims!r}", EXIT_VALIDATION)
     try:
-        dims = tuple(int(part) for part in args.dims.split(","))
-    except ValueError:
-        return _fail(f"--dims must be a comma-separated integer list, got {args.dims!r}", EXIT_VALIDATION)
-    try:
-        report = run_invariant_suite(count=args.count, dims=dims, seed=args.seed, tol=args.tol)
+        report = run_invariant_suite(**options)
     except ValueError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     print(json_dumps(report.to_dict()))
@@ -133,6 +143,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from .instances import json_dumps
+    from .montecarlo import statistical_bound_check
+
     instance, code = _load_instance_checked(args.file)
     if instance is None:
         return code
@@ -161,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_random = sub.add_parser("random", help="run the randomized invariant suite")
-    p_random.add_argument("--count", type=int, default=1000, help="number of random instances")
-    p_random.add_argument("--dims", default=",".join(str(d) for d in DEFAULT_SUITE_DIMS), help="comma-separated dimensions to cycle")
-    p_random.add_argument("--seed", type=int, default=42, help="master seed")
-    p_random.add_argument("--tol", type=float, default=DEFAULT_SUITE_TOL, help="violation tolerance")
+    p_random.add_argument("--count", type=int, help="number of random instances")
+    p_random.add_argument("--dims", help="comma-separated dimensions to cycle")
+    p_random.add_argument("--seed", type=int, help="master seed")
+    p_random.add_argument("--tol", type=float, help="violation tolerance")
     p_random.set_defaults(func=cmd_random)
 
     p_mc = sub.add_parser("montecarlo", help="statistical bound check from sampled outcomes")

@@ -20,6 +20,7 @@ from .quantum import (
     TOL_NORM,
     Observable,
     QuantumState,
+    _complement_dim,
     _integer,
     _same_dim,
     hermitian_eigensystem,
@@ -181,6 +182,14 @@ def empirical_variance(samples) -> EstimateReport:
     return EstimateReport(n=n, mean_hat=mean, var_hat=var_hat, var_stderr=stderr)
 
 
+def _z_margin(residue: float, stderr: float, allowance: float) -> float:
+    """`residue` in standard errors, or 0.0 where the standard error is 0 and the residue is within the
+    analytic allowance: it is then the analytic value's rounding, not a miss of a constant sample."""
+    if stderr == 0.0 and abs(residue) <= allowance:
+        return 0.0
+    return residue / max(stderr, _Z_FLOOR)
+
+
 @dataclass(frozen=True)
 class StatisticalCheckReport:
     """Empirical variance sum versus the analytic sum and the Maccone-Pati bound."""
@@ -220,6 +229,8 @@ def statistical_bound_check(
     the analytic values their forward-error allowance, 4 eps (|A|_F^2 +
     |B|_F^2): at a common eigenvector mpur is rounding residue that a
     one-outcome sample, of variance and standard error exactly 0, cannot reach.
+    For the same reason a z-margin of standard error 0 reads 0.0 when its
+    residue is within that allowance.
     """
     n = _integer("n", n)
     if n < 2:
@@ -228,20 +239,22 @@ def statistical_bound_check(
     seed = _integer("seed", seed)
     _same_dim(a.dim, b.dim, state.dim)
     (rep,) = _value_rows(_kernel(a, b, state.vector[None]))
+    # the d < 2 check, which `_value_rows` leaves to its caller
+    _complement_dim(state.dim)
+    allowance = 4.0 * _EPS * (a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
 
     estimates = []
     for stream, obs, analytic in ((0, a, rep.var_a), (1, b, rep.var_b)):
         dist = born_distribution(obs, state)
         outcomes = sample_outcomes(dist, n, np.random.default_rng([seed, stream]))
         est = empirical_variance(outcomes)
-        z = (est.var_hat - analytic) / max(est.var_stderr, _Z_FLOOR)
+        z = _z_margin(est.var_hat - analytic, est.var_stderr, allowance)
         estimates.append(replace(est, bound_checked=analytic, z_margin=z))
     est_a, est_b = estimates
 
     empirical_sum = est_a.var_hat + est_b.var_hat
     combined = math.hypot(est_a.var_stderr, est_b.var_stderr)
-    z_margin = (empirical_sum - rep.mpur) / max(combined, _Z_FLOOR)
-    allowance = 4.0 * _EPS * (a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
+    z_margin = _z_margin(empirical_sum - rep.mpur, combined, allowance)
     return StatisticalCheckReport(
         estimate_a=est_a,
         estimate_b=est_b,

@@ -2,8 +2,12 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +29,7 @@ def test_package_reexports_only_module_exports():
     exported = set()
     for name in MODULES:
         exported.update(importlib.import_module(f"purbounds.{name}").__all__)
-    public = {k for k, v in vars(purbounds).items() if not k.startswith("_") and not inspect.ismodule(v)}
+    public = {k for k in dir(purbounds) if not k.startswith("_") and not inspect.ismodule(getattr(purbounds, k))}
     assert sorted(public - exported) == []
 
 
@@ -47,8 +51,50 @@ def _readme_imports():
 def test_readme_lists_exactly_the_package_api():
     documented = _readme_imports()
     assert sorted(name for name in documented if not hasattr(purbounds, name)) == []
-    public = {k for k, v in vars(purbounds).items() if not k.startswith("_") and not inspect.ismodule(v)}
+    public = {k for k in dir(purbounds) if not k.startswith("_") and not inspect.ismodule(getattr(purbounds, k))}
     assert sorted(public ^ documented) == []
+
+
+# run in a fresh interpreter, so that no test has touched a lazy name yet
+_FRESH_NAMESPACE = """
+import json, sys
+import purbounds
+loaded = sorted(name for name in ("instances", "verify", "montecarlo") if f"purbounds.{name}" in sys.modules)
+star = {}
+exec("from purbounds import *", star)
+star.pop("__builtins__")
+print(json.dumps({
+    "loaded_on_import": loaded,
+    "star": sorted(star),
+    "owners": {name: getattr(value, "__module__", None) for name, value in star.items()},
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_namespace():
+    # the subprocess imports the same package as this process, installed or not
+    package_parent = str(Path(purbounds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_parent, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_NAMESPACE], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_lazy_names_load_their_module_on_first_access(fresh_namespace):
+    # importing the package loads none of the three; every README name then resolves to its module's object
+    assert fresh_namespace["loaded_on_import"] == []
+    for name, owner in fresh_namespace["owners"].items():
+        assert getattr(importlib.import_module(owner), name) is getattr(purbounds, name)
+
+
+def test_star_import_binds_exactly_the_readme_api(fresh_namespace):
+    assert fresh_namespace["star"] == sorted(_readme_imports()) == sorted(purbounds.__all__)
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    with pytest.raises(AttributeError, match=r"^module 'purbounds' has no attribute 'no_such_name'$"):
+        purbounds.no_such_name
 
 
 # `expression  # v1, v2, ...`: a line whose comment opens with the values the expression reads

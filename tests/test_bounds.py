@@ -641,8 +641,8 @@ class TestDispatchFloor:
     vary with the numpy version."""
 
     # frames of package functions per report, analytic and with a user xi_perp; lower is fine
-    ANALYTIC_FRAMES = 14
-    USER_FRAMES = 15
+    ANALYTIC_FRAMES = 11
+    USER_FRAMES = 12
 
     @staticmethod
     def _frames(call):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import purbounds
-from purbounds import bounds, quantum
+from purbounds import bounds, quantum, verify
 from purbounds.bounds import bound_report
 from purbounds.cli import main, qubit_sweep
 from purbounds.instances import (
@@ -407,6 +407,19 @@ class TestCmdRandom:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: tol must be finite, got nan"]
 
+    def test_unset_options_take_the_suites_own_defaults(self, monkeypatch, capsys):
+        # the parser holds no copy of run_invariant_suite's defaults: only the options given are passed
+        calls, real = [], verify.run_invariant_suite
+
+        def recorded(**options):
+            calls.append(options)
+            return real(**{**options, "count": 2})
+
+        monkeypatch.setattr(verify, "run_invariant_suite", recorded)
+        assert main(["random"]) == 0
+        assert main(["random", "--count", "3", "--dims", "2,3", "--seed", "1", "--tol", "1e-8"]) == 0
+        assert calls == [{}, {"count": 3, "dims": (2, 3), "seed": 1, "tol": 1e-8}]
+
 
 class TestCmdMontecarlo:
     def test_quarter_turn_instance(self, quarter_turn_instance, capsys):
@@ -494,6 +507,33 @@ class TestOperandScale:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "operand scale too large" in lines[0]
+
+
+class TestColdImports:
+    """A cold `python -m purbounds` process imports only the modules its subcommand runs."""
+
+    @pytest.mark.parametrize(
+        "argv,loaded,not_loaded",
+        [
+            (["bounds", "quarter.json"], {"purbounds.instances"}, {"purbounds.verify", "purbounds.montecarlo"}),
+            (["sweep", "--points", "5", "--out", "sweep.csv"], set(),
+             {"purbounds.verify", "purbounds.montecarlo", "purbounds.instances", "json"}),
+            (["random", "--count", "2"], {"purbounds.verify"}, {"purbounds.montecarlo"}),
+            (["montecarlo", "--file", "quarter.json", "--samples", "100"], {"purbounds.montecarlo"}, {"purbounds.verify"}),
+        ],
+        ids=["bounds", "sweep", "random", "montecarlo"],
+    )
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, loaded, not_loaded):
+        write_instance(tmp_path, "quarter.json", instance_dict(equatorial_state(np.pi / 2), pauli_x(), pauli_z()))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "purbounds", *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # each line of the import log ends with the module it imported
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert {"purbounds.bounds", "purbounds.cli", *loaded} <= imported
+        assert imported & not_loaded == set()
 
 
 class TestUsage:

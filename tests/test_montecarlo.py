@@ -253,6 +253,25 @@ class TestStatisticalBoundCheck:
         assert (rep.empirical_sum, rep.combined_stderr) == (0.0, 0.0)
         assert not rep.violation
 
+    def test_zero_stderr_within_the_allowance_reads_zero_sigma(self):
+        # the residue ~2.5e-32 over the division floor 1e-300 read as a -2.5e268-sigma miss
+        rep = statistical_bound_check(pauli_x(), self.X_PLUS_HALF, self.PLUS, n=1_000, seed=0)
+        assert (rep.z_margin, rep.estimate_a.z_margin, rep.estimate_b.z_margin) == (0.0, 0.0, 0.0)
+        # the README instance: A = X is sharp on |+>, B = Z is not, so only A's margin is a zero-stderr one
+        readme = statistical_bound_check(pauli_x(), pauli_z(), self.PLUS, n=100_000, seed=42)
+        assert readme.estimate_a.var_stderr == 0.0 and readme.estimate_a.z_margin == 0.0
+        est_b = readme.estimate_b
+        assert est_b.z_margin == (est_b.var_hat - est_b.bound_checked) / est_b.var_stderr
+        assert readme.z_margin == (readme.empirical_sum - readme.mpur) / readme.combined_stderr
+
+    def test_zero_stderr_beyond_the_allowance_keeps_its_margin(self, monkeypatch):
+        # an analytic mpur a unit above the constant samples' sum is a miss, read against the division floor
+        original = montecarlo._value_rows
+        monkeypatch.setattr(montecarlo, "_value_rows", lambda k: [row._replace(mpur=row.mpur + 1.0) for row in original(k)])
+        rep = statistical_bound_check(pauli_x(), self.X_PLUS_HALF, self.PLUS, n=1_000, seed=0)
+        assert rep.combined_stderr == 0.0
+        assert rep.z_margin == -rep.mpur / montecarlo._Z_FLOOR
+
     @pytest.mark.parametrize(
         "field,shift,flag",
         [("mpur", 1.0, "undercut_violation"), ("sum_var", -1.0, "overshoot_violation")],

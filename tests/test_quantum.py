@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from purbounds.bounds import _checked_perp, bound_report, optimal_xi_perp
+from purbounds.montecarlo import statistical_bound_check
 from purbounds.quantum import (
     RENORM_WINDOW,
     TOL_EIG,
@@ -481,6 +482,7 @@ class TestOneComplementRule:
             lambda: optimal_xi_perp(one, one, state, "l2", -1),
             lambda: random_unit_in_complement(state, 0),
             lambda: search_optimal_xi_perp(one, one, state, "l1", 1, 10, 0),
+            lambda: statistical_bound_check(one, one, state, 100, 0),
         )
         messages = []
         for call in calls:
