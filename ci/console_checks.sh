@@ -46,6 +46,17 @@ python -c "import json; assert json.load(open('violations.json'))['violations']"
 # the README instance passes the 5-sigma sampling check
 purbounds montecarlo --file readme_d2.json --samples 2000 > montecarlo.json
 python -c "import json; assert json.load(open('montecarlo.json'))['violation'] is False"
+# two runs with the same seed sample the same outcomes, byte for byte
+purbounds montecarlo --file readme_d2.json --samples 2000 > montecarlo_rerun.json
+cmp montecarlo.json montecarlo_rerun.json
+# a negative seed is a validation error, one line that names the argument, before any work
+for argv in "random --seed -1" "montecarlo --file readme_d2.json --seed -1"; do
+  status=0
+  purbounds $argv > negative_seed.out 2> negative_seed.err || status=$?
+  test "$status" -eq 2
+  test ! -s negative_seed.out
+  test "$(cat negative_seed.err)" = "error: seed must be non-negative, got -1"
+done
 # both observables are sharp on |0>: every outcome is 0.1, though the sample mean is not, and the
 # check reads no violation
 cat > sharp.json <<'JSON'

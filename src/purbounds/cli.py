@@ -8,7 +8,9 @@ Subcommands:
     montecarlo --file --samples --seed   statistical bound check (JSON)
 
 Exit codes: 0 success, 1 I/O error, 2 validation or usage error, 3 invariant
-(or 5-sigma) violation.
+(or 5-sigma) violation. `main` owns the failure path: a command raises an
+OSError or a ValueError, with its context added to the message, and `main`
+prints it as one `error:` line with exit 1 or 2.
 """
 
 from __future__ import annotations
@@ -75,51 +77,40 @@ def write_sweep_csv(rows: list[tuple[float, ...]], fh) -> None:
         fh.write(",".join(_fmt(value) for value in row) + "\n")
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _load_instance_checked(path: str):
-    """Returns (instance, None) or (None, exit_code) with the diagnostic printed."""
+def _load(path: str):
+    """The instance in `path`; a failure is re-raised with the path, an OSError or a ValueError."""
     from .instances import InstanceFormatError, load_instance
 
     try:
-        instance = load_instance(path)
+        return load_instance(path)
     except OSError as exc:
-        return None, _fail(f"cannot read {path}: {exc}", EXIT_IO)
+        raise OSError(f"cannot read {path}: {exc}") from exc
     except InstanceFormatError as exc:
-        return None, _fail(f"invalid instance {path}: {exc}", EXIT_VALIDATION)
+        raise ValueError(f"invalid instance {path}: {exc}") from exc
     except ValueError as exc:
         # from json.load: a decode error, or an integer literal past the interpreter's digit limit
-        return None, _fail(f"malformed JSON in {path}: {exc}", EXIT_VALIDATION)
-    return instance, None
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def cmd_bounds(args) -> int:
     from .instances import json_dumps, report_to_dict
 
-    instance, code = _load_instance_checked(args.file)
-    if instance is None:
-        return code
+    instance = _load(args.file)
     try:
         report = bound_report(instance.a, instance.b, instance.state, user_xi_perp=instance.xi_perp)
     except ValueError as exc:
-        return _fail(f"invalid instance {args.file}: {exc}", EXIT_VALIDATION)
+        raise ValueError(f"invalid instance {args.file}: {exc}") from exc
     print(json_dumps(report_to_dict(report)))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        rows = qubit_sweep(args.points)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    rows = qubit_sweep(args.points)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(rows, fh)
     except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -133,11 +124,8 @@ def cmd_random(args) -> int:
         try:
             options["dims"] = tuple(int(part) for part in args.dims.split(","))
         except ValueError:
-            return _fail(f"--dims must be a comma-separated integer list, got {args.dims!r}", EXIT_VALIDATION)
-    try:
-        report = run_invariant_suite(**options)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+            raise ValueError(f"--dims must be a comma-separated integer list, got {args.dims!r}") from None
+    report = run_invariant_suite(**options)
     print(json_dumps(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -146,13 +134,8 @@ def cmd_montecarlo(args) -> int:
     from .instances import json_dumps
     from .montecarlo import statistical_bound_check
 
-    instance, code = _load_instance_checked(args.file)
-    if instance is None:
-        return code
-    try:
-        report = statistical_bound_check(instance.a, instance.b, instance.state, n=args.samples, seed=args.seed)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    instance = _load(args.file)
+    report = statistical_bound_check(instance.a, instance.b, instance.state, n=args.samples, seed=args.seed)
     print(json_dumps(report.to_dict()))
     return EXIT_OK if not report.violation else EXIT_VIOLATION
 
@@ -190,8 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one subcommand. The CLI's one failure path: an OSError (a closed stdout included) exits
+    EXIT_IO and a ValueError EXIT_VALIDATION, each printed as one `error:` line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 def entrypoint() -> None:

@@ -237,7 +237,8 @@ def statistical_bound_check(
         raise ValueError("variance estimation needs n >= 2")
     # an integer, so that (seed, 0) and (seed, 1) seed the two streams
     seed = _integer("seed", seed)
-    _same_dim(a.dim, b.dim, state.dim)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     (rep,) = _value_rows(_kernel(a, b, state.vector[None]))
     # the d < 2 check, which `_value_rows` leaves to its caller
     _complement_dim(state.dim)

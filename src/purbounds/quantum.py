@@ -7,7 +7,7 @@ immutable after construction and every operation is a pure function of its
 inputs.
 
 The geometry of the orthogonal complement has one owner, this module: one
-row-norm rule (`_norms`, each row bit for bit `_norm` of that row), one
+row-norm rule (`_norms`, of which `_norm` is the one-row view), one
 complement projection (`_project`), the one d < 2 check (`_complement_dim`) and
 one trusted constructor (`_trusted`), through which the package wraps states,
 candidates and reports it built itself without re-validating them. The one
@@ -106,18 +106,14 @@ def _as_vector(u) -> np.ndarray:
 
 
 def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) bit for bit (Frobenius for a matrix), without its dispatch.
-
-    The same flattening and the same sqrt(re.re + im.im) that numpy uses for
-    complex input, so every tolerance and renormalization is unchanged.
-    """
-    flat = x.ravel(order="K")
-    re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    """np.linalg.norm(x) bit for bit (Frobenius for a matrix): the one-row view of `_norms`."""
+    return float(_norms(x.ravel(order="K")))
 
 
 def _norms(vecs: np.ndarray) -> np.ndarray:
-    """The norm of each row of a stack, each bit for bit the `_norm` of that row alone."""
+    """The norm of each row of a stack, bit for bit np.linalg.norm of that row: the same
+    sqrt(re.re + im.im) that numpy uses for complex input, so every tolerance and
+    renormalization is unchanged."""
     re, im = vecs.real, vecs.imag
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 

@@ -350,6 +350,8 @@ def run_invariant_suite(
     observable B, `perp_samples` complement vectors, then the test phase.
     """
     count, seed = _integer("count", count), _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     perp_samples = _integer("perp_samples", perp_samples)
     if count < 1:
         raise ValueError("count must be positive")

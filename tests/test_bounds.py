@@ -257,6 +257,26 @@ class TestOptimalXiPerpL2:
         assert cand.bound_value == pytest.approx(0.0, abs=1e-15)
 
 
+class TestUserXiPerpShape:
+    """A user xi_perp array must be finite with one or two axes, for the report and the reference alike."""
+
+    BAD = {
+        "nan": np.array([1.0, np.nan]),
+        "inf_imag": np.array([1.0, complex(0.0, np.inf)]),
+        "rank_3": np.zeros((1, 1, 2)),
+        "scalar": np.array(1.0),
+    }
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_rejected_with_its_shape(self, name):
+        xi_perp = self.BAD[name]
+        message = re.escape(f"xi_perp must be a finite vector or stack of rows, got shape {xi_perp.shape}")
+        with pytest.raises(ValueError, match=message):
+            bound_report(pauli_x(), pauli_z(), basis_state(2, 0), user_xi_perp=xi_perp)
+        with pytest.raises(ValueError, match=message):
+            l1_bound(pauli_x(), pauli_z(), basis_state(2, 0), xi_perp, 1)
+
+
 class TestBoundReport:
     def test_triviality_scenario_quantified(self):
         rep = bound_report(pauli_z(), pauli_x(), basis_state(2, 0))

@@ -161,6 +161,17 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError, match=r"\[re, im\]"):
             parse_instance(payload)
 
+    @pytest.mark.parametrize("data", [[], "instance", 2, None])
+    def test_top_level_must_be_an_object(self, data):
+        with pytest.raises(InstanceFormatError, match="^instance file must contain a JSON object$"):
+            parse_instance(data)
+
+    @pytest.mark.parametrize("dim", [1, 0, -2])
+    def test_dim_must_be_at_least_two(self, dim):
+        payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_x())
+        with pytest.raises(InstanceFormatError, match=f"^dim must be at least 2, got {dim}$"):
+            parse_instance({**payload, "dim": dim})
+
     def test_dim_must_be_integer(self):
         with pytest.raises(InstanceFormatError, match="dim"):
             parse_instance({"dim": "2", "state": [], "A": [], "B": []})
@@ -455,6 +466,65 @@ class TestCmdMontecarlo:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["montecarlo", "--file", str(tmp_path / "none.json"), "--samples", "100"]) == 1
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestOneFailurePath:
+    """`main` maps every OSError to exit 1 and every ValueError to exit 2, each as one `error:` line
+    with the command's context in the message, and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "{dir}/quarter.json"],
+            ["random", "--count", "2"],
+            ["montecarlo", "--file", "{dir}/quarter.json", "--samples", "100"],
+        ],
+        ids=["bounds", "random", "montecarlo"],
+    )
+    def test_closed_stdout_is_an_io_error(self, tmp_path, monkeypatch, capsys, argv):
+        write_instance(tmp_path, "quarter.json", instance_dict(equatorial_state(np.pi / 2), pauli_x(), pauli_z()))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["bounds", "{dir}/absent.json"], 1, "cannot read {dir}/absent.json: [Errno 2]"),
+            (["bounds", "{dir}/bad.json"], 2, "malformed JSON in {dir}/bad.json: "),
+            (["bounds", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dim must be at least 2, got 1"),
+            (["bounds", "{dir}/parallel.json"], 2, "invalid instance {dir}/parallel.json: |<state|xi_perp>| = "),
+            (["sweep", "--out", "{dir}/nodir/x.csv"], 1, "cannot write {dir}/nodir/x.csv: [Errno 2]"),
+            (["random", "--dims", "2,x"], 2, "--dims must be a comma-separated integer list, got '2,x'"),
+            (["random", "--dims", "2,65"], 2, "dimension 65 outside supported range [2, 64]"),
+            (["random", "--count", "0"], 2, "count must be positive"),
+            (["random", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            (["montecarlo", "--file", "{dir}/absent.json"], 1, "cannot read {dir}/absent.json: [Errno 2]"),
+            (["montecarlo", "--file", "{dir}/bad.json"], 2, "malformed JSON in {dir}/bad.json: "),
+            (["montecarlo", "--file", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dim must be"),
+            (["montecarlo", "--file", "{dir}/quarter.json", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, argv, code, message):
+        payload = instance_dict(equatorial_state(np.pi / 2), pauli_x(), pauli_z())
+        write_instance(tmp_path, "quarter.json", payload)
+        write_instance(tmp_path, "dim1.json", {**payload, "dim": 1})
+        write_instance(tmp_path, "parallel.json", instance_dict(basis_state(2, 0), pauli_z(), pauli_x(), basis_state(2, 0)))
+        (tmp_path / "bad.json").write_text("{not json")
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: " + message.format(dir=tmp_path)), err
 
 
 class TestHugeIntegerLiterals:

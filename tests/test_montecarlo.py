@@ -94,6 +94,15 @@ class TestBornDistribution:
         with pytest.raises(ValueError, match="must be finite"):
             BornDistribution(np.array(values), np.array(probabilities))
 
+    @pytest.mark.parametrize(
+        "values,probabilities",
+        [([1.0, 2.0], [1.0]), ([], []), ([[1.0]], [[1.0]])],
+        ids=["mismatched", "empty", "two_axes"],
+    )
+    def test_values_and_probabilities_must_match(self, values, probabilities):
+        with pytest.raises(ValueError, match="values and probabilities must be matching nonempty 1-D arrays"):
+            BornDistribution(np.array(values), np.array(probabilities))
+
 
 class TestSampleOutcomes:
     def test_deterministic_distribution(self):
@@ -328,6 +337,15 @@ class TestStatisticalBoundCheck:
         monkeypatch.setattr(montecarlo, "_kernel", no_work)
         with pytest.raises(ValueError, match="seed must be an integer"):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=100, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_is_rejected_before_any_work(self, monkeypatch, seed):
+        def fail(*args):
+            raise AssertionError("the kernel ran before the seed was checked")
+
+        monkeypatch.setattr(montecarlo, "_kernel", fail)
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {int(seed)}$"):
+            statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.3), n=100, seed=seed)
 
     def test_numpy_integer_seed_accepted(self):
         plain = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=3)

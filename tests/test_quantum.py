@@ -344,6 +344,14 @@ class TestCommutatorMeans:
         zx = cov + expectation(pauli_z(), state) * expectation(pauli_x(), state)
         assert zx == pytest.approx(1j * np.sin(alpha), abs=1e-14)
 
+    def test_real_part_guard(self):
+        # a stored A = |0><1|, past the constructor's Hermiticity check: <+|[A, Z]|+> = -1, a real mean
+        a = object.__new__(Observable)
+        object.__setattr__(a, "matrix", np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        object.__setattr__(a, "_frobenius", 1.0)
+        with pytest.raises(HermiticityError, match=r"commutator mean has real part -1\.000e\+00; inputs not Hermitian"):
+            commutator_mean(a, pauli_z(), equatorial_state(0.0))
+
     def test_purity_of_phase(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

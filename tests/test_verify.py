@@ -263,6 +263,19 @@ class TestInvariantSuite:
         with pytest.raises(ValueError):
             run_invariant_suite(count=1, tol=0.0)
 
+    def test_perp_samples_must_be_positive(self):
+        with pytest.raises(ValueError, match="perp_samples must be positive"):
+            run_invariant_suite(count=1, perp_samples=0)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_is_rejected_before_any_draw(self, monkeypatch, seed):
+        def fail(*args):
+            raise AssertionError("an instance was drawn before the seed was checked")
+
+        monkeypatch.setattr(verify, "random_state", fail)
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {int(seed)}$"):
+            run_invariant_suite(count=2, seed=seed)
+
     def test_rerun_gives_identical_json(self):
         # the same seed reproduces the report byte for byte, at every default dimension and MAX_DIM
         runs = [
@@ -697,6 +710,16 @@ class TestReroutedChecksFire:
 
         self._patch_both(monkeypatch, "_value_rows", phase_dependent)
         assert "phase_invariance" in self._failed_checks()
+
+    def test_common_eigenvector_flag_with_positive_mpur_fires_nontriviality_converse(self, monkeypatch):
+        # every drawn instance has mpur > tol, so a values row that also reads common_eigenvector must fire
+        original = bounds._value_rows
+
+        def flagged(k, user_xi_perp=None):
+            return [row._replace(common_eigenvector=True) for row in original(k, user_xi_perp)]
+
+        self._patch_both(monkeypatch, "_value_rows", flagged)
+        assert "nontriviality_converse" in self._failed_checks()
 
     def test_non_hermitian_trusted_observable_fires_residues(self, monkeypatch):
         original = verify._trusted_observable
