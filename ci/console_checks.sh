@@ -3,6 +3,8 @@
 # what `python -m purbounds` prints, and its reports must be byte-identical on rerun.
 # Run from anywhere after `pip install -e .`; it works in a fresh temporary directory.
 set -euo pipefail
+# numpy's RuntimeWarnings are errors, as in the tests (pyproject's filterwarnings)
+export PYTHONWARNINGS=error::RuntimeWarning
 cd "$(mktemp -d)"
 
 cat > readme_d2.json <<'JSON'
@@ -49,6 +51,22 @@ python -c "import json; assert json.load(open('montecarlo.json'))['violation'] i
 # two runs with the same seed sample the same outcomes, byte for byte
 purbounds montecarlo --file readme_d2.json --samples 2000 > montecarlo_rerun.json
 cmp montecarlo.json montecarlo_rerun.json
+# the README operands scaled: at 1e150 Var(A) Var(B) leaves the double range, a validation error of one
+# line; at 1e-160 the values underflow toward zero, and both commands still report
+for scale in 1e150 1e-160; do
+  python -c "import json; d = json.load(open('readme_d2.json')); d['A'], d['B'] = ([[[x * $scale for x in z] for z in row] for row in d[k]] for k in ('A', 'B')); json.dump(d, open('scaled.json', 'w'))"
+  for argv in "bounds scaled.json" "montecarlo --file scaled.json --samples 2000"; do
+    status=0
+    purbounds $argv > scaled.out 2> scaled.err || status=$?
+    if [ "$scale" = 1e150 ]; then
+      test "$status" -eq 2
+      test "$(wc -l < scaled.err)" -eq 1
+      grep -q "operand scale too large" scaled.err
+    else
+      test "$status" -eq 0
+    fi
+  done
+done
 # a negative seed is a validation error, one line that names the argument, before any work
 for argv in "random --seed -1" "montecarlo --file readme_d2.json --seed -1"; do
   status=0

@@ -192,11 +192,6 @@ def _exchanged(k: _Kernel) -> _Kernel:
     return _Kernel(k.xi, k.phi, k.psi, gram, k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
 
 
-def _first_row(k: _Kernel) -> _Kernel:
-    """The one-row record of the first state of `k`: views of its arrays and the first float of each list."""
-    return _Kernel(k.xi[:1], k.psi[:1], k.phi[:1], k.gram[..., :1], k.var_a[:1], k.var_b[:1], k.covq[:1], k.norms)
-
-
 # phi's coefficient c in each direction psi + c phi, in table order (l1(+), l1(-), l2(+), l2(-)), row
 # 2 * bound + column: c = s for l1, and c = -s i for l2. The whole (4, 1) table broadcasts against (n, 1, d)
 # rows, and so does a (1, m, 1) selection of its rows

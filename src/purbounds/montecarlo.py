@@ -95,21 +95,17 @@ def born_distribution(a: Observable, state: QuantumState) -> BornDistribution:
     weights = np.abs(eig_vectors.conj().T @ state.vector) ** 2
     gap_tol = TOL_EIG * a.frobenius_norm()
 
-    # (eigenvalues, weights) per group; a new group opens more than gap_tol above the open group's first value
-    groups: list[tuple[list[float], list[float]]] = []
+    # [first eigenvalue, probability, sum of eigenvalue x weight] per group, summed in eigenvalue order; a
+    # new group opens more than gap_tol above the open group's first value
+    groups: list[list[float]] = []
     for lam, w in zip(eig_values.tolist(), weights.tolist()):
-        if not groups or lam - groups[-1][0][0] > gap_tol:
-            groups.append(([], []))
-        groups[-1][0].append(lam)
-        groups[-1][1].append(w)
-    # each kept group's probability and probability-weighted value
-    values, probs = [], []
-    for group_vals, group_weights in groups:
-        total = sum(group_weights)
-        if total > _PROB_FLOOR:
-            values.append(sum(v * w for v, w in zip(group_vals, group_weights)) / total)
-            probs.append(total)
-    return BornDistribution(np.asarray(values), np.asarray(probs))
+        if not groups or lam - groups[-1][0] > gap_tol:
+            groups.append([lam, 0.0, 0.0])
+        groups[-1][1] += w
+        groups[-1][2] += lam * w
+    # each kept group's probability-weighted value and probability
+    kept = [(moment / total, total) for _, total, moment in groups if total > _PROB_FLOOR]
+    return BornDistribution(np.array([value for value, _ in kept]), np.array([prob for _, prob in kept]))
 
 
 def sample_outcomes(dist: BornDistribution, n: int, seed) -> np.ndarray:

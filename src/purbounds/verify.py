@@ -10,9 +10,9 @@ drives all of them. The reference is one function of (A, B, state, xi_perp);
 complement samples go through the kernel's own projection and row-norm rules,
 so every row is normalized the same way. The suite checks an instance from one
 2-row kernel call, the state and its phased copy: one named values row per
-state, one projection pass over the state's row for the four directions in
-table order, each its own sign's optimum, and the state's (B, A) record read
-from the same Gram stack.
+state, one projection pass over both rows for the four directions in table
+order, each its own sign's optimum, and the (B, A) record read from the same
+Gram stack; of each, the suite reads the state's row 0.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -32,7 +32,6 @@ from .bounds import (
     _COEFFS,
     _checked_perp,
     _exchanged,
-    _first_row,
     _kernel,
     _unit_projections,
     _validate_sign,
@@ -211,7 +210,6 @@ def search_optimal_xi_perp(
     samples = _integer("samples", samples)
     if samples < 1:
         raise ValueError("samples must be positive")
-    _same_dim(a.dim, b.dim, state.dim)
     perps = _complement_samples(state, samples, np.random.default_rng(seed))
     values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
     analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
@@ -300,9 +298,9 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum: the
-    # four directions in table order (l1(+), l1(-), l2(+), l2(-)), in one projection pass over the state's row
-    state_record = _first_row(own)
-    vectors = _unit_projections(state_record, _COEFFS)[0]
+    # four directions in table order (l1(+), l1(-), l2(+), l2(-)), in one projection pass over both rows,
+    # of which the state's row 0 is read
+    vectors = _unit_projections(own, _COEFFS)[0]
     # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is; its
     # means <xi|AB|xi> and <xi|BA|xi> give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
     reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors)))
@@ -318,8 +316,8 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         max(abs(pair[column] - bound), abs(pair[0] - by_sign[0]), abs(pair[1] - by_sign[1]))
         for pair, bound, by_sign, column in zip(at, (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
     )
-    # swapping the observables must not change the HRSUR bounds, read from the state's (B, A) record
-    (swapped,) = _value_rows(_exchanged(state_record))
+    # swapping the observables must not change the HRSUR bounds, read from row 0 of the (B, A) record
+    swapped, _ = _value_rows(_exchanged(own))
     # both identities of (psi, phi), each squared norm taken once
     identities = (psi, phi, _norm(psi) ** 2, _norm(phi) ** 2)
     slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, _csi(*identities), *minima)
@@ -357,11 +355,9 @@ def run_invariant_suite(
         raise ValueError("count must be positive")
     if perp_samples < 1:
         raise ValueError("perp_samples must be positive")
-    dims = tuple(_integer("dims", d) for d in dims)
+    dims = tuple(map(_check_dim, dims))
     if not dims:
         raise ValueError("dims must be nonempty")
-    for d in dims:
-        _check_dim(d)
     # True would be written as "tol": true, and a numpy float fails only at serialization
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise ValueError(f"tol must be a real number, got {tol!r}")

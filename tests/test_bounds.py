@@ -16,7 +16,6 @@ from purbounds.bounds import (
     _COEFFS,
     _checked_perp,
     _exchanged,
-    _first_row,
     _kernel,
     _unit_projections,
     _Values,
@@ -644,15 +643,13 @@ class TestValuesFirst:
             both = _unit_projections(k, _COEFFS[np.concatenate((best, other), axis=1)])
             split = np.concatenate((_unit_projections(k, _COEFFS[best]), _unit_projections(k, _COEFFS[other])), axis=1)
             assert both.tobytes() == split.tobytes()
-            # the suite's pass: one row's (1, 4) directions on the first row of its (state, phased state)
-            # record, and row 0 of a pass over both rows, are the one-row record's pass
+            # the suite's pass: row 0 of one row's (1, 4) directions over both rows of its (state, phased
+            # state) record is the one-row record's pass
             for row, directions in zip(xi, np.concatenate((best, other), axis=1)):
                 phased = _kernel(a, b, np.array((row, np.exp(2j * np.pi * rng.random()) * row)))
                 pair = _unit_projections(phased, _COEFFS[directions[None]])
-                first = _unit_projections(_first_row(phased), _COEFFS[directions[None]])
                 single = _unit_projections(_kernel(a, b, row[None]), _COEFFS[directions[None]])
                 assert pair.shape == (2, 4, dim) and pair[0].tobytes() == single[0].tobytes()
-                assert first.shape == (1, 4, dim) and first.tobytes() == single.tobytes()
 
 
 class TestDispatchFloor:

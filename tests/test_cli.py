@@ -12,7 +12,7 @@ import pytest
 import purbounds
 from purbounds import bounds, quantum, verify
 from purbounds.bounds import bound_report
-from purbounds.cli import main, qubit_sweep
+from purbounds.cli import entrypoint, main, qubit_sweep
 from purbounds.instances import (
     InstanceFormatError,
     _decode,
@@ -348,6 +348,14 @@ class TestCmdSweep:
 
     def test_points_too_small(self, tmp_path, capsys):
         assert main(["sweep", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_console_entrypoint_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        # the installed script's entry point reads sys.argv and exits with main's status
+        monkeypatch.setattr(sys, "argv", ["purbounds", "sweep", "--points", "1", "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(SystemExit) as exit_info:
+            entrypoint()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == ("", "error: points must be at least 2\n")
 
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_points_rule_is_qubit_sweeps(self, tmp_path, capsys, points):

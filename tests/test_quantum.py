@@ -10,6 +10,7 @@ from purbounds.quantum import (
     RENORM_WINDOW,
     TOL_EIG,
     DimensionMismatchError,
+    EigensolverError,
     EmptyComplementError,
     HermiticityError,
     NormalizationError,
@@ -559,6 +560,21 @@ class TestEigensystem:
             assert values.sum() == pytest.approx(np.trace(a.matrix).real, abs=1e-10)
             assert (values**2).sum() == pytest.approx(a.frobenius_norm() ** 2, abs=1e-10)
             assert np.all(np.diff(values) >= 0)
+
+    def test_solver_failure_is_an_eigensolver_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="^eigensolver failed to converge: Eigenvalues did not converge$"):
+            hermitian_eigensystem(pauli_x())
+
+    def test_reconstruction_residual_above_tolerance_is_an_eigensolver_error(self, monkeypatch):
+        # X's eigenvectors with Z's eigenvalues rebuild Z, at residual |X - Z|_F = 2 > TOL_EIG (1 + sqrt 2)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (eigh(matrix)[0], np.eye(2, dtype=complex)))
+        with pytest.raises(EigensolverError, match="^eigendecomposition residual 2.000e\\+00 above tolerance$"):
+            hermitian_eigensystem(pauli_x())
 
 
 class TestIsEigenstate:

@@ -13,6 +13,7 @@ from purbounds.instances import json_dumps, parse_instance
 from purbounds.quantum import (
     MAX_DIM,
     TOL_EIG,
+    DimensionMismatchError,
     EmptyComplementError,
     Observable,
     QuantumState,
@@ -133,6 +134,13 @@ class TestSearchOptimalXiPerp:
                     for sign in (1, -1):
                         res = search_optimal_xi_perp(a, b, state, which, sign, samples=200, seed=5)
                         assert res.gap >= -1e-9
+
+    def test_dimension_mismatch_is_the_references_check(self):
+        # the search leaves the dimension check to l1_bound / l2_bound, which make it with the same message
+        a, b = random_observable(3, 0), random_observable(3, 1)
+        for which in ("l1", "l2"):
+            with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: \(3, 3, 2\)$"):
+                search_optimal_xi_perp(a, b, random_state(2, 0), which, 1, samples=3, seed=0)
 
     def test_d4_dense_sampling_close_to_supremum(self):
         # frozen calibration: 2e4 samples on the d=4 complement sphere get
@@ -262,6 +270,13 @@ class TestInvariantSuite:
             run_invariant_suite(count=1, dims=())
         with pytest.raises(ValueError):
             run_invariant_suite(count=1, tol=0.0)
+
+    def test_each_dimension_takes_the_dimension_rule_once(self):
+        # the integer rule and the range rule of each dimension in turn, with random_state's messages
+        with pytest.raises(ValueError, match=r"^dim must be an integer, got 2\.9$"):
+            run_invariant_suite(count=1, dims=(2, 2.9))
+        with pytest.raises(ValueError, match=r"^dimension 65 outside supported range \[2, 64\]$"):
+            run_invariant_suite(count=1, dims=(65, 2.9))
 
     def test_perp_samples_must_be_positive(self):
         with pytest.raises(ValueError, match="perp_samples must be positive"):
@@ -417,7 +432,7 @@ class TestTrustedWraps:
 
     def test_suite_phased_states_and_candidates(self, monkeypatch):
         # the suite's one Maccone-Pati kernel call per instance has two rows: the state and its
-        # phased copy; its one projection pass reads the state's row alone and gives the state's
+        # phased copy; its one projection pass covers both rows, and its row 0 gives the state's
         # candidates and other-sign optima
         kernels, projections = [], []
 
@@ -435,7 +450,7 @@ class TestTrustedWraps:
         run_invariant_suite(count=2 * (MAX_DIM - 1), dims=tuple(range(2, MAX_DIM + 1)), perp_samples=2)
         assert len(kernels) == len(projections) == 2 * (MAX_DIM - 1)
         for xi, perps in zip(kernels, projections):
-            assert xi.shape[0] == 2 and perps.shape == (1, 4, xi.shape[1])
+            assert xi.shape[0] == 2 and perps.shape == (2, 4, xi.shape[1])
             # the phased row, and each vector the reference is evaluated at, is what QuantumState
             # builds from it, bit for bit
             for vec in (xi[1], *perps[0]):
