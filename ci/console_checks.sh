@@ -75,6 +75,20 @@ for argv in "random --seed -1" "montecarlo --file readme_d2.json --seed -1"; do
   test ! -s negative_seed.out
   test "$(cat negative_seed.err)" = "error: seed must be non-negative, got -1"
 done
+# the one supported range, 2 <= d <= 64: a d = 1 file and a well-formed d = 65 file (|0>, A = B = I) are
+# validation errors of one line that names it
+python -c "import json; d = json.load(open('readme_d2.json')); d['dim'] = 1; json.dump(d, open('dim1.json', 'w'))"
+python -c "import json; e = [[[float(i == j), 0.0] for j in range(65)] for i in range(65)]; json.dump({'dim': 65, 'state': e[0], 'A': e, 'B': e}, open('dim65.json', 'w'))"
+for file in dim1.json dim65.json; do
+  for argv in "bounds $file" "montecarlo --file $file --samples 2000"; do
+    status=0
+    purbounds $argv > range.out 2> range.err || status=$?
+    test "$status" -eq 2
+    test ! -s range.out
+    test "$(wc -l < range.err)" -eq 1
+    grep -q '^error: .*outside supported range \[2, 64\]$' range.err
+  done
+done
 # both observables are sharp on |0>: every outcome is 0.1, though the sample mean is not, and the
 # check reads no violation
 cat > sharp.json <<'JSON'

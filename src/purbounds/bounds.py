@@ -157,7 +157,8 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
         vec = np.asarray(xi_perp, dtype=complex)
         if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
             raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
-    _same_dim(state.dim, vec.shape[-1])
+    # the size read directly: the `dim` property would add a Python call per report
+    _same_dim(state.vector.size, vec.shape[-1])
     nrm = _norms(vec)
     off = np.abs(nrm - 1.0) > RENORM_WINDOW
     if off.any():
@@ -221,8 +222,7 @@ def _signs(k: _Kernel, xi_perp: np.ndarray):
 
 def _unit_projections(k: _Kernel, coeffs: np.ndarray) -> np.ndarray:
     """The normalized complement projection of each direction psi + c phi of `k`, with phi's coefficients
-    `coeffs` (n, m, 1), or (1, m, 1) for every state, read from `_COEFFS`: (n, m, d). `_project` raises
-    EmptyComplementError at d = 1.
+    `coeffs` (n, m, 1), or (1, m, 1) for every state, read from `_COEFFS`: (n, m, d).
 
     This is the Cauchy-Schwarz optimum of the direction's bound. Where a
     projection is numerically null, at most TOL_NULL (1 + |A|_F + |B|_F),
@@ -293,8 +293,7 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
     `user_xi_perp` (n, d), checked unit rows. Raises ValueError when
     Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in a row, where the degree-4
     quantities (prod_var, t1, t2^2) would leave the double range, before that
-    row's Maccone-Pati values are read. The d < 2 check is the caller's: a
-    report's projection pass makes it through `_project`.
+    row's Maccone-Pati values are read.
     """
     by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq) if user_xi_perp is None else _signs(k, user_xi_perp)
     rows = []

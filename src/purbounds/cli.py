@@ -8,9 +8,10 @@ Subcommands:
     montecarlo --file --samples --seed   statistical bound check (JSON)
 
 Exit codes: 0 success, 1 I/O error, 2 validation or usage error, 3 invariant
-(or 5-sigma) violation. `main` owns the failure path: a command raises an
-OSError or a ValueError, with its context added to the message, and `main`
-prints it as one `error:` line with exit 1 or 2.
+(or 5-sigma) violation, 4 eigensolver failure. `main` owns the failure path: a
+command raises an OSError, a ValueError or an EigensolverError, with its
+context added to the message, and `main` prints it as one `error:` line with
+exit 1, 2 or 4.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from operator import attrgetter
 
 from .bounds import _kernel, _value_rows, bound_report
-from .quantum import _equatorial_vectors, _integer, pauli_x, pauli_z
+from .quantum import EigensolverError, _equatorial_vectors, _integer, pauli_x, pauli_z
 
 # `instances`, `verify` and `montecarlo` are imported inside the commands that run them, so that a cold
 # process loads only the modules of its own subcommand
@@ -36,6 +37,7 @@ __all__ = [
     "EXIT_IO",
     "EXIT_VALIDATION",
     "EXIT_VIOLATION",
+    "EXIT_SOLVER",
     "DEFAULT_SWEEP_POINTS",
     "DEFAULT_MONTECARLO_SEED",
 ]
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
+EXIT_SOLVER = 4
 
 # fine enough to render the bound curves smoothly, and includes alpha = 0
 DEFAULT_SWEEP_POINTS = 241
@@ -174,12 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Runs one subcommand. The CLI's one failure path: an OSError (a closed stdout included) exits
-    EXIT_IO and a ValueError EXIT_VALIDATION, each printed as one `error:` line."""
+    EXIT_IO, a ValueError EXIT_VALIDATION and an EigensolverError EXIT_SOLVER, each printed as one
+    `error:` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, EigensolverError):
+            return EXIT_SOLVER
         return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 

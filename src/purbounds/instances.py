@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import MP_BOUNDS, BoundReport, OrthogonalCandidate
-from .quantum import HermiticityError, Observable, QuantumState
+from .quantum import HermiticityError, Observable, QuantumState, _check_dim
 
 __all__ = [
     "InstanceFormatError",
@@ -92,9 +92,10 @@ def parse_instance(data) -> Instance:
         raise InstanceFormatError("instance file must contain a JSON object")
     if "dim" not in data or not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
         raise InstanceFormatError("missing or non-integer 'dim'")
-    dim = data["dim"]
-    if dim < 2:
-        raise InstanceFormatError(f"dim must be at least 2, got {dim}")
+    try:
+        dim = _check_dim(data["dim"])
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
     for key in ("state", "A", "B"):
         if key not in data:
             raise InstanceFormatError(f"missing required field {key!r}")

@@ -20,7 +20,6 @@ from .quantum import (
     TOL_NORM,
     Observable,
     QuantumState,
-    _complement_dim,
     _integer,
     _same_dim,
     hermitian_eigensystem,
@@ -236,8 +235,6 @@ def statistical_bound_check(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     (rep,) = _value_rows(_kernel(a, b, state.vector[None]))
-    # the d < 2 check, which `_value_rows` leaves to its caller
-    _complement_dim(state.dim)
     allowance = 4.0 * _EPS * (a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
 
     estimates = []

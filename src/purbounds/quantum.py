@@ -6,15 +6,17 @@ eigensystems that the bound computations are built from. All values are
 immutable after construction and every operation is a pure function of its
 inputs.
 
-The geometry of the orthogonal complement has one owner, this module: one
+The supported dimensions have one rule, `_check_dim`: `QuantumState` and
+`Observable` accept only 2 <= d <= MAX_DIM, since a d = 1 state has no unit
+vector orthogonal to it, so every state the package is given has a nonempty
+complement. The geometry of that complement has one owner, this module: one
 row-norm rule (`_norms`, of which `_norm` is the one-row view), one
-complement projection (`_project`), the one d < 2 check (`_complement_dim`) and
-one trusted constructor (`_trusted`), through which the package wraps states,
-candidates and reports it built itself without re-validating them. The one
-helper written out elsewhere is `_trusted`: `bound_report` fills its states,
-candidates and report by `__dict__` updates, the same operations in the same
-order, since the calls would lift a report above its pinned count of Python
-frames. The stored `Observable._frobenius` is read directly on that path, for
+complement projection (`_project`) and one trusted constructor (`_trusted`),
+through which the package wraps states, candidates and reports it built
+itself without re-validating them. The one helper written out elsewhere is
+`_trusted`: `bound_report` fills its states, candidates and report by
+`__dict__` updates, the same operations in the same order, since the calls
+would lift a report above its pinned count of Python frames. The stored `Observable._frobenius` is read directly on that path, for
 the same reason; `frobenius_norm()` returns it.
 """
 
@@ -37,7 +39,6 @@ __all__ = [
     "NormalizationError",
     "HermiticityError",
     "NullVectorError",
-    "EmptyComplementError",
     "EigensolverError",
     "QuantumState",
     "Observable",
@@ -85,10 +86,6 @@ class NullVectorError(ValueError):
     """Operation undefined on the (numerically) null vector."""
 
 
-class EmptyComplementError(ValueError):
-    """The orthogonal complement of a d = 1 state is empty."""
-
-
 class EigensolverError(RuntimeError):
     """Dense Hermitian eigensolver failed to converge or to reconstruct."""
 
@@ -118,12 +115,6 @@ def _norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _complement_dim(dim: int) -> None:
-    """Raises EmptyComplementError when a state of dimension `dim` has an empty orthogonal complement."""
-    if dim < 2:
-        raise EmptyComplementError("a 1-dimensional state has an empty orthogonal complement")
-
-
 def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Each row of `vecs` with the component along its state row of `xi` removed.
 
@@ -132,7 +123,6 @@ def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     keep the result orthogonal even when the projection nearly annihilates a
     vector.
     """
-    _complement_dim(xi.shape[-1])
     for _ in range(2):
         vecs = vecs - np.vecdot(xi, vecs)[..., None] * xi
     return vecs
@@ -146,6 +136,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _check_dim(dim) -> int:
+    """`dim` as an int in the supported range [2, MAX_DIM]: the one dimension rule of the package."""
+    dim = _integer("dim", dim)
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension {dim} outside supported range [2, {MAX_DIM}]")
+    return dim
+
+
 def _same_dim(*dims: int) -> None:
     if len(set(dims)) > 1:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
@@ -153,7 +151,7 @@ def _same_dim(*dims: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Normalized complex vector; the preparation of the system.
+    """Normalized complex vector of dimension 2 <= d <= MAX_DIM; the preparation of the system.
 
     Construction renormalizes inputs whose norm is within RENORM_WINDOW of 1
     and rejects anything farther off. Global phase is kept as given; all
@@ -164,8 +162,7 @@ class QuantumState:
 
     def __post_init__(self):
         vec = _as_vector(self.vector)
-        if not 1 <= vec.size <= MAX_DIM:
-            raise ValueError(f"state dimension {vec.size} outside supported range [1, {MAX_DIM}]")
+        _check_dim(vec.size)
         nrm = _norm(vec)
         if abs(nrm - 1.0) > RENORM_WINDOW:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}")
@@ -183,7 +180,7 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """d x d Hermitian matrix; eigenvalues are the measurement outcomes.
+    """d x d Hermitian matrix, 2 <= d <= MAX_DIM; eigenvalues are the measurement outcomes.
 
     The stored matrix is symmetrized to (M + M†)/2 so Hermiticity is exact;
     inputs whose Hermiticity defect exceeds TOL_HERM * (1 + max |M_ij|) are
@@ -197,8 +194,7 @@ class Observable:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"observable must be a square matrix, got shape {mat.shape}")
-        if not 1 <= mat.shape[0] <= MAX_DIM:
-            raise ValueError(f"observable dimension {mat.shape[0]} outside supported range [1, {MAX_DIM}]")
+        _check_dim(mat.shape[0])
         # one pass: a NaN or infinite entry makes the peak NaN or infinite
         peak = float(np.abs(mat).max())
         if not peak <= _MAX_ENTRY:
@@ -266,10 +262,10 @@ def _trusted_observable(g: np.ndarray) -> Observable:
 
 
 def normalize(u) -> QuantumState:
-    """u / ||u|| as a QuantumState; the numerically null vector is rejected."""
+    """u / ||u|| as a QuantumState; the numerically null vector, the empty one included, is rejected."""
     vec = _as_vector(u)
     nrm = _norm(vec)
-    if vec.size == 0 or nrm <= TOL_NULL:
+    if nrm <= TOL_NULL:
         raise NullVectorError("cannot normalize a null vector")
     return QuantumState(vec / nrm)
 

@@ -41,10 +41,10 @@ from .bounds import (
 )
 from .instances import instance_payload
 from .quantum import (
-    MAX_DIM,
     Observable,
     QuantumState,
     _as_vector,
+    _check_dim,
     _commutator_of_means,
     _integer,
     _norm,
@@ -72,13 +72,6 @@ __all__ = [
 
 DEFAULT_SUITE_DIMS = (2, 3, 4, 6, 8)
 DEFAULT_SUITE_TOL = 1e-9
-
-
-def _check_dim(dim: int) -> int:
-    dim = _integer("dim", dim)
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"dimension {dim} outside supported range [2, {MAX_DIM}]")
-    return dim
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -283,8 +276,8 @@ DEFECT_CHECKS = (
 
 
 def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np.ndarray, theta: float):
-    """(rep, slacks, defects) of one instance: the state's values row, then the values in
-    SLACK_CHECKS and DEFECT_CHECKS order.
+    """(rep, slacks, defects, candidate_l2) of one instance: the state's values row, the values in
+    SLACK_CHECKS and DEFECT_CHECKS order, and the reference's l2 at the row's own l2 candidate.
 
     Values the suite built itself go through the private array forms unchecked,
     except the sampled `perps` and the vectors at which the record's values are
@@ -332,7 +325,7 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         # the state's row against its phased copy's, field by field
         max(abs(getattr(rep, name) - getattr(phased, name)) for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
     )
-    return rep, slacks, defects
+    return rep, slacks, defects, at[1][rep.l2_column]
 
 
 def run_invariant_suite(
@@ -379,12 +372,13 @@ def run_invariant_suite(
         b = random_observable(dim, rng)
         perps = _complement_samples(state, perp_samples, rng)
         theta = 2.0 * math.pi * rng.random()
-        rep, slack_row, defect_row = _check_instance(state, a, b, perps, theta)
+        rep, slack_row, defect_row, candidate_l2 = _check_instance(state, a, b, perps, theta)
         slacks[index], defects[index] = slack_row, defect_row
         failed = [(name, "slack", v) for name, v in zip(SLACK_CHECKS, slack_row) if v < -tol]
         failed += [(name, "defect", v) for name, v in zip(DEFECT_CHECKS, defect_row) if v > tol]
-        # zero bounds only at (numerical) common eigenvectors, and conversely
-        if rep.mpur <= tol and (rep.var_a > tol or rep.var_b > tol):
+        # zero bounds only at (numerical) common eigenvectors, and conversely; the first reads the reference's
+        # l2 at the row's l2 candidate, since the row's own l2 is Var(A) + Var(B), never below either variance
+        if candidate_l2 <= tol and (rep.var_a > tol or rep.var_b > tol):
             failed.append(("nontriviality", "defect", max(rep.var_a, rep.var_b)))
         if rep.common_eigenvector and rep.mpur > tol:
             failed.append(("nontriviality_converse", "defect", rep.mpur))

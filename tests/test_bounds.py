@@ -658,8 +658,8 @@ class TestDispatchFloor:
     vary with the numpy version."""
 
     # frames of package functions per report, analytic and with a user xi_perp; lower is fine
-    ANALYTIC_FRAMES = 11
-    USER_FRAMES = 12
+    ANALYTIC_FRAMES = 10
+    USER_FRAMES = 11
 
     @staticmethod
     def _frames(call):

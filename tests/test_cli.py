@@ -166,10 +166,11 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError, match="^instance file must contain a JSON object$"):
             parse_instance(data)
 
-    @pytest.mark.parametrize("dim", [1, 0, -2])
+    @pytest.mark.parametrize("dim", [1, 0, -2, 65])
     def test_dim_must_be_at_least_two(self, dim):
+        # and at most 64: the types' one supported range, checked before any field is decoded
         payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_x())
-        with pytest.raises(InstanceFormatError, match=f"^dim must be at least 2, got {dim}$"):
+        with pytest.raises(InstanceFormatError, match=rf"^dimension {dim} outside supported range \[2, 64\]$"):
             parse_instance({**payload, "dim": dim})
 
     def test_dim_must_be_integer(self):
@@ -487,8 +488,8 @@ class ClosedPipe:
 
 
 class TestOneFailurePath:
-    """`main` maps every OSError to exit 1 and every ValueError to exit 2, each as one `error:` line
-    with the command's context in the message, and nothing on stdout."""
+    """`main` maps every OSError to exit 1, every ValueError to exit 2 and every EigensolverError to
+    exit 4, each as one `error:` line with the command's context in the message, and nothing on stdout."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -505,12 +506,23 @@ class TestOneFailurePath:
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
+    def test_solver_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a validated observable that the eigensolver fails on: exit 4, not a traceback
+        path = write_instance(tmp_path, "quarter.json", instance_dict(equatorial_state(np.pi / 2), pauli_x(), pauli_z()))
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["montecarlo", "--file", path, "--samples", "100"]) == 4
+        assert capsys.readouterr() == ("", "error: eigensolver failed to converge: Eigenvalues did not converge\n")
+
     @pytest.mark.parametrize(
         "argv,code,message",
         [
             (["bounds", "{dir}/absent.json"], 1, "cannot read {dir}/absent.json: [Errno 2]"),
             (["bounds", "{dir}/bad.json"], 2, "malformed JSON in {dir}/bad.json: "),
-            (["bounds", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dim must be at least 2, got 1"),
+            (["bounds", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dimension 1 outside supported range [2, 64]"),
             (["bounds", "{dir}/parallel.json"], 2, "invalid instance {dir}/parallel.json: |<state|xi_perp>| = "),
             (["sweep", "--out", "{dir}/nodir/x.csv"], 1, "cannot write {dir}/nodir/x.csv: [Errno 2]"),
             (["random", "--dims", "2,x"], 2, "--dims must be a comma-separated integer list, got '2,x'"),
@@ -519,14 +531,24 @@ class TestOneFailurePath:
             (["random", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
             (["montecarlo", "--file", "{dir}/absent.json"], 1, "cannot read {dir}/absent.json: [Errno 2]"),
             (["montecarlo", "--file", "{dir}/bad.json"], 2, "malformed JSON in {dir}/bad.json: "),
-            (["montecarlo", "--file", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dim must be"),
+            (["montecarlo", "--file", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dimension 1 outside"),
             (["montecarlo", "--file", "{dir}/quarter.json", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            # the one supported range, [2, 64], for instance files and suite dimensions alike
+            (["bounds", "{dir}/dim0.json"], 2, "invalid instance {dir}/dim0.json: dimension 0 outside supported range [2, 64]"),
+            (["bounds", "{dir}/dim65.json"], 2, "invalid instance {dir}/dim65.json: dimension 65 outside supported range [2, 64]"),
+            (["montecarlo", "--file", "{dir}/dim65.json"], 2, "invalid instance {dir}/dim65.json: dimension 65 outside"),
+            (["random", "--dims", "2,1"], 2, "dimension 1 outside supported range [2, 64]"),
+            (["random", "--dims", "0"], 2, "dimension 0 outside supported range [2, 64]"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, argv, code, message):
         payload = instance_dict(equatorial_state(np.pi / 2), pauli_x(), pauli_z())
         write_instance(tmp_path, "quarter.json", payload)
         write_instance(tmp_path, "dim1.json", {**payload, "dim": 1})
+        write_instance(tmp_path, "dim0.json", {**payload, "dim": 0})
+        # well formed at d = 65: |0> and A = B = I
+        eye = [[[float(i == j), 0.0] for j in range(65)] for i in range(65)]
+        write_instance(tmp_path, "dim65.json", {"dim": 65, "state": eye[0], "A": eye, "B": eye})
         write_instance(tmp_path, "parallel.json", instance_dict(basis_state(2, 0), pauli_z(), pauli_x(), basis_state(2, 0)))
         (tmp_path / "bad.json").write_text("{not json")
         assert main([arg.format(dir=tmp_path) for arg in argv]) == code

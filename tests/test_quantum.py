@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from purbounds.bounds import _checked_perp, bound_report, optimal_xi_perp
-from purbounds.montecarlo import statistical_bound_check
 from purbounds.quantum import (
     RENORM_WINDOW,
     TOL_EIG,
     DimensionMismatchError,
     EigensolverError,
-    EmptyComplementError,
     HermiticityError,
     NormalizationError,
     NullVectorError,
@@ -35,8 +33,6 @@ from purbounds.verify import (
     _complement_samples,
     _complex_normal,
     random_state,
-    random_unit_in_complement,
-    search_optimal_xi_perp,
 )
 
 ALPHAS = [0.0, 0.3, np.pi / 4, np.pi / 3, 1.1, np.pi / 2, 2.5, np.pi, 4.0, 5.9]
@@ -83,7 +79,9 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(vec)
 
-    @pytest.mark.parametrize("dim, index", [(2.0, 0), (2, 1.0), (True, 0), (2, True), (2, -1), (2, 2)])
+    @pytest.mark.parametrize(
+        "dim, index", [(2.0, 0), (2, 1.0), (True, 0), (2, True), (2, -1), (2, 2), (0, 0), (1, 0), (65, 0)]
+    )
     def test_basis_state_rejects_non_integer_or_out_of_range(self, dim, index):
         with pytest.raises(ValueError):
             basis_state(dim, index)
@@ -113,8 +111,10 @@ BAD_STATES = {
     "nan_oversized": ([np.nan] + [0.0] * 64, ValueError, "vector contains non-finite entries"),
     "matrix": ([[1.0, 0.0]], ValueError, "expected a 1-D vector, got shape (1, 2)"),
     "scalar": (1.0, ValueError, "expected a 1-D vector, got shape ()"),
-    "empty": ([], ValueError, "state dimension 0 outside supported range [1, 64]"),
-    "oversized": ([1.0] + [0.0] * 64, ValueError, "state dimension 65 outside supported range [1, 64]"),
+    "empty": ([], ValueError, "dimension 0 outside supported range [2, 64]"),
+    # a d = 1 state has no orthogonal complement, so no xi_perp: rejected before any work is done
+    "one": ([1.0], ValueError, "dimension 1 outside supported range [2, 64]"),
+    "oversized": ([1.0] + [0.0] * 64, ValueError, "dimension 65 outside supported range [2, 64]"),
     "norm_two": ([2.0, 0.0], NormalizationError, "state norm 2.0 differs from 1 by more than 1e-06"),
     "norm_above_window": ([1.0 + 2e-6, 0.0], NormalizationError, "state norm 1.000002 differs from 1 by more than 1e-06"),
     "norm_below_window": ([0.0, 1.0 - 2e-6], NormalizationError, "state norm 0.999998 differs from 1 by more than 1e-06"),
@@ -131,9 +131,10 @@ BAD_OBSERVABLES = {
     "vector": ([1.0, 0.0], ValueError, "observable must be a square matrix, got shape (2,)"),
     "non_square": (np.zeros((2, 3)), ValueError, "observable must be a square matrix, got shape (2, 3)"),
     "rank3": (np.zeros((2, 2, 2)), ValueError, "observable must be a square matrix, got shape (2, 2, 2)"),
-    "empty": (np.zeros((0, 0)), ValueError, "observable dimension 0 outside supported range [1, 64]"),
-    "oversized": (np.eye(65), ValueError, "observable dimension 65 outside supported range [1, 64]"),
-    "oversized_nan": (np.full((65, 65), np.nan), ValueError, "observable dimension 65 outside supported range [1, 64]"),
+    "empty": (np.zeros((0, 0)), ValueError, "dimension 0 outside supported range [2, 64]"),
+    "one": ([[1.0]], ValueError, "dimension 1 outside supported range [2, 64]"),
+    "oversized": (np.eye(65), ValueError, "dimension 65 outside supported range [2, 64]"),
+    "oversized_nan": (np.full((65, 65), np.nan), ValueError, "dimension 65 outside supported range [2, 64]"),
     "anti_hermitian": (
         [[0.0, 1j], [1j, 0.0]], HermiticityError, "Hermiticity defect 2.000e+00 exceeds 1.0e-10 * 2.000e+00",
     ),
@@ -208,8 +209,14 @@ class TestInnerProductAndNorm:
         np.testing.assert_allclose(state.vector, basis_state(2, 0).vector)
 
     def test_normalize_null_rejected(self):
-        with pytest.raises(NullVectorError):
-            normalize(np.zeros(3))
+        # the empty vector has norm 0, so it is null too
+        for vec in (np.zeros(3), np.zeros(0)):
+            with pytest.raises(NullVectorError, match="^cannot normalize a null vector$"):
+                normalize(vec)
+        # a nonzero vector outside the range reaches QuantumState's dimension rule
+        for dim in (1, 65):
+            with pytest.raises(ValueError, match=rf"^dimension {dim} outside supported range \[2, 64\]$"):
+                normalize(np.ones(dim))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_deviation_norm_squared_is_variance(self, alpha):
@@ -454,10 +461,6 @@ class TestComplementBasis:
         second = _complement_samples(state, 5, np.random.default_rng(7))
         np.testing.assert_array_equal(first, second)
 
-    def test_empty_complement(self):
-        with pytest.raises(EmptyComplementError):
-            _complement_samples(QuantumState(np.array([1.0 + 0j])), 1, np.random.default_rng(0))
-
     @pytest.mark.parametrize("name,state", REFERENCE_INPUTS, ids=[name for name, _ in REFERENCE_INPUTS])
     def test_matches_gram_schmidt_reference(self, name, state):
         reference = gram_schmidt_complement(state)
@@ -480,25 +483,8 @@ class TestComplementBasis:
 
 
 class TestOneComplementRule:
-    """One projection, one row-norm rule and one d < 2 check serve the report's candidates,
-    the xi_perp check and the complement sampler alike."""
-
-    def test_empty_complement_has_one_message(self):
-        state = QuantumState(np.array([1.0 + 0j]))
-        one = Observable(np.array([[1.0]]))
-        calls = (
-            lambda: bound_report(one, one, state),
-            lambda: optimal_xi_perp(one, one, state, "l2", -1),
-            lambda: random_unit_in_complement(state, 0),
-            lambda: search_optimal_xi_perp(one, one, state, "l1", 1, 10, 0),
-            lambda: statistical_bound_check(one, one, state, 100, 0),
-        )
-        messages = []
-        for call in calls:
-            with pytest.raises(EmptyComplementError) as info:
-                call()
-            messages.append(str(info.value))
-        assert messages == ["a 1-dimensional state has an empty orthogonal complement"] * len(calls)
+    """One projection and one row-norm rule serve the report's candidates, the xi_perp check and
+    the complement sampler alike."""
 
     @pytest.mark.parametrize("dim", range(2, 65))
     def test_rows_are_divided_by_their_norm(self, dim):

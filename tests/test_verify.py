@@ -14,7 +14,6 @@ from purbounds.quantum import (
     MAX_DIM,
     TOL_EIG,
     DimensionMismatchError,
-    EmptyComplementError,
     Observable,
     QuantumState,
     basis_state,
@@ -60,10 +59,16 @@ class TestRandomState:
 
     def test_dim_out_of_range(self):
         # and a float or a bool is no dimension, even at an integral value in range
-        for dim in (1, 65, 1.0, -1.0, True, 3.0):
+        for dim in (0, 1, 65, 1.0, -1.0, True, 3.0):
             with pytest.raises(ValueError):
                 random_state(dim, 0)
             with pytest.raises(ValueError):
+                random_observable(dim, 0)
+        for dim in (0, 1, 65):
+            message = rf"^dimension {dim} outside supported range \[2, 64\]$"
+            with pytest.raises(ValueError, match=message):
+                random_state(dim, 0)
+            with pytest.raises(ValueError, match=message):
                 random_observable(dim, 0)
 
     def test_haar_marginal_d2(self):
@@ -109,9 +114,8 @@ class TestRandomUnitInComplement:
             assert np.linalg.norm(perp.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_d1_rejected(self):
-        from purbounds.quantum import QuantumState
-
-        with pytest.raises(EmptyComplementError):
+        # a d = 1 state has an empty complement; it is refused when built, with the one range message
+        with pytest.raises(ValueError, match=r"^dimension 1 outside supported range \[2, 64\]$"):
             random_unit_in_complement(QuantumState(np.array([1.0 + 0j])), 0)
 
 
@@ -264,8 +268,9 @@ class TestInvariantSuite:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             run_invariant_suite(count=0)
-        with pytest.raises(ValueError):
-            run_invariant_suite(count=1, dims=(1,))
+        for dim in (0, 1, 65):
+            with pytest.raises(ValueError, match=rf"^dimension {dim} outside supported range \[2, 64\]$"):
+                run_invariant_suite(count=1, dims=(dim,))
         with pytest.raises(ValueError):
             run_invariant_suite(count=1, dims=())
         with pytest.raises(ValueError):
@@ -275,8 +280,9 @@ class TestInvariantSuite:
         # the integer rule and the range rule of each dimension in turn, with random_state's messages
         with pytest.raises(ValueError, match=r"^dim must be an integer, got 2\.9$"):
             run_invariant_suite(count=1, dims=(2, 2.9))
-        with pytest.raises(ValueError, match=r"^dimension 65 outside supported range \[2, 64\]$"):
-            run_invariant_suite(count=1, dims=(65, 2.9))
+        for dim in (0, 1, 65):
+            with pytest.raises(ValueError, match=rf"^dimension {dim} outside supported range \[2, 64\]$"):
+                run_invariant_suite(count=1, dims=(dim, 2.9))
 
     def test_perp_samples_must_be_positive(self):
         with pytest.raises(ValueError, match="perp_samples must be positive"):
@@ -512,7 +518,7 @@ class TestCheckInstanceRoutes:
             state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
             perps = verify._complement_samples(state, 20, rng)
             theta = 2.0 * np.pi * rng.random()
-            _, slacks, defects = verify._check_instance(state, a, b, perps, theta)
+            _, slacks, defects, candidate_l2 = verify._check_instance(state, a, b, perps, theta)
 
             rep = bound_report(a, b, state)
             psi, phi = deviation_vector(a, state), deviation_vector(b, state)
@@ -531,6 +537,8 @@ class TestCheckInstanceRoutes:
                 best, other = values[-4 + k, column], values[-2 + k, 1 - column]
                 gaps = (best - bound, best - cand.bound_value, best - by_sign[column], other - by_sign[1 - column])
                 attained.append(max(abs(float(gap)) for gap in gaps))
+            # the nontriviality record's value: the reference's l2 at the report's l2 candidate
+            assert candidate_l2.hex() == float(l2[-3, (1 - cands[1].sign) // 2]).hex()
             l1, l2 = l1[:-4], l2[:-4]
             xi = state.vector
             ab, ba = np.vdot(xi, a.matrix @ (b.matrix @ xi)), np.vdot(xi, b.matrix @ (a.matrix @ xi))
@@ -735,6 +743,23 @@ class TestReroutedChecksFire:
 
         self._patch_both(monkeypatch, "_value_rows", flagged)
         assert "nontriviality_converse" in self._failed_checks()
+
+    def test_l2_candidate_off_its_optimum_fires_nontriviality(self, monkeypatch):
+        # the l2(+) vector turned orthogonal to its own direction psi - i phi, in the complement: the
+        # reference's l2(+) there is i<[A,B]> = -2 Im Cov(A,B), at most 0 on about half the instances, while
+        # the row's l2 stays Var(A) + Var(B). At d = 2 the complement is one phase circle and has no such vector
+        original = bounds._unit_projections
+
+        def orthogonal_l2_plus(k, coeffs):
+            perps = original(k, coeffs)
+            if k.xi.shape[-1] > 2:
+                u, w = perps[:, 2], perps[:, 0]
+                v = w - np.vecdot(u, w)[:, None] * u
+                perps[:, 2] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+            return perps
+
+        monkeypatch.setattr(verify, "_unit_projections", orthogonal_l2_plus)
+        assert "nontriviality" in self._failed_checks()
 
     def test_non_hermitian_trusted_observable_fires_residues(self, monkeypatch):
         original = verify._trusted_observable
