@@ -73,7 +73,16 @@ for argv in "random --seed -1" "montecarlo --file readme_d2.json --seed -1"; do
   purbounds $argv > negative_seed.out 2> negative_seed.err || status=$?
   test "$status" -eq 2
   test ! -s negative_seed.out
-  test "$(cat negative_seed.err)" = "error: seed must be non-negative, got -1"
+  test "$(cat negative_seed.err)" = "error: seed must be at least 0, got -1"
+done
+# a count or a point number below its lower bound is the same one-line validation error
+for argv in "random --count 0" "sweep --points 1 --out x.csv"; do
+  status=0
+  purbounds $argv > low.out 2> low.err || status=$?
+  test "$status" -eq 2
+  test ! -s low.out
+  test "$(wc -l < low.err)" -eq 1
+  grep -Eq '^error: [a-z_]+ must be at least -?[0-9]+, got -?[0-9]+$' low.err
 done
 # the one supported range, 2 <= d <= 64: a d = 1 file and a well-formed d = 65 file (|0>, A = B = I) are
 # validation errors of one line that names it

@@ -58,9 +58,7 @@ SWEEP_FIELDS = ("alpha", "var_a", "var_b", "sum_var", "prod_var", "t1", "t2", "l
 
 def qubit_sweep(points: int) -> list[tuple[float, ...]]:
     """Rows in SWEEP_FIELDS order at alpha_k = 2 pi k / points, for A = X, B = Z on the equatorial state."""
-    points = _integer("points", points)
-    if points < 2:
-        raise ValueError("points must be at least 2")
+    points = _integer("points", points, 2)
     a, b = pauli_x(), pauli_z()
     alphas = [math.tau * k / points for k in range(points)]
     # every point is one row of a single kernel call, and only its values are read

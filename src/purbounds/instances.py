@@ -90,15 +90,13 @@ def parse_instance(data) -> Instance:
     """Validate shapes, normalizability and Hermiticity; name the offender on failure."""
     if not isinstance(data, dict):
         raise InstanceFormatError("instance file must contain a JSON object")
-    if "dim" not in data or not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
-        raise InstanceFormatError("missing or non-integer 'dim'")
+    for key in ("dim", "state", "A", "B"):
+        if key not in data:
+            raise InstanceFormatError(f"missing required field {key!r}")
     try:
         dim = _check_dim(data["dim"])
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    for key in ("state", "A", "B"):
-        if key not in data:
-            raise InstanceFormatError(f"missing required field {key!r}")
 
     fields = [("state", QuantumState, (dim,)), ("A", Observable, (dim, dim)), ("B", Observable, (dim, dim))]
     if data.get("xi_perp") is not None:

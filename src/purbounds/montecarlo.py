@@ -109,9 +109,7 @@ def born_distribution(a: Observable, state: QuantumState) -> BornDistribution:
 
 def sample_outcomes(dist: BornDistribution, n: int, seed) -> np.ndarray:
     """n i.i.d. outcomes by inverse CDF; deterministic per seed."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer("n", n, 1)
     rng = np.random.default_rng(seed)
     edges = np.cumsum(dist.probabilities)
     idx = np.searchsorted(edges, rng.random(n), side="right")
@@ -227,13 +225,10 @@ def statistical_bound_check(
     For the same reason a z-margin of standard error 0 reads 0.0 when its
     residue is within that allowance.
     """
-    n = _integer("n", n)
-    if n < 2:
-        raise ValueError("variance estimation needs n >= 2")
+    # two outcomes at least, for the sample variance
+    n = _integer("n", n, 2)
     # an integer, so that (seed, 0) and (seed, 1) seed the two streams
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _integer("seed", seed, 0)
     (rep,) = _value_rows(_kernel(a, b, state.vector[None]))
     allowance = 4.0 * _EPS * (a.frobenius_norm() ** 2 + b.frobenius_norm() ** 2)
 

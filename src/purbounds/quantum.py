@@ -6,18 +6,21 @@ eigensystems that the bound computations are built from. All values are
 immutable after construction and every operation is a pure function of its
 inputs.
 
-The supported dimensions have one rule, `_check_dim`: `QuantumState` and
-`Observable` accept only 2 <= d <= MAX_DIM, since a d = 1 state has no unit
-vector orthogonal to it, so every state the package is given has a nonempty
-complement. The geometry of that complement has one owner, this module: one
-row-norm rule (`_norms`, of which `_norm` is the one-row view), one
-complement projection (`_project`) and one trusted constructor (`_trusted`),
-through which the package wraps states, candidates and reports it built
-itself without re-validating them. The one helper written out elsewhere is
-`_trusted`: `bound_report` fills its states, candidates and report by
-`__dict__` updates, the same operations in the same order, since the calls
-would lift a report above its pinned count of Python frames. The stored `Observable._frobenius` is read directly on that path, for
-the same reason; `frobenius_norm()` returns it.
+Integer arguments have one rule, `_integer`: every count, seed, sample size
+and index is an int (a bool or a float is rejected), and at least its lower
+bound where it has one. The supported dimensions have one rule, `_check_dim`:
+`QuantumState` and `Observable` accept only 2 <= d <= MAX_DIM, since a d = 1
+state has no unit vector orthogonal to it, so every state the package is
+given has a nonempty complement. The geometry of that complement has one
+owner, this module: one row-norm rule (`_norms`, of which `_norm` is the
+one-row view), one complement projection (`_project`) and one trusted
+constructor (`_trusted`), through which the package wraps states, candidates
+and reports it built itself without re-validating them. The one helper
+written out elsewhere is `_trusted`: `bound_report` fills its states,
+candidates and report by `__dict__` updates, the same operations in the same
+order, since the calls would lift a report above its pinned count of Python
+frames. The stored `Observable._frobenius` is read directly on that path,
+for the same reason; `frobenius_norm()` returns it.
 """
 
 from __future__ import annotations
@@ -128,12 +131,16 @@ def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int; numpy integers pass, a bool or a non-integral number raises ValueError."""
+def _integer(name: str, value, low: int | None = None) -> int:
+    """`value` as an int, of at least `low` if given: the one integer rule of the package. numpy
+    integers pass; a bool, any float (2.0 too) or an integer below `low` raises ValueError."""
     # int() would read 2.9 as 2 and True as 1
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def _check_dim(dim) -> int:

@@ -200,9 +200,8 @@ def search_optimal_xi_perp(
     complement is a single phase circle so the gap vanishes.
     """
     _validate_which(which)
-    samples = _integer("samples", samples)
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    sign = _validate_sign(sign)
+    samples = _integer("samples", samples, 1)
     perps = _complement_samples(state, samples, np.random.default_rng(seed))
     values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
     analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
@@ -340,14 +339,8 @@ def run_invariant_suite(
     Instance k draws its own PCG64 stream from (seed, k): state, observable A,
     observable B, `perp_samples` complement vectors, then the test phase.
     """
-    count, seed = _integer("count", count), _integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    perp_samples = _integer("perp_samples", perp_samples)
-    if count < 1:
-        raise ValueError("count must be positive")
-    if perp_samples < 1:
-        raise ValueError("perp_samples must be positive")
+    count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
+    perp_samples = _integer("perp_samples", perp_samples, 1)
     dims = tuple(map(_check_dim, dims))
     if not dims:
         raise ValueError("dims must be nonempty")

@@ -1,5 +1,7 @@
 import argparse
 import ast
+import builtins
+import collections
 import importlib
 import inspect
 import json
@@ -13,10 +15,12 @@ from pathlib import Path
 import pytest
 
 import purbounds
-from purbounds.cli import build_parser
+from purbounds import cli
 
 # __main__ runs the CLI on import
 MODULES = [info.name for info in pkgutil.iter_modules(purbounds.__path__) if not info.name.startswith("_")]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,7 +38,7 @@ def test_package_reexports_only_module_exports():
 
 
 def _readme_blocks(language="python"):
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     return re.findall(rf"```{language}\n(.*?)```", text, flags=re.S)
 
 
@@ -129,9 +133,81 @@ def test_readme_cli_block_names_exactly_the_parser_options():
             words = line.split("#")[0].split()
             if words[:1] == ["purbounds"]:
                 documented[words[1]] = {word for word in words[2:] if word.startswith("--")}
-    (commands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    (commands,) = [action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
     options = {
         name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
         for name, sub in commands.choices.items()
     }
     assert documented == options
+
+
+class TestErrorContract:
+    """Every `raise` in the package (51 sites), by module and class, and the exit code `cli.main` gives
+    each class. A new, moved or deleted raise site is an edit of RAISE_SITES."""
+
+    RAISE_SITES = {
+        ("__init__", "AttributeError"): 1,
+        ("bounds", "OrthogonalityError"): 2,
+        ("bounds", "ValueError"): 6,
+        ("cli", "OSError"): 2,
+        ("cli", "ValueError"): 4,
+        ("instances", "InstanceFormatError"): 8,
+        ("montecarlo", "ValueError"): 7,
+        ("quantum", "DimensionMismatchError"): 1,
+        ("quantum", "EigensolverError"): 2,
+        ("quantum", "HermiticityError"): 3,
+        ("quantum", "NormalizationError"): 1,
+        ("quantum", "NullVectorError"): 1,
+        ("quantum", "ValueError"): 9,
+        ("verify", "ValueError"): 4,
+    }
+
+    # None: raised only by the package's lazy __getattr__, which no command reaches
+    EXIT_CODES = {
+        "AttributeError": None,
+        "OSError": cli.EXIT_IO,
+        "ValueError": cli.EXIT_VALIDATION,
+        "DimensionMismatchError": cli.EXIT_VALIDATION,
+        "HermiticityError": cli.EXIT_VALIDATION,
+        "InstanceFormatError": cli.EXIT_VALIDATION,
+        "NormalizationError": cli.EXIT_VALIDATION,
+        "NullVectorError": cli.EXIT_VALIDATION,
+        "OrthogonalityError": cli.EXIT_VALIDATION,
+        "EigensolverError": cli.EXIT_SOLVER,
+    }
+
+    def test_raise_sites_match_the_table(self):
+        sites = collections.Counter()
+        for path in sorted(Path(purbounds.__file__).resolve().parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    sites[path.stem, ast.unparse(exc)] += 1
+        assert dict(sites) == self.RAISE_SITES
+
+    def test_each_class_has_one_exit_code(self, tmp_path, monkeypatch, capsys):
+        assert set(self.EXIT_CODES) == {name for _, name in self.RAISE_SITES}
+        owners = [builtins, *(importlib.import_module(f"purbounds.{name}") for name in MODULES)]
+        for name, code in self.EXIT_CODES.items():
+            (cls,) = {getattr(owner, name) for owner in owners if hasattr(owner, name)}
+
+            def fail(points):
+                raise cls(f"{name} raised")
+
+            monkeypatch.setattr(cli, "qubit_sweep", fail)
+            argv = ["sweep", "--out", str(tmp_path / "x.csv")]
+            if code is None:
+                # not mapped to an exit code: it would surface as a traceback
+                with pytest.raises(cls):
+                    cli.main(argv)
+                continue
+            assert cli.main(argv) == code, name
+            assert capsys.readouterr() == ("", f"error: {name} raised\n")
+
+    def test_readme_names_each_exit_code(self):
+        (paragraph,) = [par for par in README.read_text(encoding="utf-8").split("\n\n") if par.startswith("Exit codes")]
+        paragraph = " ".join(paragraph.split())
+        names = [name for name in cli.__all__ if name.startswith("EXIT_")]
+        assert names == ["EXIT_OK", "EXIT_IO", "EXIT_VALIDATION", "EXIT_VIOLATION", "EXIT_SOLVER"]
+        for name in names:
+            assert re.search(rf"`{getattr(cli, name)}` [^`]+ \(`{name}`\)", paragraph), name

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,8 +175,16 @@ class TestParseInstance:
             parse_instance({**payload, "dim": dim})
 
     def test_dim_must_be_integer(self):
-        with pytest.raises(InstanceFormatError, match="dim"):
-            parse_instance({"dim": "2", "state": [], "A": [], "B": []})
+        # present and an integer, under the package's one integer rule
+        fields = {"state": [], "A": [], "B": []}
+        for data, message in [
+            (fields, "missing required field 'dim'"),
+            ({"dim": "2", **fields}, "dim must be an integer, got '2'"),
+            ({"dim": 2.0, **fields}, "dim must be an integer, got 2.0"),
+            ({"dim": True, **fields}, "dim must be an integer, got True"),
+        ]:
+            with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+                parse_instance(data)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_round_trip_is_bit_identical(self, dim):
@@ -356,18 +365,30 @@ class TestCmdSweep:
         with pytest.raises(SystemExit) as exit_info:
             entrypoint()
         assert exit_info.value.code == 2
-        assert capsys.readouterr() == ("", "error: points must be at least 2\n")
+        assert capsys.readouterr() == ("", "error: points must be at least 2, got 1\n")
 
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_points_rule_is_qubit_sweeps(self, tmp_path, capsys, points):
         # qubit_sweep's own rule and message, at exit 2; no file is written
         assert main(["sweep", "--points", points, "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == "error: points must be at least 2\n"
+        assert capsys.readouterr().err == f"error: points must be at least 2, got {points}\n"
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("points", [8.0, True, 1])
-    def test_sweep_points_must_be_an_integer_of_at_least_two(self, points):
-        with pytest.raises(ValueError, match="points must be"):
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            (8.0, "points must be an integer, got 8.0"),
+            (True, "points must be an integer, got True"),
+            (1, "points must be at least 2, got 1"),
+            (2, None),
+        ],
+        ids=["8.0", "True", "1", "2"],
+    )
+    def test_sweep_points_must_be_an_integer_of_at_least_two(self, points, message):
+        if message is None:
+            assert [row[0] for row in qubit_sweep(points)] == [0.0, math.pi]
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qubit_sweep(points)
 
     def test_unwritable_path(self, tmp_path, capsys):
@@ -456,7 +477,7 @@ class TestCmdMontecarlo:
         # statistical_bound_check's own n >= 2 rule and message, at exit 2; nothing on stdout
         assert main(["montecarlo", "--file", quarter_turn_instance, "--samples", samples]) == 2
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: variance estimation needs n >= 2\n")
+        assert (out, err) == ("", f"error: n must be at least 2, got {samples}\n")
 
     def test_degenerate_instance(self, tmp_path, capsys):
         payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_z())
@@ -527,18 +548,21 @@ class TestOneFailurePath:
             (["sweep", "--out", "{dir}/nodir/x.csv"], 1, "cannot write {dir}/nodir/x.csv: [Errno 2]"),
             (["random", "--dims", "2,x"], 2, "--dims must be a comma-separated integer list, got '2,x'"),
             (["random", "--dims", "2,65"], 2, "dimension 65 outside supported range [2, 64]"),
-            (["random", "--count", "0"], 2, "count must be positive"),
-            (["random", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            (["random", "--count", "0"], 2, "count must be at least 1, got 0"),
+            (["random", "--seed", "-1"], 2, "seed must be at least 0, got -1"),
             (["montecarlo", "--file", "{dir}/absent.json"], 1, "cannot read {dir}/absent.json: [Errno 2]"),
             (["montecarlo", "--file", "{dir}/bad.json"], 2, "malformed JSON in {dir}/bad.json: "),
             (["montecarlo", "--file", "{dir}/dim1.json"], 2, "invalid instance {dir}/dim1.json: dimension 1 outside"),
-            (["montecarlo", "--file", "{dir}/quarter.json", "--seed", "-1"], 2, "seed must be non-negative, got -1"),
+            (["montecarlo", "--file", "{dir}/quarter.json", "--seed", "-1"], 2, "seed must be at least 0, got -1"),
             # the one supported range, [2, 64], for instance files and suite dimensions alike
             (["bounds", "{dir}/dim0.json"], 2, "invalid instance {dir}/dim0.json: dimension 0 outside supported range [2, 64]"),
             (["bounds", "{dir}/dim65.json"], 2, "invalid instance {dir}/dim65.json: dimension 65 outside supported range [2, 64]"),
             (["montecarlo", "--file", "{dir}/dim65.json"], 2, "invalid instance {dir}/dim65.json: dimension 65 outside"),
             (["random", "--dims", "2,1"], 2, "dimension 1 outside supported range [2, 64]"),
             (["random", "--dims", "0"], 2, "dimension 0 outside supported range [2, 64]"),
+            # the one integer rule, for an instance file's dim and an option's lower bound alike
+            (["bounds", "{dir}/dim_str.json"], 2, "invalid instance {dir}/dim_str.json: dim must be an integer, got '2'"),
+            (["sweep", "--points", "1", "--out", "{dir}/x.csv"], 2, "points must be at least 2, got 1"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, argv, code, message):
@@ -546,6 +570,7 @@ class TestOneFailurePath:
         write_instance(tmp_path, "quarter.json", payload)
         write_instance(tmp_path, "dim1.json", {**payload, "dim": 1})
         write_instance(tmp_path, "dim0.json", {**payload, "dim": 0})
+        write_instance(tmp_path, "dim_str.json", {**payload, "dim": "2"})
         # well formed at d = 65: |0> and A = B = I
         eye = [[[float(i == j), 0.0] for j in range(65)] for i in range(65)]
         write_instance(tmp_path, "dim65.json", {"dim": 65, "state": eye[0], "A": eye, "B": eye})

@@ -123,8 +123,9 @@ class TestSampleOutcomes:
 
     def test_n_must_be_positive(self):
         dist = BornDistribution(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             sample_outcomes(dist, 0, 0)
+        np.testing.assert_array_equal(sample_outcomes(dist, 1, 0), np.ones(1))
 
 
 class TestEmpiricalVariance:
@@ -325,8 +326,9 @@ class TestStatisticalBoundCheck:
         assert rep.estimate_a.mean_hat != rep.estimate_b.mean_hat
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=1, seed=0)
+        assert statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(1.0), n=2, seed=0).estimate_a.n == 2
 
     @pytest.mark.parametrize("seed", [True, 2.5, 7.0, None], ids=["bool", "fraction", "integral_float", "none"])
     def test_non_integer_seed_rejected_before_any_work(self, monkeypatch, seed):
@@ -344,13 +346,15 @@ class TestStatisticalBoundCheck:
             raise AssertionError("the kernel ran before the seed was checked")
 
         monkeypatch.setattr(montecarlo, "_kernel", fail)
-        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {int(seed)}$"):
+        with pytest.raises(ValueError, match=f"^seed must be at least 0, got {int(seed)}$"):
             statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.3), n=100, seed=seed)
 
     def test_numpy_integer_seed_accepted(self):
-        plain = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=3)
-        numpy_seed = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=np.int64(3))
-        assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(numpy_seed.to_dict(), sort_keys=True)
+        # and so is the lower bound, 0
+        for seed in (3, 0):
+            plain = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=seed)
+            numpy_seed = statistical_bound_check(pauli_x(), pauli_z(), equatorial_state(0.4), n=500, seed=np.int64(seed))
+            assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(numpy_seed.to_dict(), sort_keys=True)
 
     @pytest.mark.parametrize("n", [True, 2.5, 1000.0], ids=["bool", "fraction", "integral_float"])
     def test_non_integer_n_rejected(self, n):

@@ -161,8 +161,11 @@ class TestSearchOptimalXiPerp:
         state = basis_state(2, 0)
         with pytest.raises(ValueError):
             search_optimal_xi_perp(pauli_x(), pauli_z(), state, "l3", 1, 10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples must be at least 1, got 0$"):
             search_optimal_xi_perp(pauli_x(), pauli_z(), state, "l1", 1, 0, 0)
+        # in signature order, before any sample is drawn
+        with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got 2$"):
+            search_optimal_xi_perp(pauli_x(), pauli_z(), state, "l1", 2, 0, 0)
 
     def test_best_vector_is_admissible(self):
         state = equatorial_state(1.7)
@@ -177,8 +180,10 @@ class TestSearchOptimalXiPerp:
             search_optimal_xi_perp(pauli_x(), pauli_z(), equatorial_state(0.4), "l1", 1, samples, 0)
 
     def test_numpy_integer_samples_stored_as_int(self):
-        res = search_optimal_xi_perp(pauli_x(), pauli_z(), equatorial_state(0.4), "l2", 1, np.int64(7), 0)
-        assert type(res.samples_used) is int and res.samples_used == 7
+        # and the lower bound, 1, is accepted
+        for samples in (np.int64(7), 1):
+            res = search_optimal_xi_perp(pauli_x(), pauli_z(), equatorial_state(0.4), "l2", 1, samples, 0)
+            assert type(res.samples_used) is int and res.samples_used == samples
 
 
 class TestCheckParallelogram:
@@ -266,8 +271,11 @@ class TestInvariantSuite:
         assert first.min_slacks != second.min_slacks
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^count must be at least 1, got 0$"):
             run_invariant_suite(count=0)
+        # each integer is checked fully, type then bound, in signature order
+        with pytest.raises(ValueError, match="^count must be at least 1, got 0$"):
+            run_invariant_suite(count=0, seed=-1)
         for dim in (0, 1, 65):
             with pytest.raises(ValueError, match=rf"^dimension {dim} outside supported range \[2, 64\]$"):
                 run_invariant_suite(count=1, dims=(dim,))
@@ -285,7 +293,7 @@ class TestInvariantSuite:
                 run_invariant_suite(count=1, dims=(dim, 2.9))
 
     def test_perp_samples_must_be_positive(self):
-        with pytest.raises(ValueError, match="perp_samples must be positive"):
+        with pytest.raises(ValueError, match="^perp_samples must be at least 1, got 0$"):
             run_invariant_suite(count=1, perp_samples=0)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
@@ -294,7 +302,7 @@ class TestInvariantSuite:
             raise AssertionError("an instance was drawn before the seed was checked")
 
         monkeypatch.setattr(verify, "random_state", fail)
-        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {int(seed)}$"):
+        with pytest.raises(ValueError, match=f"^seed must be at least 0, got {int(seed)}$"):
             run_invariant_suite(count=2, seed=seed)
 
     def test_rerun_gives_identical_json(self):
@@ -322,6 +330,8 @@ class TestInvariantSuite:
             {"perp_samples": 2.5},
             {"seed": True},
             {"seed": 2.5},
+            {"perp_samples": 2.0},
+            {"seed": 0.0},
         ],
         ids=[
             "float_dims",
@@ -332,6 +342,8 @@ class TestInvariantSuite:
             "float_perp_samples",
             "bool_seed",
             "float_seed",
+            "integral_float_perp_samples",
+            "integral_float_seed",
         ],
     )
     def test_non_integer_arguments_rejected(self, kwargs):
@@ -355,6 +367,9 @@ class TestInvariantSuite:
         report = run_invariant_suite(count=np.int64(2), dims=(np.int64(3),), seed=np.int64(5), perp_samples=np.int64(4))
         assert json.loads(json_dumps(report.to_dict()))["count"] == 2
         assert report.dims == (3,)
+        # each integer at its lower bound
+        report = run_invariant_suite(count=1, dims=(2,), seed=0, perp_samples=1)
+        assert (report.count, report.seed, report.perp_samples) == (1, 0, 1)
 
     def test_dims_cycle_in_order(self):
         report = run_invariant_suite(count=4, dims=(2, 3), seed=0, tol=1e-9, perp_samples=5)
