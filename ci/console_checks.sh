@@ -84,6 +84,16 @@ for argv in "random --count 0" "sweep --points 1 --out x.csv"; do
   test "$(wc -l < low.err)" -eq 1
   grep -Eq '^error: [a-z_]+ must be at least -?[0-9]+, got -?[0-9]+$' low.err
 done
+# a tol that is not a positive finite real number is the suite's one tol error, one line that shows the value
+# (the option as given, then as the message shows it)
+for case in "0 0.0" "nan nan"; do
+  read -r tol shown <<< "$case"
+  status=0
+  purbounds random --tol "$tol" > tol.out 2> tol.err || status=$?
+  test "$status" -eq 2
+  test ! -s tol.out
+  test "$(cat tol.err)" = "error: tol must be a positive finite real number, got $shown"
+done
 # the one supported range, 2 <= d <= 64: a d = 1 file and a well-formed d = 65 file (|0>, A = B = I) are
 # validation errors of one line that names it
 python -c "import json; d = json.load(open('readme_d2.json')); d['dim'] = 1; json.dump(d, open('dim1.json', 'w'))"

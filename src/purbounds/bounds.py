@@ -348,7 +348,7 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
         user_xi_perp = _checked_perp(state, user_xi_perp)
         if user_xi_perp.ndim != 1:
             # the candidate is a state, so one vector, as QuantumState requires
-            raise ValueError(f"expected a 1-D vector, got shape {user_xi_perp.shape}")
+            raise ValueError(f"xi_perp must be a 1-D array, got shape {user_xi_perp.shape}")
         (row,) = _value_rows(k, user_xi_perp[None])
         kind = "user_supplied"
         user_xi_perp.setflags(write=False)

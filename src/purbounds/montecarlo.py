@@ -20,6 +20,7 @@ from .quantum import (
     TOL_NORM,
     Observable,
     QuantumState,
+    _as_vector,
     _integer,
     _same_dim,
     hermitian_eigensystem,
@@ -55,13 +56,11 @@ class BornDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        probs = np.asarray(self.probabilities, dtype=float).copy()
-        if vals.ndim != 1 or vals.shape != probs.shape or vals.size == 0:
-            raise ValueError("values and probabilities must be matching nonempty 1-D arrays")
-        # a NaN compares false with every bound below, so it would pass them all
-        if not (np.isfinite(vals).all() and np.isfinite(probs).all()):
-            raise ValueError("values and probabilities must be finite")
+        # finite: a NaN compares false with every bound below, so it would pass them all
+        vals = _as_vector(self.values, "values", float).copy()
+        probs = _as_vector(self.probabilities, "probabilities", float).copy()
+        if vals.shape != probs.shape or vals.size == 0:
+            raise ValueError("values and probabilities must be matching nonempty arrays")
         if np.any(probs < -TOL_NORM):
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -145,12 +144,8 @@ def empirical_variance(samples) -> EstimateReport:
     mean. Raises ValueError if the variance of any other sample leaves the
     double range.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("need a 1-D sample with n >= 2")
-    if not np.isfinite(arr).all():
-        raise ValueError("samples must be finite")
-    n = arr.size
+    arr = _as_vector(samples, "samples", float)
+    n = _integer("sample size", arr.size, 2)
     if (arr == arr[0]).all():
         # one outcome: the variance is exactly 0, where the deviations from the mean would be its rounding error
         return EstimateReport(n=n, mean_hat=float(arr[0]), var_hat=0.0, var_stderr=0.0)

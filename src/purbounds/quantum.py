@@ -8,7 +8,10 @@ inputs.
 
 Integer arguments have one rule, `_integer`: every count, seed, sample size
 and index is an int (a bool or a float is rejected), and at least its lower
-bound where it has one. The supported dimensions have one rule, `_check_dim`:
+bound where it has one. Vectors from outside have one rule, `_as_vector`: a
+state, an identity operand, Born outcome values, probabilities and samples
+are each a finite 1-D array, and a message names the argument that is not.
+The supported dimensions have one rule, `_check_dim`:
 `QuantumState` and `Observable` accept only 2 <= d <= MAX_DIM, since a d = 1
 state has no unit vector orthogonal to it, so every state the package is
 given has a nonempty complement. The geometry of that complement has one
@@ -93,15 +96,16 @@ class EigensolverError(RuntimeError):
     """Dense Hermitian eigensolver failed to converge or to reconstruct."""
 
 
-def _as_vector(u) -> np.ndarray:
-    """Coerce a QuantumState or array-like to a 1-D complex ndarray."""
+def _as_vector(u, name: str = "vector", dtype=complex) -> np.ndarray:
+    """`u` as a finite 1-D ndarray of `dtype`, a QuantumState's vector as it is: the one vector rule of
+    the package. A wrong shape or a non-finite entry raises ValueError that names the argument."""
     if isinstance(u, QuantumState):
         return u.vector
-    vec = np.asarray(u, dtype=complex)
+    vec = np.asarray(u, dtype=dtype)
     if vec.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {vec.shape}")
+        raise ValueError(f"{name} must be a 1-D array, got shape {vec.shape}")
     if not np.isfinite(vec).all():
-        raise ValueError("vector contains non-finite entries")
+        raise ValueError(f"{name} must be finite")
     return vec
 
 
@@ -207,7 +211,7 @@ class Observable:
         if not peak <= _MAX_ENTRY:
             # a finite entry whose modulus overflows also reads inf, so look once more
             if not np.isfinite(mat).all():
-                raise ValueError("observable contains non-finite entries")
+                raise ValueError("observable must be finite")
             raise ValueError(f"observable entry modulus {peak:.3e} exceeds {_MAX_ENTRY:.3e}")
         adjoint = mat.conj().T
         defect = float(np.abs(mat - adjoint).max())
@@ -270,7 +274,7 @@ def _trusted_observable(g: np.ndarray) -> Observable:
 
 def normalize(u) -> QuantumState:
     """u / ||u|| as a QuantumState; the numerically null vector, the empty one included, is rejected."""
-    vec = _as_vector(u)
+    vec = _as_vector(u, "u")
     nrm = _norm(vec)
     if nrm <= TOL_NULL:
         raise NullVectorError("cannot normalize a null vector")
@@ -366,7 +370,8 @@ def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_state(dim: int, index: int) -> QuantumState:
     """Computational basis vector |index> in dimension `dim`."""
-    dim, index = _integer("dim", dim), _integer("index", index)
+    # the range first, so that no vector is allocated for a dimension QuantumState would reject
+    dim, index = _check_dim(dim), _integer("index", index)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside [0, {dim})")
     vec = np.zeros(dim, dtype=complex)

@@ -215,7 +215,7 @@ def search_optimal_xi_perp(
 
 
 def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    uv, vv = _as_vector(u), _as_vector(v)
+    uv, vv = _as_vector(u, "u"), _as_vector(v, "v")
     _same_dim(uv.size, vv.size)
     return uv, vv
 
@@ -344,15 +344,11 @@ def run_invariant_suite(
     dims = tuple(map(_check_dim, dims))
     if not dims:
         raise ValueError("dims must be nonempty")
-    # True would be written as "tol": true, and a numpy float fails only at serialization
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ValueError(f"tol must be a real number, got {tol!r}")
+    # True would be written as "tol": true, a numpy float fails only at serialization, and a NaN compares
+    # false with every slack and defect, so no check could fire
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
     tol = float(tol)
-    if not math.isfinite(tol):
-        # NaN compares false with every slack and defect, so no check could fire
-        raise ValueError(f"tol must be finite, got {tol!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     report = SuiteReport(count=count, dims=dims, seed=seed, tol=tol, perp_samples=perp_samples)
     slacks = np.empty((count, len(SLACK_CHECKS)))

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import builtins
-import collections
 import importlib
 import inspect
 import json
@@ -142,25 +141,63 @@ def test_readme_cli_block_names_exactly_the_parser_options():
 
 
 class TestErrorContract:
-    """Every `raise` in the package (51 sites), by module and class, and the exit code `cli.main` gives
-    each class. A new, moved or deleted raise site is an edit of RAISE_SITES."""
+    """Every `raise` in the package (46 sites), by module, class and message template (the `ast.unparse`
+    of the raise's first argument), and the exit code `cli.main` gives each class. A new, moved,
+    deleted or reworded raise site is an edit of RAISE_SITES."""
 
-    RAISE_SITES = {
-        ("__init__", "AttributeError"): 1,
-        ("bounds", "OrthogonalityError"): 2,
-        ("bounds", "ValueError"): 6,
-        ("cli", "OSError"): 2,
-        ("cli", "ValueError"): 4,
-        ("instances", "InstanceFormatError"): 8,
-        ("montecarlo", "ValueError"): 7,
-        ("quantum", "DimensionMismatchError"): 1,
-        ("quantum", "EigensolverError"): 2,
-        ("quantum", "HermiticityError"): 3,
-        ("quantum", "NormalizationError"): 1,
-        ("quantum", "NullVectorError"): 1,
-        ("quantum", "ValueError"): 9,
-        ("verify", "ValueError"): 4,
-    }
+    RAISE_SITES = [
+        ("__init__", "AttributeError", "f'module {__name__!r} has no attribute {name!r}'"),
+        ("bounds", "OrthogonalityError", "f'xi_perp norm {float(nrm[off][0])!r} is not 1'"),
+        ("bounds", "OrthogonalityError", "f'|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}'"),
+        ("bounds", "ValueError", 'f"which must be \'l1\' or \'l2\', got {which!r}"'),
+        (
+            "bounds",
+            "ValueError",
+            "f'operand scale too large: Var(A) Var(B) = {prod_var:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
+            "(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})'",
+        ),
+        ("bounds", "ValueError", "f'sign must be +1 or -1, got {sign}'"),
+        ("bounds", "ValueError", "f'unknown candidate kind {self.kind!r}'"),
+        ("bounds", "ValueError", "f'xi_perp must be a 1-D array, got shape {user_xi_perp.shape}'"),
+        ("bounds", "ValueError", "f'xi_perp must be a finite vector or stack of rows, got shape {vec.shape}'"),
+        ("cli", "OSError", "f'cannot read {path}: {exc}'"),
+        ("cli", "OSError", "f'cannot write {args.out}: {exc}'"),
+        ("cli", "ValueError", "f'--dims must be a comma-separated integer list, got {args.dims!r}'"),
+        ("cli", "ValueError", "f'invalid instance {args.file}: {exc}'"),
+        ("cli", "ValueError", "f'invalid instance {path}: {exc}'"),
+        ("cli", "ValueError", "f'malformed JSON in {path}: {exc}'"),
+        ("instances", "InstanceFormatError", "'instance file must contain a JSON object'"),
+        ("instances", "InstanceFormatError", "f'missing required field {key!r}'"),
+        ("instances", "InstanceFormatError", "f'{label} is not Hermitian: {exc}'"),
+        ("instances", "InstanceFormatError", "f'{label}: {exc}'"),
+        ("instances", "InstanceFormatError", "f'{name}: expected a [re, im] pair, got {obj!r}'"),
+        ("instances", "InstanceFormatError", "f'{name}: expected a {size} array of [re, im] pairs'"),
+        ("instances", "InstanceFormatError", "f'{name}: {exc}'"),
+        ("instances", "InstanceFormatError", "str(exc)"),
+        ("montecarlo", "ValueError", "'probabilities must be nonnegative'"),
+        ("montecarlo", "ValueError", "'values and probabilities must be matching nonempty arrays'"),
+        ("montecarlo", "ValueError", "f'probabilities sum to {total!r}, not 1'"),
+        ("montecarlo", "ValueError", "f'sample variance leaves the double range (largest |deviation| {peak:.3e})'"),
+        ("quantum", "DimensionMismatchError", "f'dimension mismatch: {dims}'"),
+        ("quantum", "EigensolverError", "f'eigendecomposition residual {residual:.3e} above tolerance'"),
+        ("quantum", "EigensolverError", "f'eigensolver failed to converge: {exc}'"),
+        ("quantum", "HermiticityError", "f'Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e} * {scale:.3e}'"),
+        ("quantum", "HermiticityError", "f'commutator mean has real part {mean.real:.3e}; inputs not Hermitian'"),
+        ("quantum", "HermiticityError", "f'expectation has imaginary part {residue:.3e} above tolerance'"),
+        ("quantum", "NormalizationError", "f'state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}'"),
+        ("quantum", "NullVectorError", "'cannot normalize a null vector'"),
+        ("quantum", "ValueError", "'observable must be finite'"),
+        ("quantum", "ValueError", "f'basis index {index} outside [0, {dim})'"),
+        ("quantum", "ValueError", "f'dimension {dim} outside supported range [2, {MAX_DIM}]'"),
+        ("quantum", "ValueError", "f'observable entry modulus {peak:.3e} exceeds {_MAX_ENTRY:.3e}'"),
+        ("quantum", "ValueError", "f'observable must be a square matrix, got shape {mat.shape}'"),
+        ("quantum", "ValueError", "f'{name} must be a 1-D array, got shape {vec.shape}'"),
+        ("quantum", "ValueError", "f'{name} must be an integer, got {value!r}'"),
+        ("quantum", "ValueError", "f'{name} must be at least {low}, got {value}'"),
+        ("quantum", "ValueError", "f'{name} must be finite'"),
+        ("verify", "ValueError", "'dims must be nonempty'"),
+        ("verify", "ValueError", "f'tol must be a positive finite real number, got {tol!r}'"),
+    ]
 
     # None: raised only by the package's lazy __getattr__, which no command reaches
     EXIT_CODES = {
@@ -177,16 +214,16 @@ class TestErrorContract:
     }
 
     def test_raise_sites_match_the_table(self):
-        sites = collections.Counter()
+        sites = []
         for path in sorted(Path(purbounds.__file__).resolve().parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Raise):
-                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    sites[path.stem, ast.unparse(exc)] += 1
-        assert dict(sites) == self.RAISE_SITES
+                    # every site raises a call with its message first
+                    sites.append((path.stem, ast.unparse(node.exc.func), ast.unparse(node.exc.args[0])))
+        assert sorted(sites) == self.RAISE_SITES
 
     def test_each_class_has_one_exit_code(self, tmp_path, monkeypatch, capsys):
-        assert set(self.EXIT_CODES) == {name for _, name in self.RAISE_SITES}
+        assert set(self.EXIT_CODES) == {name for _, name, _ in self.RAISE_SITES}
         owners = [builtins, *(importlib.import_module(f"purbounds.{name}") for name in MODULES)]
         for name, code in self.EXIT_CODES.items():
             (cls,) = {getattr(owner, name) for owner in owners if hasattr(owner, name)}

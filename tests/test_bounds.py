@@ -578,7 +578,7 @@ class TestStackedKernel:
         # each row is a valid xi_perp, but the candidate is one state
         state = equatorial_state(0.3)
         rows = np.stack([perp_of(0.3).vector, perp_of(0.3).vector])
-        with pytest.raises(ValueError, match=re.escape("expected a 1-D vector, got shape (2, 2)")) as info:
+        with pytest.raises(ValueError, match=re.escape("xi_perp must be a 1-D array, got shape (2, 2)")) as info:
             bound_report(pauli_x(), pauli_z(), state, user_xi_perp=rows)
         assert type(info.value) is ValueError
 

@@ -434,7 +434,7 @@ class TestCmdRandom:
         assert main(["random", "--count", "5", f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: tol must be finite")
+        assert captured.err == f"error: tol must be a positive finite real number, got {float(tol)!r}\n"
 
     def test_non_finite_tol_exits_two_from_the_shell(self):
         proc = subprocess.run(
@@ -446,7 +446,7 @@ class TestCmdRandom:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.splitlines() == ["error: tol must be finite, got nan"]
+        assert proc.stderr.splitlines() == ["error: tol must be a positive finite real number, got nan"]
 
     def test_unset_options_take_the_suites_own_defaults(self, monkeypatch, capsys):
         # the parser holds no copy of run_invariant_suite's defaults: only the options given are passed

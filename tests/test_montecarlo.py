@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,27 +81,32 @@ class TestBornDistribution:
             BornDistribution(np.array([1.0]), np.array([-1.0]))
 
     @pytest.mark.parametrize(
-        "values,probabilities",
+        "values,probabilities,name",
         [
-            ([1.0, 2.0], [np.nan, 1.0]),
-            ([np.nan, 2.0], [0.5, 0.5]),
-            ([1.0, np.inf], [0.5, 0.5]),
-            ([1.0, 2.0], [np.inf, 0.5]),
+            ([1.0, 2.0], [np.nan, 1.0], "probabilities"),
+            ([np.nan, 2.0], [0.5, 0.5], "values"),
+            ([1.0, np.inf], [0.5, 0.5], "values"),
+            ([1.0, 2.0], [np.inf, 0.5], "probabilities"),
         ],
         ids=["nan_probability", "nan_value", "inf_value", "inf_probability"],
     )
-    def test_non_finite_distribution_rejected(self, values, probabilities):
+    def test_non_finite_distribution_rejected(self, values, probabilities, name):
         # a NaN probability passed both the sign and the sum check, and every sample then read 1.0
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             BornDistribution(np.array(values), np.array(probabilities))
 
     @pytest.mark.parametrize(
-        "values,probabilities",
-        [([1.0, 2.0], [1.0]), ([], []), ([[1.0]], [[1.0]])],
-        ids=["mismatched", "empty", "two_axes"],
+        "values,probabilities,message",
+        [
+            ([1.0, 2.0], [1.0], "values and probabilities must be matching nonempty arrays"),
+            ([], [], "values and probabilities must be matching nonempty arrays"),
+            ([[1.0]], [[1.0]], "values must be a 1-D array, got shape (1, 1)"),
+            ([1.0, 2.0], [[0.5, 0.5]], "probabilities must be a 1-D array, got shape (1, 2)"),
+        ],
+        ids=["mismatched", "empty", "two_axes", "two_axis_probabilities"],
     )
-    def test_values_and_probabilities_must_match(self, values, probabilities):
-        with pytest.raises(ValueError, match="values and probabilities must be matching nonempty 1-D arrays"):
+    def test_values_and_probabilities_must_match(self, values, probabilities, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BornDistribution(np.array(values), np.array(probabilities))
 
 
@@ -136,13 +142,17 @@ class TestEmpiricalVariance:
         assert rep.mean_hat == pytest.approx(3.25)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            empirical_variance(np.array([1.0]))
+        for samples, message in (
+            ([1.0], "sample size must be at least 2, got 1"),
+            ([[1.0, 2.0]], "samples must be a 1-D array, got shape (1, 2)"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                empirical_variance(samples)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         # var_hat read nan
-        with pytest.raises(ValueError, match="samples must be finite"):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
             empirical_variance([1.0, bad, 2.0])
 
     def test_fair_signs_close_to_unit_variance(self):

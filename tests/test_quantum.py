@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,23 @@ def complex_vectors(dim, max_mag=10.0):
     ).map(lambda x: x[:dim] + 1j * x[dim:])
 
 
+# (dim, index, message); a dict would merge (2, 1.0) with (2, True) and (True, 0) with (1, 0)
+BAD_BASIS_STATES = [
+    (2.0, 0, "dim must be an integer, got 2.0"),
+    (2, 1.0, "index must be an integer, got 1.0"),
+    (True, 0, "dim must be an integer, got True"),
+    (2, True, "index must be an integer, got True"),
+    (2, -1, "basis index -1 outside [0, 2)"),
+    (2, 2, "basis index 2 outside [0, 2)"),
+    (0, 0, "dimension 0 outside supported range [2, 64]"),
+    (1, 0, "dimension 1 outside supported range [2, 64]"),
+    (65, 0, "dimension 65 outside supported range [2, 64]"),
+    # the dimension is named, not the index
+    (1, 5, "dimension 1 outside supported range [2, 64]"),
+    (2**20, 0, "dimension 1048576 outside supported range [2, 64]"),
+]
+
+
 class TestQuantumState:
     def test_renormalizes_benign_noise(self):
         state = QuantumState(np.array([1.0 + 3e-7, 0.0], dtype=complex))
@@ -70,8 +89,11 @@ class TestQuantumState:
             state.vector[0] = 1.0
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vector must be finite$"):
             QuantumState(np.array([np.nan, 0.0], dtype=complex))
+        # normalize names its argument
+        with pytest.raises(ValueError, match="^u must be finite$"):
+            normalize([np.nan, 1.0])
 
     def test_rejects_oversized_dimension(self):
         vec = np.zeros(65, dtype=complex)
@@ -79,12 +101,18 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(vec)
 
-    @pytest.mark.parametrize(
-        "dim, index", [(2.0, 0), (2, 1.0), (True, 0), (2, True), (2, -1), (2, 2), (0, 0), (1, 0), (65, 0)]
-    )
-    def test_basis_state_rejects_non_integer_or_out_of_range(self, dim, index):
-        with pytest.raises(ValueError):
-            basis_state(dim, index)
+    @pytest.mark.parametrize("dim, index, message", BAD_BASIS_STATES, ids=[f"{d}-{i}" for d, i, _ in BAD_BASIS_STATES])
+    def test_basis_state_rejects_non_integer_or_out_of_range(self, dim, index, message):
+        # the dimension is checked before the vector is allocated: 2**20 entries would take 16 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                basis_state(dim, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 16
 
 
 class TestNormKernel:
@@ -102,15 +130,15 @@ class TestNormKernel:
                     assert _norm(x).hex() == float(np.linalg.norm(x)).hex()
 
 
-# (input, exception class, message) as raised before the validation rewrite
+# (input, exception class, message)
 BAD_STATES = {
-    "nan": ([np.nan, 0.0], ValueError, "vector contains non-finite entries"),
-    "inf": ([np.inf, 0.0], ValueError, "vector contains non-finite entries"),
-    "neg_inf_imag": ([1.0, complex(0.0, -np.inf)], ValueError, "vector contains non-finite entries"),
-    "nan_imag": ([complex(1.0, np.nan), 0.0], ValueError, "vector contains non-finite entries"),
-    "nan_oversized": ([np.nan] + [0.0] * 64, ValueError, "vector contains non-finite entries"),
-    "matrix": ([[1.0, 0.0]], ValueError, "expected a 1-D vector, got shape (1, 2)"),
-    "scalar": (1.0, ValueError, "expected a 1-D vector, got shape ()"),
+    "nan": ([np.nan, 0.0], ValueError, "vector must be finite"),
+    "inf": ([np.inf, 0.0], ValueError, "vector must be finite"),
+    "neg_inf_imag": ([1.0, complex(0.0, -np.inf)], ValueError, "vector must be finite"),
+    "nan_imag": ([complex(1.0, np.nan), 0.0], ValueError, "vector must be finite"),
+    "nan_oversized": ([np.nan] + [0.0] * 64, ValueError, "vector must be finite"),
+    "matrix": ([[1.0, 0.0]], ValueError, "vector must be a 1-D array, got shape (1, 2)"),
+    "scalar": (1.0, ValueError, "vector must be a 1-D array, got shape ()"),
     "empty": ([], ValueError, "dimension 0 outside supported range [2, 64]"),
     # a d = 1 state has no orthogonal complement, so no xi_perp: rejected before any work is done
     "one": ([1.0], ValueError, "dimension 1 outside supported range [2, 64]"),
@@ -123,10 +151,10 @@ BAD_STATES = {
 }
 
 BAD_OBSERVABLES = {
-    "nan": ([[np.nan, 0.0], [0.0, 1.0]], ValueError, "observable contains non-finite entries"),
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], ValueError, "observable must be finite"),
     "inf_imag": (
         [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]], ValueError,
-        "observable contains non-finite entries",
+        "observable must be finite",
     ),
     "vector": ([1.0, 0.0], ValueError, "observable must be a square matrix, got shape (2,)"),
     "non_square": (np.zeros((2, 3)), ValueError, "observable must be a square matrix, got shape (2, 3)"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,12 @@ class TestCheckCsi:
     def test_null_vector_is_satisfied(self):
         assert check_csi(np.zeros(3), np.ones(3)) == 0.0
 
+    def test_each_operand_is_named(self):
+        with pytest.raises(ValueError, match=r"^v must be a 1-D array, got shape \(1, 2\)$"):
+            check_csi([1, 2], [[1, 2]])
+        with pytest.raises(ValueError, match="^u must be finite$"):
+            check_csi([np.inf, 2], [1, 2])
+
     def test_deviation_vectors_reproduce_hrsur_slack(self):
         # <psi|phi> decomposes into CovQ + half the commutator mean, so the
         # CSI slack of the deviation vectors equals Var Var - t1
@@ -313,10 +320,12 @@ class TestInvariantSuite:
         ]
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0, -1e-9])
     def test_non_finite_tol_rejected(self, tol):
-        # a NaN tolerance compares false with every slack and defect, so nothing could fail
-        with pytest.raises(ValueError, match="tol must be finite"):
+        # a NaN tolerance compares false with every slack and defect, so nothing could fail; zero and
+        # negative ones are the same error
+        message = f"tol must be a positive finite real number, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_invariant_suite(count=5, tol=tol)
 
     @pytest.mark.parametrize(
@@ -351,10 +360,13 @@ class TestInvariantSuite:
         with pytest.raises(ValueError, match="must be an integer"):
             run_invariant_suite(**{"count": 1, "perp_samples": 3, **kwargs})
 
-    @pytest.mark.parametrize("tol", [True, "1e-9", None, 1e-9j], ids=["bool", "str", "none", "complex"])
+    @pytest.mark.parametrize(
+        "tol", [True, "1e-9", None, 1e-9j, "x"], ids=["bool", "str", "none", "complex", "word"]
+    )
     def test_non_real_tol_rejected(self, tol):
         # True ran and was written as "tol": true; a string raised TypeError
-        with pytest.raises(ValueError, match="tol must be a real number"):
+        message = f"tol must be a positive finite real number, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_invariant_suite(count=1, tol=tol)
 
     def test_numpy_float_tol_stored_as_float(self):
