@@ -59,7 +59,6 @@ from .quantum import (
     _norms,
     _project,
     _same_dim,
-    _trusted,
     _trusted_state,
 )
 
@@ -146,8 +145,9 @@ def _validate_which(which: str) -> str:
 def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     """xi_perp renormalized, after checking unit norm and orthogonality to the state.
 
-    Takes one vector or a stack of row vectors, and checks every row. Each row
-    is divided by its `_norms` entry, bit for bit `row / _norm(row)`. A
+    Takes one vector or a stack of row vectors. The rank is checked first, then
+    finiteness, the dimension, and each row's norm and overlap. Each row is
+    divided by its `_norms` entry, bit for bit `row / _norm(row)`. A
     QuantumState's vector is finite and 1-D by construction, so only an array
     is checked for both.
     """
@@ -155,8 +155,10 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
         vec = xi_perp.vector
     else:
         vec = np.asarray(xi_perp, dtype=complex)
-        if vec.ndim not in (1, 2) or not np.isfinite(vec).all():
-            raise ValueError(f"xi_perp must be a finite vector or stack of rows, got shape {vec.shape}")
+        if vec.ndim not in (1, 2):
+            raise ValueError(f"xi_perp must be a 1-D array or a stack of rows, got shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("xi_perp must be finite")
     # the size read directly: the `dim` property would add a Python call per report
     _same_dim(state.vector.size, vec.shape[-1])
     nrm = _norms(vec)
@@ -178,7 +180,7 @@ _Kernel = namedtuple("_Kernel", "xi psi phi gram var_a var_b covq norms")
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     """The kernel record of the n states in `xi` (n, d), one per row, from one fused pass over the stack."""
-    # the shapes read directly: the `dim` properties would add two Python calls per report
+    # the shapes and stored norms read directly: `dim` and `frobenius_norm()` would add Python calls per report
     _same_dim(a.matrix.shape[0], b.matrix.shape[0], xi.shape[-1])
     # A and B as one operand stack, and the (2, 2, n) Gram stack of (psi, phi) from one inner product
     dev = _deviation_vectors((a, b), xi)
@@ -278,7 +280,9 @@ def optimal_xi_perp(a: Observable, b: Observable, state: QuantumState, which: st
     column = (1 - sign) // 2
     value = _optimum_values(k.var_a[0], k.var_b[0], k.covq[0])[MP_BOUNDS.index(which)][column]
     perp = _unit_projections(k, _COEFFS[[[2 * MP_BOUNDS.index(which) + column]]])
-    return _trusted(OrthogonalCandidate, _trusted_state(perp[0, 0]), value, sign, "analytic_optimum")
+    candidate = object.__new__(OrthogonalCandidate)
+    candidate.__dict__.update(vector=_trusted_state(perp[0, 0]), bound_value=value, sign=sign, kind="analytic_optimum")
+    return candidate
 
 
 # a values row: BoundReport's fields in order, each candidate replaced by the column of its sign (0: +1, 1: -1)
@@ -333,9 +337,8 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     """
     # the one-row view of the stacked kernel
     k = _kernel(a, b, state.vector[None])
-    # the trusted wraps of `_trusted_state` and `_trusted` written out, as their calls would lift a report above
-    # its pinned frame count: each state, candidate and the report is filled by one __dict__ update, and each
-    # vector is a read-only row the package normalized itself
+    # each state, candidate and the report filled by name in place, as calls would lift a report above its
+    # pinned frame count
     if user_xi_perp is None:
         (row,) = _value_rows(k)
         kind = "analytic_optimum"
@@ -345,10 +348,12 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
         l1_vec, l2_vec = object.__new__(QuantumState), object.__new__(QuantumState)
         l1_vec.__dict__["vector"], l2_vec.__dict__["vector"] = vectors
     else:
+        # the rank first: the candidates are states, so xi_perp is one vector (a QuantumState's is by construction)
+        if not isinstance(user_xi_perp, QuantumState):
+            user_xi_perp = np.asarray(user_xi_perp, dtype=complex)
+            if user_xi_perp.ndim != 1:
+                raise ValueError(f"xi_perp must be a 1-D array, got shape {user_xi_perp.shape}")
         user_xi_perp = _checked_perp(state, user_xi_perp)
-        if user_xi_perp.ndim != 1:
-            # the candidate is a state, so one vector, as QuantumState requires
-            raise ValueError(f"xi_perp must be a 1-D array, got shape {user_xi_perp.shape}")
         (row,) = _value_rows(k, user_xi_perp[None])
         kind = "user_supplied"
         user_xi_perp.setflags(write=False)

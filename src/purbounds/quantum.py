@@ -16,14 +16,9 @@ The supported dimensions have one rule, `_check_dim`:
 state has no unit vector orthogonal to it, so every state the package is
 given has a nonempty complement. The geometry of that complement has one
 owner, this module: one row-norm rule (`_norms`, of which `_norm` is the
-one-row view), one complement projection (`_project`) and one trusted
-constructor (`_trusted`), through which the package wraps states, candidates
-and reports it built itself without re-validating them. The one helper
-written out elsewhere is `_trusted`: `bound_report` fills its states,
-candidates and report by `__dict__` updates, the same operations in the same
-order, since the calls would lift a report above its pinned count of Python
-frames. The stored `Observable._frobenius` is read directly on that path,
-for the same reason; `frobenius_norm()` returns it.
+one-row view) and one complement projection (`_project`). A state,
+candidate or report the package built itself skips the checks, its fields
+filled by name through `__dict__`.
 """
 
 from __future__ import annotations
@@ -177,10 +172,7 @@ class QuantumState:
         nrm = _norm(vec)
         if abs(nrm - 1.0) > RENORM_WINDOW:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}")
-        if abs(nrm - 1.0) > TOL_NORM:
-            vec = vec / nrm
-        else:
-            vec = vec.copy()
+        vec = vec / nrm if abs(nrm - 1.0) > TOL_NORM else vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
@@ -241,26 +233,17 @@ def _store_hermitian_part(obs: Observable, mat: np.ndarray, adjoint: np.ndarray)
     return obs
 
 
-def _trusted(cls, *values):
-    """An instance of the dataclass `cls` that the package built itself, `values` in field order.
-
-    It skips `__post_init__`'s checks and the frozen `__init__`, which the
-    package's own values never need; the public constructors keep every check.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
-
-
 def _trusted_state(vec: np.ndarray) -> QuantumState:
-    """A unit vector the package normalized itself, wrapped by `_trusted`.
+    """A unit vector the package normalized itself, as a QuantumState without re-validation.
 
     `vec` must be a 1-D complex array of unit norm to rounding that nothing
     else writes to (a fresh array, or a row of one), so that
     `QuantumState(vec)` would store it unchanged. It is made read-only in place.
     """
     vec.setflags(write=False)
-    return _trusted(QuantumState, vec)
+    state = object.__new__(QuantumState)
+    state.__dict__["vector"] = vec
+    return state
 
 
 def _trusted_observable(g: np.ndarray) -> Observable:

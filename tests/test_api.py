@@ -141,7 +141,7 @@ def test_readme_cli_block_names_exactly_the_parser_options():
 
 
 class TestErrorContract:
-    """Every `raise` in the package (46 sites), by module, class and message template (the `ast.unparse`
+    """Every `raise` in the package (47 sites), by module, class and message template (the `ast.unparse`
     of the raise's first argument), and the exit code `cli.main` gives each class. A new, moved,
     deleted or reworded raise site is an edit of RAISE_SITES."""
 
@@ -149,6 +149,7 @@ class TestErrorContract:
         ("__init__", "AttributeError", "f'module {__name__!r} has no attribute {name!r}'"),
         ("bounds", "OrthogonalityError", "f'xi_perp norm {float(nrm[off][0])!r} is not 1'"),
         ("bounds", "OrthogonalityError", "f'|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}'"),
+        ("bounds", "ValueError", "'xi_perp must be finite'"),
         ("bounds", "ValueError", 'f"which must be \'l1\' or \'l2\', got {which!r}"'),
         (
             "bounds",
@@ -158,8 +159,8 @@ class TestErrorContract:
         ),
         ("bounds", "ValueError", "f'sign must be +1 or -1, got {sign}'"),
         ("bounds", "ValueError", "f'unknown candidate kind {self.kind!r}'"),
+        ("bounds", "ValueError", "f'xi_perp must be a 1-D array or a stack of rows, got shape {vec.shape}'"),
         ("bounds", "ValueError", "f'xi_perp must be a 1-D array, got shape {user_xi_perp.shape}'"),
-        ("bounds", "ValueError", "f'xi_perp must be a finite vector or stack of rows, got shape {vec.shape}'"),
         ("cli", "OSError", "f'cannot read {path}: {exc}'"),
         ("cli", "OSError", "f'cannot write {args.out}: {exc}'"),
         ("cli", "ValueError", "f'--dims must be a comma-separated integer list, got {args.dims!r}'"),

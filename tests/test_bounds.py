@@ -257,23 +257,37 @@ class TestOptimalXiPerpL2:
 
 
 class TestUserXiPerpShape:
-    """A user xi_perp array must be finite with one or two axes, for the report and the reference alike."""
+    """A user xi_perp array is checked rank first, then for finiteness, and each entry point names its own
+    rule: a report takes one vector, the reference one vector or a stack of rows."""
 
+    RANK = "xi_perp must be a 1-D array, got shape {}"
+    STACK = "xi_perp must be a 1-D array or a stack of rows, got shape {}"
+    FINITE = "xi_perp must be finite"
+
+    # xi_perp at the state (1, 1)/sqrt(2), bound_report's message and l1_bound's, each with the shape filled in;
+    # None: l1_bound accepts the stack and returns one value per row
     BAD = {
-        "nan": np.array([1.0, np.nan]),
-        "inf_imag": np.array([1.0, complex(0.0, np.inf)]),
-        "rank_3": np.zeros((1, 1, 2)),
-        "scalar": np.array(1.0),
+        "nan": (np.array([1.0, np.nan]), FINITE, FINITE),
+        "inf_imag": (np.array([1.0, complex(0.0, np.inf)]), FINITE, FINITE),
+        "rank_3": (np.zeros((1, 1, 2)), RANK, STACK),
+        "scalar": (np.array(1.0), RANK, STACK),
+        "zero_rows": (np.zeros((2, 2)), RANK, "xi_perp norm 0.0 is not 1"),
+        "unit_orthogonal_rows": (np.array([[1, -1], [1, -1]]) / np.sqrt(2), RANK, None),
+        "wrong_dim_rows": (np.zeros((2, 3)), RANK, "dimension mismatch: (2, 3)"),
     }
 
     @pytest.mark.parametrize("name", BAD)
     def test_rejected_with_its_shape(self, name):
-        xi_perp = self.BAD[name]
-        message = re.escape(f"xi_perp must be a finite vector or stack of rows, got shape {xi_perp.shape}")
-        with pytest.raises(ValueError, match=message):
-            bound_report(pauli_x(), pauli_z(), basis_state(2, 0), user_xi_perp=xi_perp)
-        with pytest.raises(ValueError, match=message):
-            l1_bound(pauli_x(), pauli_z(), basis_state(2, 0), xi_perp, 1)
+        xi_perp, report_message, reference_message = self.BAD[name]
+        state = equatorial_state(0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(report_message.format(xi_perp.shape))}$") as info:
+            bound_report(pauli_x(), pauli_z(), state, user_xi_perp=xi_perp)
+        assert type(info.value) is ValueError
+        if reference_message is None:
+            assert l1_bound(pauli_x(), pauli_z(), state, xi_perp, 1).shape == (len(xi_perp),)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(reference_message.format(xi_perp.shape))}$"):
+            l1_bound(pauli_x(), pauli_z(), state, xi_perp, 1)
 
 
 class TestBoundReport:
