@@ -34,11 +34,11 @@ independent reference this module is checked against at the returned vectors.
 
 One private kernel record, from one fused pass over an (n, d) stack of states
 with A and B as one operand stack, holds the states, psi, phi, their Gram
-stack, Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F); read in the other
-order, it is the record of (B, A). Values come first: one named values row per
-state holds every float and flag of its report and no vector. `bound_report`
-builds a report from its one row and projects only the two returned
-directions. Every row of a stacked call is bit for bit the one-state result.
+stack, Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F). Values come first:
+one named values row per state holds every float and flag of its report and no
+vector. `bound_report` builds a report from its one row and projects only the
+two returned directions. Every row of a stacked call is bit for bit the
+one-state result.
 """
 
 from __future__ import annotations
@@ -187,12 +187,6 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     gram = np.vecdot(dev[:, None], dev)
     (var_a, covq), (_, var_b) = gram.real.tolist()
     return _Kernel(xi, dev[0], dev[1], gram, var_a, var_b, covq, (a._frobenius, b._frobenius))
-
-
-def _exchanged(k: _Kernel) -> _Kernel:
-    """The record of `k` with A and B exchanged, bit for bit `_kernel(b, a, k.xi)`, read from its Gram stack."""
-    gram = k.gram[::-1, ::-1]
-    return _Kernel(k.xi, k.phi, k.psi, gram, k.var_b, k.var_a, gram[0, 1].real.tolist(), k.norms[::-1])
 
 
 # phi's coefficient c in each direction psi + c phi, in table order (l1(+), l1(-), l2(+), l2(-)), row

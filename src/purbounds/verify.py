@@ -7,12 +7,13 @@ brute-force optimization over the orthogonal complement as a check on the
 closed-form optima, direct numeric checks of the foundational identities
 (Cauchy-Schwarz, parallelogram law), and the randomized invariant suite that
 drives all of them. The reference is one function of (A, B, state, xi_perp);
-complement samples go through the kernel's own projection and row-norm rules,
-so every row is normalized the same way. The suite checks an instance from one
-2-row kernel call, the state and its phased copy: one named values row per
-state, one projection pass over both rows for the four directions in table
-order, each its own sign's optimum, and the (B, A) record read from the same
-Gram stack; of each, the suite reads the state's row 0.
+it also gives every HRSUR value from A|xi> and B|xi> alone, against which the
+suite checks each values row. Complement samples go through the kernel's own
+projection and row-norm rules, so every row is normalized the same way. The
+suite checks an instance from one 2-row kernel call, the state and its phased
+copy: one named values row per state and one projection pass over both rows
+for the four directions in table order, each its own sign's optimum; of each,
+the suite reads the state's row 0.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
 already-constructed Generator), and the suite derives one independent stream
@@ -31,7 +32,6 @@ import numpy as np
 from .bounds import (
     _COEFFS,
     _checked_perp,
-    _exchanged,
     _kernel,
     _unit_projections,
     _validate_sign,
@@ -124,17 +124,18 @@ _REFERENCE_COEFFS = np.array([sign if which == "l1" else -sign * 1j for which, s
 _REFERENCE_SCALE = np.array([0.5 if which == "l1" else 1.0 for which, _ in REFERENCE_ROWS])
 
 
-def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp) -> tuple[np.ndarray, complex, complex]:
-    """(values, <xi|AB|xi>, <xi|BA|xi>): the per-xi_perp bounds of every (bound, sign) in
-    REFERENCE_ROWS, one column each, and the two means they take <[A,B]> from.
+def _reference_values(a: Observable, b: Observable, state: QuantumState,
+                      xi_perp) -> tuple[np.ndarray, dict, complex, complex]:
+    """(values, hrsur, <xi|AB|xi>, <xi|BA|xi>): the per-xi_perp bounds of every (bound, sign) in
+    REFERENCE_ROWS, one column each, the HRSUR values by field name, and the means <[A,B]> is taken from.
 
-    l1(s) = |<xi|(A + s B)|xi_perp>|^2 / 2 and
-    l2(s) = s i<[A,B]> + |<xi|(A + s i B)|xi_perp>|^2, from the images
-    A|xi> + c B|xi> of (A + s B)|xi> and (A - s i B)|xi>, never from the
-    deviation vectors: four matrix-vector products give A|xi>, B|xi> and the
-    two means. xi_perp is checked once and <[A,B]> computed once, and one
-    (n, d) @ (d, 4) product evaluates every column at every xi_perp. One
-    vector gives values of shape (4,), a stack of n vectors (n, 4).
+    l1(s) = |<xi|(A + s B)|xi_perp>|^2 / 2 and l2(s) = s i<[A,B]> + |<xi|(A + s i B)|xi_perp>|^2, from
+    the images A|xi> + c B|xi> of (A + s B)|xi> and (A - s i B)|xi>, never from the deviation vectors:
+    four matrix-vector products give A|xi>, B|xi> and the two means. xi_perp is checked once and <[A,B]>
+    computed once, and one (n, d) @ (d, 4) product evaluates every column at every xi_perp. One vector
+    gives values of shape (4,), a stack of n vectors (n, 4). The HRSUR values read A|xi> and B|xi> alone:
+    <A>, <B> and their Gram give Var(A) = <Ax|Ax> - <A>^2 and Cov(A,B) = <Ax|Bx> - <A><B>, then
+    CovQ = Re Cov, t2 = 2 |Im Cov| and t1 = CovQ^2 + t2^2 / 4.
     """
     _same_dim(a.dim, b.dim, state.dim)
     xi = state.vector
@@ -144,8 +145,15 @@ def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp
     # s i <[A,B]> is real: the commutator mean is purely imaginary
     comm = _commutator_of_means(a, b, ab, ba)
     offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
+    images = np.stack((ax, bx))
+    mean_a, mean_b = np.vecdot(xi, images).real.tolist()
+    (aa, cov), (_, bb) = np.vecdot(images[:, None], images).tolist()
+    var_a, var_b, cov = aa.real - mean_a * mean_a, bb.real - mean_b * mean_b, cov - mean_a * mean_b
+    t2 = 2.0 * abs(cov.imag)
+    hrsur = dict(var_a=var_a, var_b=var_b, sum_var=var_a + var_b, covq=cov.real, prod_var=var_a * var_b,
+                 t1=cov.real * cov.real + 0.25 * t2 * t2, t2=t2)
     columns = ax + _REFERENCE_COEFFS[:, None] * bx
-    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + offset, ab, ba
+    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + offset, hrsur, ab, ba
 
 
 def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):
@@ -265,12 +273,11 @@ class SuiteReport:
 
 # the suite's checks in report order: a slack is violated below -tol, a defect above tol
 SLACK_CHECKS = (
-    "hrsur_product", "hrsur_sum_vs_sigma", "sigma_vs_t2", "csi",
-    "mpur_l1_random_perp", "mpur_l2_random_perp", "dominance_l1", "dominance_l2",
+    "hrsur_product", "sigma_vs_t2", "csi", "mpur_l1_random_perp", "mpur_l2_random_perp", "dominance_l1", "dominance_l2",
 )
 DEFECT_CHECKS = (
     "parallelogram", "commutator_mean_realpart", "anticommutator_mean_imagpart", "tightness_l2",
-    "l1_identity", "t1_symmetry", "t2_symmetry", "phase_invariance",
+    "l1_identity", "hrsur_values", "phase_invariance",
 )
 
 
@@ -287,15 +294,14 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     rep, phased = _value_rows(own)
     # the record's own deviation vectors feed the Cauchy-Schwarz and parallelogram checks
     psi, phi = own.psi[0], own.phi[0]
-    sigma_term = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
 
     # each bound's maximizing sign is attained at its candidate, the other sign at its own optimum: the
     # four directions in table order (l1(+), l1(-), l2(+), l2(-)), in one projection pass over both rows,
     # of which the state's row 0 is read
     vectors = _unit_projections(own, _COEFFS)[0]
-    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is; its
-    # means <xi|AB|xi> and <xi|BA|xi> give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
-    reference, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors)))
+    # the reference at the sampled xi_perp, then at those four vectors, all checked as any xi_perp is, and its
+    # HRSUR values; its means give the Hermiticity residues: <[A,B]> must be imaginary, <{A,B}> real
+    reference, hrsur, ab, ba = _reference_values(a, b, state, np.concatenate((perps, vectors)))
     # Maccone-Pati validity against Var(A) + Var(B) and dominance against the optimum of the same
     # sign at sampled xi_perp: as rounding is monotone, min(v - x) is v - max(x) bit for bit
     optima = np.array(((rep.sum_var,) * 4, rep.l1_by_sign + rep.l2_by_sign))
@@ -308,19 +314,17 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         max(abs(pair[column] - bound), abs(pair[0] - by_sign[0]), abs(pair[1] - by_sign[1]))
         for pair, bound, by_sign, column in zip(at, (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
     )
-    # swapping the observables must not change the HRSUR bounds, read from row 0 of the (B, A) record
-    swapped, _ = _value_rows(_exchanged(own))
     # both identities of (psi, phi), each squared norm taken once
     identities = (psi, phi, _norm(psi) ** 2, _norm(phi) ** 2)
-    slacks = (rep.prod_var - rep.t1, rep.sum_var - sigma_term, sigma_term - rep.t2, _csi(*identities), *minima)
+    slacks = (rep.prod_var - rep.t1, 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b) - rep.t2, _csi(*identities), *minima)
     defects = (
         _parallelogram(*identities),
         abs(complex(ab - ba).real),
         abs(complex(ab + ba).imag),
         l2_defect,
         l1_defect,
-        abs(rep.t1 - swapped.t1),
-        abs(rep.t2 - swapped.t2),
+        # every HRSUR value of the row against the reference's
+        max(abs(getattr(rep, name) - value) for name, value in hrsur.items()),
         # the state's row against its phased copy's, field by field
         max(abs(getattr(rep, name) - getattr(phased, name)) for name in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
     )

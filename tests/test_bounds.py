@@ -15,7 +15,6 @@ from purbounds.bounds import (
     OrthogonalityError,
     _COEFFS,
     _checked_perp,
-    _exchanged,
     _kernel,
     _unit_projections,
     _Values,
@@ -258,14 +257,17 @@ class TestOptimalXiPerpL2:
 
 class TestUserXiPerpShape:
     """A user xi_perp array is checked rank first, then for finiteness, and each entry point names its own
-    rule: a report takes one vector, the reference one vector or a stack of rows."""
+    rule: a report takes one vector, the reference one vector or a stack of rows. Its norm may be off 1 by
+    at most RENORM_WINDOW (1e-6): both entry points take (1, -1)/sqrt(2) at 1 + 5e-7 times its length and
+    reject it at 1 + 5e-6, so a window ten times wider or narrower fails."""
 
     RANK = "xi_perp must be a 1-D array, got shape {}"
     STACK = "xi_perp must be a 1-D array or a stack of rows, got shape {}"
     FINITE = "xi_perp must be finite"
+    OFF_NORM = "xi_perp norm 1.000005 is not 1"
 
     # xi_perp at the state (1, 1)/sqrt(2), bound_report's message and l1_bound's, each with the shape filled in;
-    # None: l1_bound accepts the stack and returns one value per row
+    # None: l1_bound accepts the stack and returns one value per row, or both entry points accept the vector
     BAD = {
         "nan": (np.array([1.0, np.nan]), FINITE, FINITE),
         "inf_imag": (np.array([1.0, complex(0.0, np.inf)]), FINITE, FINITE),
@@ -274,15 +276,22 @@ class TestUserXiPerpShape:
         "zero_rows": (np.zeros((2, 2)), RANK, "xi_perp norm 0.0 is not 1"),
         "unit_orthogonal_rows": (np.array([[1, -1], [1, -1]]) / np.sqrt(2), RANK, None),
         "wrong_dim_rows": (np.zeros((2, 3)), RANK, "dimension mismatch: (2, 3)"),
+        "norm_inside_window": ((1 + 5e-7) * np.array([1, -1]) / np.sqrt(2), None, None),
+        "norm_outside_window": ((1 + 5e-6) * np.array([1, -1]) / np.sqrt(2), OFF_NORM, OFF_NORM),
     }
 
     @pytest.mark.parametrize("name", BAD)
     def test_rejected_with_its_shape(self, name):
         xi_perp, report_message, reference_message = self.BAD[name]
         state = equatorial_state(0.0)
+        if report_message is None:
+            rep = bound_report(pauli_x(), pauli_z(), state, user_xi_perp=xi_perp)
+            assert rep.l1_candidate.kind == "user_supplied"
+            assert np.isfinite(l1_bound(pauli_x(), pauli_z(), state, xi_perp, 1))
+            return
         with pytest.raises(ValueError, match=f"^{re.escape(report_message.format(xi_perp.shape))}$") as info:
             bound_report(pauli_x(), pauli_z(), state, user_xi_perp=xi_perp)
-        assert type(info.value) is ValueError
+        assert type(info.value) is (OrthogonalityError if report_message == self.OFF_NORM else ValueError)
         if reference_message is None:
             assert l1_bound(pauli_x(), pauli_z(), state, xi_perp, 1).shape == (len(xi_perp),)
             return
@@ -597,25 +606,9 @@ class TestStackedKernel:
         assert type(info.value) is ValueError
 
 
-def record_bits(k):
-    """Every field of a kernel record: arrays by shape, dtype and bytes, floats by hex."""
-    return [
-        (v.shape, v.dtype.str, np.ascontiguousarray(v).tobytes()) if isinstance(v, np.ndarray) else [x.hex() for x in v]
-        for v in k
-    ]
-
-
 class TestValuesFirst:
-    """The values rows, the exchanged record and the suite's one projection pass each equal,
-    bit for bit, what the routes they replace compute."""
-
-    @pytest.mark.parametrize("dim", range(2, 65))
-    def test_exchanged_record_equals_the_kernel_on_b_a(self, dim):
-        rng = np.random.default_rng([107, dim])
-        a, b = random_observable(dim, rng), random_observable(dim, rng)
-        xi = np.stack([random_state(dim, rng).vector for _ in range(5)])
-        for rows in (xi[:1], xi[3:4], xi):
-            assert record_bits(_exchanged(_kernel(a, b, rows))) == record_bits(_kernel(b, a, rows))
+    """The values rows and the suite's one projection pass each equal, bit for bit, what the
+    routes they replace compute."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_values_record_holds_the_reports_values(self, dim):
@@ -843,6 +836,14 @@ class TestOperandScale:
         assert rep.t1 > 0.0 and np.isfinite(rep.prod_var)
         with pytest.raises(ValueError, match=r"operand scale too large: Var\(A\) Var\(B\) = .* \(\|A\|_F = "):
             bound_report(Observable(1e80 * a.matrix), Observable(1e80 * b.matrix), state)
+        # the edge itself: s X and s Y at |0> have Var(A) Var(B) = s^4, at max/10 and max/6 on either side of
+        # max/8, so a limit at max/4 lets max/6 through
+        x, y = pauli_x().matrix, np.array([[0, -1j], [1j, 0]])
+        s = (np.finfo(float).max / 10) ** 0.25
+        assert np.isfinite(bound_report(Observable(s * x), Observable(s * y), basis_state(2, 0)).t1)
+        s = (np.finfo(float).max / 6) ** 0.25
+        with pytest.raises(ValueError, match=r"^operand scale too large: "):
+            bound_report(Observable(s * x), Observable(s * y), basis_state(2, 0))
 
     def test_user_xi_perp_is_checked_before_the_limit(self):
         # the kernel record reads no degree-4 quantity, so a bad xi_perp is named first

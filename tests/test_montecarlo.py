@@ -60,6 +60,13 @@ class TestBornDistribution:
             assert dist.mean() == pytest.approx(expectation(a, state), abs=1e-10)
             assert dist.variance() == pytest.approx(variance(a, state), abs=1e-10)
 
+    @pytest.mark.parametrize("p,outcomes", [(1e-16, 1), (1e-12, 2)], ids=["below_floor", "above_floor"])
+    def test_outcome_probability_floor(self, p, outcomes):
+        # diag(0, 1) at sqrt(1 - p)|0> + sqrt(p)|1>: outcome 1 has probability p, dropped below the floor of 1e-14
+        state = QuantumState(np.array([np.sqrt(1 - p), np.sqrt(p)], dtype=complex))
+        dist = born_distribution(Observable(np.diag([0.0, 1.0]).astype(complex)), state)
+        assert dist.values.tolist() == [0.0, 1.0][:outcomes]
+
     def test_degenerate_eigenvalues_merged(self):
         dist = born_distribution(Observable(np.eye(3)), basis_state(3, 1))
         np.testing.assert_allclose(dist.values, [1.0])

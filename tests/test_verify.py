@@ -570,11 +570,19 @@ class TestCheckInstanceRoutes:
             xi = state.vector
             ab, ba = np.vdot(xi, a.matrix @ (b.matrix @ xi)), np.vdot(xi, b.matrix @ (a.matrix @ xi))
             sigma = 2.0 * np.sqrt(rep.var_a) * np.sqrt(rep.var_b)
-            swapped = bound_report(b, a, state)
             phased = bound_report(a, b, QuantumState(np.exp(1j * theta) * xi))
+            # the HRSUR values from the plain images A|xi> and B|xi>, one inner product at a time
+            ax, bx = a.matrix @ xi, b.matrix @ xi
+            mean_a, mean_b = np.vecdot(xi, ax).real, np.vecdot(xi, bx).real
+            var_a, var_b = np.vecdot(ax, ax).real - mean_a * mean_a, np.vecdot(bx, bx).real - mean_b * mean_b
+            cov = np.vecdot(ax, bx) - mean_a * mean_b
+            t2 = 2.0 * abs(cov.imag)
+            hrsur = {
+                "var_a": var_a, "var_b": var_b, "sum_var": var_a + var_b, "covq": cov.real,
+                "prod_var": var_a * var_b, "t1": cov.real * cov.real + t2 * t2 / 4, "t2": t2,
+            }
             expected_slacks = (
                 rep.prod_var - rep.t1,
-                rep.sum_var - sigma,
                 sigma - rep.t2,
                 check_csi(psi, phi),
                 float((rep.sum_var - l1).min()),
@@ -588,8 +596,7 @@ class TestCheckInstanceRoutes:
                 abs(complex(ab + ba).imag),
                 attained[1],
                 attained[0],
-                abs(rep.t1 - swapped.t1),
-                abs(rep.t2 - swapped.t2),
+                max(abs(getattr(rep, name) - value) for name, value in hrsur.items()),
                 max(abs(getattr(rep, n) - getattr(phased, n)) for n in ("var_a", "var_b", "t1", "t2", "l1", "l2", "mpur")),
             )
             for names, row, expected in ((SLACK_CHECKS, slacks, expected_slacks), (DEFECT_CHECKS, defects, expected_defects)):
@@ -723,9 +730,8 @@ class TestStackedReference:
 
 class TestReroutedChecksFire:
     """The suite reads the two values rows of its 2-row kernel call (state, phased state), the
-    vectors of one projection pass, and for the swap checks the values row of the (B, A) record read
-    from the same call's Gram stack: a kernel that breaks an invariance, or a value or vector
-    off its optimum, fails."""
+    vectors of one projection pass, and the reference's HRSUR values from A|xi> and B|xi>: a kernel
+    that breaks an invariance, or a value or vector off its optimum or off the reference, fails."""
 
     @staticmethod
     def _patch_both(monkeypatch, name, patched):
@@ -738,18 +744,31 @@ class TestReroutedChecksFire:
         report = run_invariant_suite(count=8, dims=(2, 8, 64))
         return {v["check"] for v in report.violations}
 
-    @pytest.mark.parametrize("field", ["t1", "t2"])
-    def test_operand_order_dependence_fires_symmetry(self, monkeypatch, field):
+    # planted values-row defects, as (field, the planted value from the row's value and the kernel record); the
+    # operand-order rows shift a field only where |A|_F > |B|_F. No other check fires on the t1 x 0.9, t2 x 0.9,
+    # prod_var x 1.1 and covq x -1 rows: each moves a one-sided inequality to its safe side or flips a sign
+    PLANTED_ROWS = {
+        "t1_x0.9": ("t1", lambda value, k: 0.9 * value),
+        "t2_x0.9": ("t2", lambda value, k: 0.9 * value),
+        "prod_var_x1.1": ("prod_var", lambda value, k: 1.1 * value),
+        "t2_x1.1": ("t2", lambda value, k: 1.1 * value),
+        "var_a_x1.01": ("var_a", lambda value, k: 1.01 * value),
+        "covq_x-1": ("covq", lambda value, k: -value),
+        "sum_var_x0.99": ("sum_var", lambda value, k: 0.99 * value),
+        "t1_operand_order": ("t1", lambda value, k: value + 1.0 if k.norms[0] > k.norms[1] else value),
+        "t2_operand_order": ("t2", lambda value, k: value + 1.0 if k.norms[0] > k.norms[1] else value),
+    }
+
+    @pytest.mark.parametrize("plant", PLANTED_ROWS)
+    def test_planted_row_defect_fires_hrsur_values(self, monkeypatch, plant):
+        name, planted = self.PLANTED_ROWS[plant]
         original = bounds._value_rows
 
-        def order_dependent(k, user_xi_perp=None):
-            rows = original(k, user_xi_perp)
-            if k.norms[0] > k.norms[1]:
-                return [row._replace(**{field: getattr(row, field) + 1.0}) for row in rows]
-            return rows
+        def defective(k, user_xi_perp=None):
+            return [row._replace(**{name: planted(getattr(row, name), k)}) for row in original(k, user_xi_perp)]
 
-        self._patch_both(monkeypatch, "_value_rows", order_dependent)
-        assert f"{field}_symmetry" in self._failed_checks()
+        self._patch_both(monkeypatch, "_value_rows", defective)
+        assert "hrsur_values" in self._failed_checks()
 
     def test_phase_dependence_fires_phase_invariance(self, monkeypatch):
         original = bounds._value_rows
