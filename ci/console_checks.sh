@@ -24,6 +24,11 @@ python -c "import json; d = json.load(open('readme_d2.json')); del d['xi_perp'];
 purbounds bounds readme_d2_analytic.json > script_analytic.out
 python -m purbounds bounds readme_d2_analytic.json > module_analytic.out
 cmp script_analytic.out module_analytic.out
+# an xi_perp within TOL_NORM of unit norm is read as given: (1, -1)/sqrt(2) written as 1 / np.sqrt(2.0)
+# prints, 0.7071067811865475, is both candidates' vector, not renormalized to 0.7071067811865476
+python -c "import json; d = json.load(open('readme_d2.json')); d['xi_perp'] = [[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]; json.dump(d, open('readme_d2_unit.json', 'w'))"
+purbounds bounds readme_d2_unit.json > unit.out
+python -c "import json; f = json.load(open('readme_d2_unit.json'))['xi_perp']; r = json.load(open('unit.out')); assert r['l1']['xi_perp'] == r['l2']['xi_perp'] == f, r"
 # both l2 signs tie at the optimum, so l2 reports +1; the optimized l1 is sum_var/2 + |covq|
 python -c "import json; r = json.load(open('script_analytic.out')); assert r['l2']['kind'] == 'analytic_optimum'; assert abs(r['l2']['value'] - r['sum_var']) <= 1e-12; assert r['l2']['sign'] == 1; assert abs(r['l1']['value'] - (r['sum_var'] / 2 + abs(r['covq']))) <= 1e-12"
 purbounds sweep --points 241 --out sweep.csv

@@ -30,14 +30,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the tolerance edges of ROADMAP item 20, each as (file, old, new, reason)
 MUTANTS = (
-    ("src/purbounds/bounds.py", "off = np.abs(nrm - 1.0) > RENORM_WINDOW", "off = np.abs(nrm - 1.0) > 10 * RENORM_WINDOW",
+    ("src/purbounds/bounds.py", "if drift > RENORM_WINDOW:", "if drift > 10 * RENORM_WINDOW:",
      "RENORM_WINDOW x10 in _checked_perp: TestUserXiPerpShape's norm_outside_window row"),
+    ("src/purbounds/quantum.py", "abs(nrm - 1.0) > TOL_NORM else", "abs(nrm - 1.0) > 10 * TOL_NORM else",
+     "TOL_NORM x10 in QuantumState: TestOneComplementRule.test_unit_vector_rule_at_tol_norm's outside_tol_norm rows"),
+    ("src/purbounds/bounds.py", "if drift > TOL_NORM else", "if drift > 10 * TOL_NORM else",
+     "TOL_NORM x10 in _checked_perp: TestOneComplementRule.test_unit_vector_rule_at_tol_norm's outside_tol_norm rows"),
     ("src/purbounds/bounds.py", "if overlap > TOL_EIG:", "if overlap > 10 * TOL_EIG:",
      "the overlap test's TOL_EIG x10: an absolute tolerance, pinned with item 4's scale rule"),
     ("src/purbounds/quantum.py", "tol = TOL_EIG * (1.0 + op._frobenius)", "tol = TOL_EIG * (10.0 + op._frobenius)",
      "_means' residue tolerance at (10 + |A|_F): pinned with item 4's scale rule"),
     ("src/purbounds/quantum.py", "if residual > TOL_EIG * (1.0", "if residual > 10 * TOL_EIG * (1.0",
-     "the eigensystem residual x10: no test input has a residual near its edge"),
+     "the eigensystem residual x10: TestEigensystem.test_residual_on_both_sides_of_the_tolerance's 2x row"),
     ("src/purbounds/bounds.py", "tol = TOL_NULL * (1.0 + k.norms[0] + k.norms[1])", "tol = TOL_NULL",
      "the null tolerance left unscaled: pinned with item 4's scale rule"),
     ("src/purbounds/montecarlo.py", "allowance = 4.0 * _EPS", "allowance = 8.0 * _EPS",
@@ -45,7 +49,7 @@ MUTANTS = (
     ("src/purbounds/montecarlo.py", "_PROB_FLOOR = 1e-14", "_PROB_FLOOR = 0.0",
      "_PROB_FLOOR -> 0: TestBornDistribution.test_outcome_probability_floor's below_floor row"),
     ("src/purbounds/verify.py", "if candidate_l2 <= tol and", "if candidate_l2 <= tol / 2 and",
-     "the nontriviality record at tol / 2: the suite's tol is scaled with item 4's rule"),
+     "nontriviality at tol / 2: TestReroutedChecksFire.test_l2_candidate_just_below_tol_fires_nontriviality"),
     ("src/purbounds/bounds.py", "float(np.finfo(float).max) / 8", "float(np.finfo(float).max) / 4",
      "_MAX_VAR_PRODUCT at max/4: TestOperandScale.test_both_sides_of_the_limit's max/6 pair"),
     ("src/purbounds/bounds.py", "if l1_by_sign[0] >= l1_by_sign[1]", "if l1_by_sign[0] > l1_by_sign[1]",

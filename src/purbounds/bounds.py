@@ -51,6 +51,7 @@ import numpy as np
 from .quantum import (
     RENORM_WINDOW,
     TOL_EIG,
+    TOL_NORM,
     TOL_NULL,
     Observable,
     QuantumState,
@@ -143,10 +144,12 @@ def _validate_which(which: str) -> str:
 
 
 def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
-    """xi_perp renormalized, after checking unit norm and orthogonality to the state.
+    """xi_perp under the package's unit-vector rule (see `quantum`), after checking its norm and
+    orthogonality to the state.
 
     Takes one vector or a stack of row vectors. The rank is checked first, then
-    finiteness, the dimension, and each row's norm and overlap. Each row is
+    finiteness, the dimension, and each row's norm and overlap. The rows come
+    back as a copy, or, where one is off unit norm by more than TOL_NORM, each
     divided by its `_norms` entry, bit for bit `row / _norm(row)`. A
     QuantumState's vector is finite and 1-D by construction, so only an array
     is checked for both.
@@ -162,10 +165,12 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     # the size read directly: the `dim` property would add a Python call per report
     _same_dim(state.vector.size, vec.shape[-1])
     nrm = _norms(vec)
-    off = np.abs(nrm - 1.0) > RENORM_WINDOW
-    if off.any():
-        raise OrthogonalityError(f"xi_perp norm {float(nrm[off][0])!r} is not 1")
-    vec = vec / nrm[..., None]
+    # the largest distance from unit norm decides both the window and the unit-vector rule
+    drift = float(np.abs(nrm - 1.0).max(initial=0.0))
+    if drift > RENORM_WINDOW:
+        raise OrthogonalityError(f"xi_perp norm {float(nrm[np.abs(nrm - 1.0) > RENORM_WINDOW][0])!r} is not 1")
+    # kept as given in a copy, so that a caller's array never becomes a report's read-only candidate
+    vec = vec / nrm[..., None] if drift > TOL_NORM else vec.copy()
     overlap = float(np.abs(np.vecdot(state.vector, vec)).max(initial=0.0))
     if overlap > TOL_EIG:
         raise OrthogonalityError(f"|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}")

@@ -16,9 +16,13 @@ The supported dimensions have one rule, `_check_dim`:
 state has no unit vector orthogonal to it, so every state the package is
 given has a nonempty complement. The geometry of that complement has one
 owner, this module: one row-norm rule (`_norms`, of which `_norm` is the
-one-row view) and one complement projection (`_project`). A state,
-candidate or report the package built itself skips the checks, its fields
-filled by name through `__dict__`.
+one-row view) and one complement projection (`_project`). Unit vectors have
+one rule, `QuantumState`'s, which `bounds._checked_perp` also applies to each
+xi_perp: a vector within TOL_NORM of unit norm is kept as given, bit for bit;
+one within RENORM_WINDOW is divided by its norm; one farther off is rejected.
+A stack of xi_perp rows is kept if every row is within TOL_NORM, else every
+row is divided by its norm. A state, candidate or report the package built
+itself skips the checks, its fields filled by name through `__dict__`.
 """
 
 from __future__ import annotations

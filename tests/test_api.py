@@ -147,7 +147,7 @@ class TestErrorContract:
 
     RAISE_SITES = [
         ("__init__", "AttributeError", "f'module {__name__!r} has no attribute {name!r}'"),
-        ("bounds", "OrthogonalityError", "f'xi_perp norm {float(nrm[off][0])!r} is not 1'"),
+        ("bounds", "OrthogonalityError", "f'xi_perp norm {float(nrm[np.abs(nrm - 1.0) > RENORM_WINDOW][0])!r} is not 1'"),
         ("bounds", "OrthogonalityError", "f'|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}'"),
         ("bounds", "ValueError", "'xi_perp must be finite'"),
         ("bounds", "ValueError", 'f"which must be \'l1\' or \'l2\', got {which!r}"'),

@@ -335,6 +335,22 @@ class TestBoundReport:
         assert rep.l1 == pytest.approx(0.5, abs=1e-15)
         assert rep.l2 == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("form", ["state", "array"])
+    def test_unit_xi_perp_is_read_as_given(self, form):
+        # (1, -1)/sqrt(2) has norm 1 - 1.1e-16, within TOL_NORM: both candidates hold its bytes, as the
+        # QuantumState holds them, not a copy renormalized one rounding away
+        h = 1 / np.sqrt(2.0)
+        given = QuantumState([h, -h]) if form == "state" else np.array([h, -h], dtype=complex)
+        rep = bound_report(pauli_x(), pauli_z(), equatorial_state(0.0), user_xi_perp=given)
+        raw = given.vector if form == "state" else given
+        assert raw.tobytes() == np.array([h, -h], dtype=complex).tobytes()
+        for cand in (rep.l1_candidate, rep.l2_candidate):
+            assert cand.vector.vector.tobytes() == raw.tobytes()
+        if form == "array":
+            # the caller's array is neither frozen nor shared by the read-only candidate
+            assert given.flags.writeable
+            assert not np.shares_memory(given, rep.l1_candidate.vector.vector)
+
     def test_sign_tie_reports_plus(self):
         # CovQ(X, Z) = 0 on the equatorial family, so both l1 signs tie
         rep = bound_report(pauli_x(), pauli_z(), equatorial_state(0.7))

@@ -512,11 +512,12 @@ class TestComplementBasis:
 
 class TestOneComplementRule:
     """One projection and one row-norm rule serve the report's candidates, the xi_perp check and
-    the complement sampler alike."""
+    the complement sampler alike, and one unit-vector rule serves a state and an xi_perp: a vector
+    within TOL_NORM of unit norm is kept as given, and one farther off is divided by its norm."""
 
     @pytest.mark.parametrize("dim", range(2, 65))
     def test_rows_are_divided_by_their_norm(self, dim):
-        # every row is bit for bit r / _norm(r), as QuantumState and the report's candidates take it
+        # rows off unit norm beyond TOL_NORM: every row is bit for bit r / _norm(r), as the sampler takes it
         rng = np.random.default_rng([43, dim])
         state = random_state(dim, rng)
         # rows in the complement, off unit norm by about 1e-8
@@ -528,6 +529,31 @@ class TestOneComplementRule:
         projected = _project(state.vector, _complex_normal(np.random.default_rng([47, dim]), (64, dim)))
         samples = _complement_samples(state, 64, np.random.default_rng([47, dim]))
         assert [row.tobytes() for row in samples] == [(r / _norm(r)).tobytes() for r in projected]
+
+    # (scale, kept): a unit vector scaled by 1 + 5e-13 is within TOL_NORM = 1e-12 and kept bit for bit; one
+    # scaled by 1 + 2e-12 is not, and comes back as r / _norm(r). A TOL_NORM ten times wider or narrower fails
+    UNIT_EDGES = {"inside_tol_norm": (1 + 5e-13, True), "outside_tol_norm": (1 + 2e-12, False)}
+
+    @pytest.mark.parametrize("edge", UNIT_EDGES)
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_unit_vector_rule_at_tol_norm(self, dim, edge):
+        scale, kept = self.UNIT_EDGES[edge]
+        rng = np.random.default_rng([61, dim])
+        state = random_state(dim, rng)
+        rows = scale * _complement_samples(state, 16, rng)
+        expected = [(row if kept else row / _norm(row)).tobytes() for row in rows]
+        assert [QuantumState(row).vector.tobytes() for row in rows] == expected
+        assert [row.tobytes() for row in _checked_perp(state, rows)] == expected
+        assert _checked_perp(state, rows[0]).tobytes() == expected[0]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_checked_perp_reads_the_samplers_rows(self, dim):
+        # the sampler's rows are unit within TOL_NORM, so the reference reads them bit for bit, not
+        # renormalized one rounding away
+        rng = np.random.default_rng([59, dim])
+        state = random_state(dim, rng)
+        rows = _complement_samples(state, 100, rng)
+        assert _checked_perp(state, rows).tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_projection_takes_stacked_states(self, dim):
@@ -582,6 +608,24 @@ class TestEigensystem:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(EigensolverError, match="^eigensolver failed to converge: Eigenvalues did not converge$"):
             hermitian_eigensystem(pauli_x())
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_residual_on_both_sides_of_the_tolerance(self, monkeypatch, factor):
+        # X's eigenvectors turned by theta rebuild X at residual 2 sqrt(2) sin(theta), here `factor` times the
+        # tolerance TOL_EIG (1 + |X|_F): 0.5 returns, 2 raises, so a tolerance ten times wider fails
+        a = pauli_x()
+        tol = TOL_EIG * (1.0 + a.frobenius_norm())
+        theta = np.arcsin(factor * tol / (2.0 * np.sqrt(2.0)))
+        turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        values, vectors = np.linalg.eigh(a.matrix)
+        turned = vectors @ turn
+        monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (values, turned))
+        assert _norm(a.matrix - (turned * values) @ turned.conj().T) == pytest.approx(factor * tol, rel=1e-4)
+        if factor < 1.0:
+            assert hermitian_eigensystem(a)[1] is turned
+        else:
+            with pytest.raises(EigensolverError, match="^eigendecomposition residual .* above tolerance$"):
+                hermitian_eigensystem(a)
 
     def test_reconstruction_residual_above_tolerance_is_an_eigensolver_error(self, monkeypatch):
         # X's eigenvectors with Z's eigenvalues rebuild Z, at residual |X - Z|_F = 2 > TOL_EIG (1 + sqrt 2)

@@ -807,6 +807,23 @@ class TestReroutedChecksFire:
         monkeypatch.setattr(verify, "_unit_projections", orthogonal_l2_plus)
         assert "nontriviality" in self._failed_checks()
 
+    def test_l2_candidate_just_below_tol_fires_nontriviality(self, monkeypatch):
+        # the reference's l2 at the row's own l2 candidate planted at 0.75 tol, while every drawn instance
+        # has a variance far above tol: the record fires, so a threshold of tol / 2 fails
+        tol = verify.DEFAULT_SUITE_TOL
+        original = verify._reference_values
+
+        def planted(a, b, state, xi_perp):
+            reference, *rest = original(a, b, state, xi_perp)
+            # the last four rows are the four directions' vectors; l2(+) and l2(-) are its columns 2 and 3
+            reference[-2, 2] = reference[-1, 3] = 0.75 * tol
+            return reference, *rest
+
+        monkeypatch.setattr(verify, "_reference_values", planted)
+        records = [v for v in run_invariant_suite(count=8, dims=(2, 8, 64)).violations if v["check"] == "nontriviality"]
+        assert len(records) == 8
+        assert all(v["defect"] > tol for v in records)
+
     def test_non_hermitian_trusted_observable_fires_residues(self, monkeypatch):
         original = verify._trusted_observable
 
