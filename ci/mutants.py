@@ -38,8 +38,6 @@ MUTANTS = (
      "TOL_NORM x10 in _checked_perp: TestOneComplementRule.test_unit_vector_rule_at_tol_norm's outside_tol_norm rows"),
     ("src/purbounds/bounds.py", "if overlap > TOL_EIG:", "if overlap > 10 * TOL_EIG:",
      "the overlap test's TOL_EIG x10: an absolute tolerance, pinned with item 4's scale rule"),
-    ("src/purbounds/quantum.py", "tol = TOL_EIG * (1.0 + op._frobenius)", "tol = TOL_EIG * (10.0 + op._frobenius)",
-     "_means' residue tolerance at (10 + |A|_F): pinned with item 4's scale rule"),
     ("src/purbounds/quantum.py", "if residual > TOL_EIG * (1.0", "if residual > 10 * TOL_EIG * (1.0",
      "the eigensystem residual x10: TestEigensystem.test_residual_on_both_sides_of_the_tolerance's 2x row"),
     ("src/purbounds/bounds.py", "tol = TOL_NULL * (1.0 + k.norms[0] + k.norms[1])", "tol = TOL_NULL",

@@ -45,7 +45,6 @@ from .quantum import (
     QuantumState,
     _as_vector,
     _check_dim,
-    _commutator_of_means,
     _integer,
     _norm,
     _norms,
@@ -143,7 +142,7 @@ def _reference_values(a: Observable, b: Observable, state: QuantumState,
     ab, ba = np.vdot(xi, a.matrix @ bx), np.vdot(xi, b.matrix @ ax)
     perps = _checked_perp(state, xi_perp)
     # s i <[A,B]> is real: the commutator mean is purely imaginary
-    comm = _commutator_of_means(a, b, ab, ba)
+    comm = complex(ab - ba)
     offset = np.array([0.0 if which == "l1" else (sign * 1j * comm).real for which, sign in REFERENCE_ROWS])
     images = np.stack((ax, bx))
     mean_a, mean_b = np.vecdot(xi, images).real.tolist()

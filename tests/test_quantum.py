@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from purbounds.bounds import _checked_perp, bound_report, optimal_xi_perp
+from purbounds.instances import parse_instance
 from purbounds.quantum import (
     RENORM_WINDOW,
     TOL_EIG,
+    TOL_HERM,
     DimensionMismatchError,
     EigensolverError,
     HermiticityError,
@@ -34,6 +37,7 @@ from purbounds.quantum import (
 from purbounds.verify import (
     _complement_samples,
     _complex_normal,
+    random_observable,
     random_state,
 )
 
@@ -186,6 +190,42 @@ BAD_OBSERVABLES = {
 }
 
 
+def _near_hermitian(rng, dim, scale):
+    """scale (G + G†)/2 plus a non-Hermitian draw whose defect is TOL_HERM (1 + peak) / 4."""
+    g = _complex_normal(rng, (dim, dim))
+    mat = scale * 0.5 * (g + g.conj().T)
+    noise = _complex_normal(rng, (dim, dim))
+    noise *= 0.25 * TOL_HERM * (1.0 + np.abs(mat).max()) / np.abs(noise - noise.conj().T).max()
+    mat = mat + noise
+    assert not np.array_equal(mat, mat.conj().T)
+    return mat
+
+
+def _parsed_pair(rng, dim):
+    """A and B of an instance file whose matrices are `_near_hermitian` draws."""
+    payload = {"dim": dim, "state": [[1.0, 0.0]] + [[0.0, 0.0]] * (dim - 1)}
+    for key in ("A", "B"):
+        mat = _near_hermitian(rng, dim, 1.0)
+        payload[key] = np.stack((mat.real, mat.imag), -1).tolist()
+    instance = parse_instance(payload)
+    return instance.a, instance.b
+
+
+# each way the API makes an Observable, as an (A, B) pair at dimension d from a seeded generator
+# (None where the construction has no such d)
+OBSERVABLE_CONSTRUCTIONS = {
+    **{
+        f"Observable_{scale:g}": lambda rng, dim, scale=scale: tuple(
+            Observable(_near_hermitian(rng, dim, scale)) for _ in range(2)
+        )
+        for scale in (1e-6, 1.0, 1e6)
+    },
+    "random_observable": lambda rng, dim: tuple(random_observable(dim, rng.integers(2**32)) for _ in range(2)),
+    "pauli": lambda rng, dim: (pauli_x(), pauli_z()) if dim == 2 else None,
+    "parse_instance": _parsed_pair,
+}
+
+
 class TestValidationErrors:
     @pytest.mark.parametrize("name", BAD_STATES)
     def test_state_error_class_and_message(self, name):
@@ -285,6 +325,33 @@ class TestValidateHermitian:
         with pytest.raises(ValueError):
             Observable(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_every_api_observable_is_exactly_hermitian(self, dim):
+        # Observable owns Hermiticity: no mean re-checks it, so every matrix the API stores must be
+        # exactly Hermitian, read-only and frozen, and a replaced matrix goes through the same check
+        rng = np.random.default_rng([137, dim])
+        xi = np.stack([random_state(dim, [139, dim, k]).vector for k in range(8)])
+        for name, make in OBSERVABLE_CONSTRUCTIONS.items():
+            pair = make(rng, dim)
+            if pair is None:
+                continue
+            for obs in pair:
+                m = obs.matrix
+                assert np.array_equal(m, m.conj().T), name
+                assert not m.flags.writeable, name
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    obs.matrix = m
+                # why no mean re-checks Hermiticity: the raw Im<A> stays far below TOL_EIG (1 + |A|_F)
+                residue = np.abs(np.vecdot(xi, xi @ m.T).imag).max()
+                assert residue <= 1e-4 * TOL_EIG * (1.0 + obs.frobenius_norm()), name
+            a, b = pair
+            # and the raw Re<[A,B]> far below TOL_EIG (1 + |A|_F |B|_F)
+            real_part = max(abs(commutator_mean(a, b, QuantumState(row)).real) for row in xi)
+            assert real_part <= 1e-4 * TOL_EIG * (1.0 + a.frobenius_norm() * b.frobenius_norm()), name
+            bad = a.matrix + 2.0 * TOL_HERM * (1.0 + np.abs(a.matrix).max()) * np.triu(np.ones((dim, dim)), 1)
+            with pytest.raises(HermiticityError, match="^Hermiticity defect "):
+                dataclasses.replace(a, matrix=bad)
+
 
 class TestExpectation:
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -379,14 +446,6 @@ class TestCommutatorMeans:
         cov = np.vdot(deviation_vector(pauli_z(), state), deviation_vector(pauli_x(), state))
         zx = cov + expectation(pauli_z(), state) * expectation(pauli_x(), state)
         assert zx == pytest.approx(1j * np.sin(alpha), abs=1e-14)
-
-    def test_real_part_guard(self):
-        # a stored A = |0><1|, past the constructor's Hermiticity check: <+|[A, Z]|+> = -1, a real mean
-        a = object.__new__(Observable)
-        object.__setattr__(a, "matrix", np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        object.__setattr__(a, "_frobenius", 1.0)
-        with pytest.raises(HermiticityError, match=r"commutator mean has real part -1\.000e\+00; inputs not Hermitian"):
-            commutator_mean(a, pauli_z(), equatorial_state(0.0))
 
     def test_purity_of_phase(self):
         rng = np.random.default_rng(11)

@@ -828,8 +828,8 @@ class TestReroutedChecksFire:
         original = verify._trusted_observable
 
         def non_hermitian(g):
-            # A + i eps I: Im<A> = eps stays inside the expectation guard TOL_EIG (1 + |A|_F),
-            # while Im<{A,B}> moves by 2 eps <B>
+            # A + i eps I, past Observable's Hermiticity check: no evaluation re-checks it, and
+            # Im<{A,B}> moves by 2 eps <B>
             obs = original(g)
             eps = 0.5 * TOL_EIG * (1.0 + obs.frobenius_norm())
             object.__setattr__(obs, "matrix", obs.matrix + 1j * eps * np.eye(obs.dim))
