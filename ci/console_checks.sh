@@ -113,6 +113,15 @@ for file in dim1.json dim65.json; do
     grep -q '^error: .*outside supported range \[2, 64\]$' range.err
   done
 done
+# a state whose squared norm overflows to inf is outside the renormalization window: one error line, and no
+# RuntimeWarning, which PYTHONWARNINGS above would turn into a traceback
+python -c "import json; d = json.load(open('readme_d2.json')); d['state'] = [[1e200, 0.0], [0.0, 0.0]]; del d['xi_perp']; json.dump(d, open('state_overflow.json', 'w'))"
+status=0
+purbounds bounds state_overflow.json > overflow.out 2> overflow.err || status=$?
+test "$status" -eq 2
+test ! -s overflow.out
+test "$(wc -l < overflow.err)" -eq 1
+grep -q '^error: .*state norm inf differs from 1 by more than 1e-06$' overflow.err
 # both observables are sharp on |0>: every outcome is 0.1, though the sample mean is not, and the
 # check reads no violation
 cat > sharp.json <<'JSON'

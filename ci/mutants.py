@@ -40,6 +40,8 @@ MUTANTS = (
      "the overlap test's TOL_EIG x10: an absolute tolerance, pinned with item 4's scale rule"),
     ("src/purbounds/quantum.py", "if residual > TOL_EIG * (1.0", "if residual > 10 * TOL_EIG * (1.0",
      "the eigensystem residual x10: TestEigensystem.test_residual_on_both_sides_of_the_tolerance's 2x row"),
+    ("src/purbounds/quantum.py", "if not peak <= _MAX_ENTRY:", "if not peak <= 2 * _MAX_ENTRY:",
+     "_MAX_ENTRY's guard x2: TestValidationErrors.test_observable_error_class_and_message's above_max_entry row"),
     ("src/purbounds/bounds.py", "tol = TOL_NULL * (1.0 + k.norms[0] + k.norms[1])", "tol = TOL_NULL",
      "the null tolerance left unscaled: pinned with item 4's scale rule"),
     ("src/purbounds/montecarlo.py", "allowance = 4.0 * _EPS", "allowance = 8.0 * _EPS",

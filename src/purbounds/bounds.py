@@ -33,8 +33,8 @@ tie, so l2 reports sign +1. The per-xi_perp formulas evaluated from
 independent reference this module is checked against at the returned vectors.
 
 One private kernel record, from one fused pass over an (n, d) stack of states
-with A and B as one operand stack, holds the states, psi, phi, their Gram
-stack, Var(A), Var(B) and CovQ per row, and (|A|_F, |B|_F). Values come first:
+with A and B as one operand stack, holds the states, psi, phi, Var(A),
+Var(B), CovQ and Im Cov per row, and (|A|_F, |B|_F). Values come first:
 one named values row per state holds every float and flag of its report and no
 vector. `bound_report` builds a report from its one row and projects only the
 two returned directions. Every row of a stacked call is bit for bit the
@@ -151,20 +151,23 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
     finiteness, the dimension, and each row's norm and overlap. The rows come
     back as a copy, or, where one is off unit norm by more than TOL_NORM, each
     divided by its `_norms` entry, bit for bit `row / _norm(row)`. A
-    QuantumState's vector is finite and 1-D by construction, so only an array
-    is checked for both.
+    QuantumState's vector is finite, 1-D and unit by construction, so only an
+    array is checked for both, and only an array's norm can overflow.
     """
     if isinstance(xi_perp, QuantumState):
         vec = xi_perp.vector
+        nrm = _norms(vec)
     else:
         vec = np.asarray(xi_perp, dtype=complex)
         if vec.ndim not in (1, 2):
             raise ValueError(f"xi_perp must be a 1-D array or a stack of rows, got shape {vec.shape}")
         if not np.isfinite(vec).all():
             raise ValueError("xi_perp must be finite")
+        # a norm that overflows to inf is outside the window, so numpy need not warn of it
+        with np.errstate(over="ignore"):
+            nrm = _norms(vec)
     # the size read directly: the `dim` property would add a Python call per report
     _same_dim(state.vector.size, vec.shape[-1])
-    nrm = _norms(vec)
     # the largest distance from unit norm decides both the window and the unit-vector rule
     drift = float(np.abs(nrm - 1.0).max(initial=0.0))
     if drift > RENORM_WINDOW:
@@ -178,9 +181,9 @@ def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
 
 
 # the kernel record of n states xi with shared A and B: xi, psi = (A - <A>)|xi>, phi = (B - <B>)|xi>
-# (n, d), the Gram stack of (psi, phi) (2, 2, n), whose entry gram[0, 1] is Cov(A,B) = <psi|phi>;
-# Var(A) = |psi|^2, Var(B) = |phi|^2 and CovQ(A,B) = Re<psi|phi>, one float per state; and (|A|_F, |B|_F)
-_Kernel = namedtuple("_Kernel", "xi psi phi gram var_a var_b covq norms")
+# (n, d); Var(A) = |psi|^2, Var(B) = |phi|^2, CovQ(A,B) = Re<psi|phi> and Im Cov(A,B) = Im<psi|phi>, one
+# Python float per state; and (|A|_F, |B|_F)
+_Kernel = namedtuple("_Kernel", "xi psi phi var_a var_b covq im_cov norms")
 
 
 def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
@@ -191,7 +194,7 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
     dev = _deviation_vectors((a, b), xi)
     gram = np.vecdot(dev[:, None], dev)
     (var_a, covq), (_, var_b) = gram.real.tolist()
-    return _Kernel(xi, dev[0], dev[1], gram, var_a, var_b, covq, (a._frobenius, b._frobenius))
+    return _Kernel(xi, dev[0], dev[1], var_a, var_b, covq, gram[0, 1].imag.tolist(), (a._frobenius, b._frobenius))
 
 
 # phi's coefficient c in each direction psi + c phi, in table order (l1(+), l1(-), l2(+), l2(-)), row
@@ -217,7 +220,7 @@ def _signs(k: _Kernel, xi_perp: np.ndarray):
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
     # the rest in Python floats, each the one IEEE operation numpy would take; s i <[A,B]> = -2 s Im Cov is real
-    for (l1_plus, l1_minus, l2_plus, l2_minus), im in zip((element * element).tolist(), k.gram[0, 1].imag.tolist()):
+    for (l1_plus, l1_minus, l2_plus, l2_minus), im in zip((element * element).tolist(), k.im_cov):
         yield (0.5 * l1_plus, 0.5 * l1_minus), (-2.0 * im + l2_plus, 2.0 * im + l2_minus)
 
 
@@ -300,7 +303,7 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
     """
     by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq) if user_xi_perp is None else _signs(k, user_xi_perp)
     rows = []
-    for var_a, var_b, covq, im in zip(k.var_a, k.var_b, k.covq, k.gram[0, 1].imag.tolist()):
+    for var_a, var_b, covq, im in zip(k.var_a, k.var_b, k.covq, k.im_cov):
         prod_var = var_a * var_b
         if prod_var > _MAX_VAR_PRODUCT:
             raise ValueError(

@@ -26,7 +26,8 @@ itself skips the checks, its fields filled by name through `__dict__`.
 Hermiticity has one owner, `Observable`: a matrix is checked within
 TOL_HERM (1 + max |M_ij|) and stored as (M + M†)/2, exactly Hermitian, and
 no evaluation re-checks it. A mean is the real part of <xi|A|xi>, and
-<[A,B]> is <AB> - <BA> as computed.
+<[A,B]> is read from the two images: <xi|AB|xi> = <Axi|Bxi> for Hermitian A
+and B, so <[A,B]> = <Axi|Bxi> - <Bxi|Axi>, exactly imaginary.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ class QuantumState:
     def __post_init__(self):
         vec = _as_vector(self.vector)
         _check_dim(vec.size)
-        nrm = _norm(vec)
+        # a norm that overflows to inf is outside the window, so numpy need not warn of it
+        with np.errstate(over="ignore"):
+            nrm = _norm(vec)
         if abs(nrm - 1.0) > RENORM_WINDOW:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}")
         vec = vec / nrm if abs(nrm - 1.0) > TOL_NORM else vec.copy()
@@ -313,12 +316,12 @@ def variance(a: Observable, state: QuantumState) -> float:
 
 
 def commutator_mean(a: Observable, b: Observable, state: QuantumState) -> complex:
-    """<[A,B]> = <AB> - <BA>; purely imaginary for Hermitian inputs."""
+    """<[A,B]> = <Ax|Bx> - <Bx|Ax>, from the two images A|x> and B|x>: exactly imaginary, since
+    <Bx|Ax> is the conjugate of <Ax|Bx>."""
     _same_dim(a.dim, b.dim, state.dim)
     xi = state.vector
-    ab = np.vdot(xi, a.matrix @ (b.matrix @ xi))
-    ba = np.vdot(xi, b.matrix @ (a.matrix @ xi))
-    return complex(ab - ba)
+    ab = complex(np.vdot(a.matrix @ xi, b.matrix @ xi))
+    return ab - ab.conjugate()
 
 
 def hermitian_eigensystem(a: Observable) -> tuple[np.ndarray, np.ndarray]:

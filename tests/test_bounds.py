@@ -263,6 +263,7 @@ class TestUserXiPerpShape:
     STACK = "xi_perp must be a 1-D array or a stack of rows, got shape {}"
     FINITE = "xi_perp must be finite"
     OFF_NORM = "xi_perp norm 1.000005 is not 1"
+    OVERFLOW = "xi_perp norm inf is not 1"
 
     # xi_perp at the state (1, 1)/sqrt(2), bound_report's message and l1_bound's, each with the shape filled in;
     # None: l1_bound accepts the stack and returns one value per row, or both entry points accept the vector
@@ -276,6 +277,9 @@ class TestUserXiPerpShape:
         "wrong_dim_rows": (np.zeros((2, 3)), RANK, "dimension mismatch: (2, 3)"),
         "norm_inside_window": ((1 + 5e-7) * np.array([1, -1]) / np.sqrt(2), None, None),
         "norm_outside_window": ((1 + 5e-6) * np.array([1, -1]) / np.sqrt(2), OFF_NORM, OFF_NORM),
+        # the squared norm overflows to inf, which is outside the window: one error and no RuntimeWarning
+        "norm_overflow": (np.array([1e200, -1e200]), OVERFLOW, OVERFLOW),
+        "norm_overflow_rows": (np.array([[1e200, -1e200], [1, -1]]), RANK, OVERFLOW),
     }
 
     @pytest.mark.parametrize("name", BAD)
@@ -289,7 +293,7 @@ class TestUserXiPerpShape:
             return
         with pytest.raises(ValueError, match=f"^{re.escape(report_message.format(xi_perp.shape))}$") as info:
             bound_report(pauli_x(), pauli_z(), state, user_xi_perp=xi_perp)
-        assert type(info.value) is (OrthogonalityError if report_message == self.OFF_NORM else ValueError)
+        assert type(info.value) is (OrthogonalityError if report_message in (self.OFF_NORM, self.OVERFLOW) else ValueError)
         if reference_message is None:
             assert l1_bound(pauli_x(), pauli_z(), state, xi_perp, 1).shape == (len(xi_perp),)
             return
@@ -742,7 +746,7 @@ class TestPackageBuiltValues:
                 rep.l1_candidate.sign = 1
 
 
-class TestFusedPass:
+class TestPublicCandidate:
     """The candidates `optimal_xi_perp` builds equal the public ones, and the public constructor still
     checks what the package-built path skips."""
 

@@ -273,6 +273,26 @@ class TestCmdBounds:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "matrix A" in lines[0]
 
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    def test_overflowing_state_norm_exits_two_with_one_error_line(self, tmp_path, warnings):
+        # the squared norm of (1e200, 0) overflows to inf, outside the renormalization window: one error line,
+        # and no RuntimeWarning printed before it or raised past main
+        payload = instance_dict(basis_state(2, 0), pauli_x(), pauli_z())
+        payload["state"][0] = [1e200, 0.0]
+        path = write_instance(tmp_path, "state_overflow.json", payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "purbounds", "bounds", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**SUBPROCESS_ENV, "PYTHONWARNINGS": warnings},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: invalid instance {path}: state: state norm inf differs from 1 by more than 1e-06\n"
+        )
+
     def test_user_xi_perp(self, tmp_path, capsys):
         payload = instance_dict(basis_state(2, 0), pauli_z(), pauli_x(), basis_state(2, 1))
         path = write_instance(tmp_path, "userperp.json", payload)

@@ -7,7 +7,7 @@ import pytest
 
 from exact import exact_moments
 from purbounds.bounds import bound_report, optimal_xi_perp
-from purbounds.quantum import Observable, basis_state, equatorial_state, pauli_x, pauli_z
+from purbounds.quantum import Observable, basis_state, commutator_mean, equatorial_state, pauli_x, pauli_z
 from purbounds.verify import l1_bound, random_observable, random_state
 
 EPS = float(np.finfo(float).eps)
@@ -95,6 +95,23 @@ class TestForwardError:
                 if abs(l1_plus - l1_minus) > 1e-9:
                     assert rep.l1_candidate.sign == (1 if l1_plus > l1_minus else -1)
                 assert rep.l2_candidate.sign == 1
+
+
+class TestCommutatorMean:
+    """<[A,B]> = <Ax|Bx> - <Bx|Ax> from the two images A|x> and B|x>: its real part is 0.0 exactly, and its
+    imaginary part lies within FORWARD_K eps (|A|_F^2 + |B|_F^2) of the exact 2 Im Cov(A,B)."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_exactly_imaginary_and_within_k_eps_of_exact(self, dim):
+        for seed in range(4):
+            rng = np.random.default_rng([149, dim, seed])
+            state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
+            for scale in (1e-6, 1.0, 1e6):
+                sa = Observable(scale * a.matrix)
+                sb = Observable(scale * rng.uniform(0.1, 10.0) * b.matrix)
+                mean = commutator_mean(sa, sb, state)
+                assert mean.real == 0.0
+                assert forward_error(mean.imag, 2 * exact_moments(sa, sb, state).cov_imag, sa, sb) <= FORWARD_K
 
 
 class TestNullDirection:

@@ -182,6 +182,11 @@ BAD_OBSERVABLES = {
     "entry_overflow": ([[1.7e308, 0.0], [0.0, 1.0]], ValueError, "observable entry modulus 1.700e+308 exceeds 1.481e+152"),
     # finite once symmetrized, but the squared Frobenius norm would overflow
     "norm_overflow": ([[1e300, 0.0], [0.0, 1.0]], ValueError, "observable entry modulus 1.000e+300 exceeds 1.481e+152"),
+    # the first double above the limit: a guard at twice the limit lets it through
+    "above_max_entry": (
+        [[np.nextafter(_MAX_ENTRY, np.inf), 0.0], [0.0, 1.0]], ValueError,
+        "observable entry modulus 1.481e+152 exceeds 1.481e+152",
+    ),
     # the modulus itself overflows to inf
     "modulus_overflow": (
         [[0.0, complex(1.5e308, 1.5e308)], [complex(1.5e308, -1.5e308), 0.0]], ValueError,
@@ -230,7 +235,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("name", BAD_STATES)
     def test_state_error_class_and_message(self, name):
         vec, cls, message = BAD_STATES[name]
-        with pytest.raises(cls) as info, np.errstate(over="ignore"):
+        with pytest.raises(cls) as info:
             QuantumState(np.asarray(vec, dtype=complex))
         assert type(info.value) is cls
         assert str(info.value) == message
@@ -345,8 +350,11 @@ class TestValidateHermitian:
                 residue = np.abs(np.vecdot(xi, xi @ m.T).imag).max()
                 assert residue <= 1e-4 * TOL_EIG * (1.0 + obs.frobenius_norm()), name
             a, b = pair
-            # and the raw Re<[A,B]> far below TOL_EIG (1 + |A|_F |B|_F)
-            real_part = max(abs(commutator_mean(a, b, QuantumState(row)).real) for row in xi)
+            # and the raw Re(<x|A(Bx)> - <x|B(Ax)>) far below TOL_EIG (1 + |A|_F |B|_F); commutator_mean reads
+            # A|x> and B|x> alone, so its real part is 0.0 by construction and cannot show this residue
+            ab = np.vecdot(xi, (xi @ b.matrix.T) @ a.matrix.T)
+            ba = np.vecdot(xi, (xi @ a.matrix.T) @ b.matrix.T)
+            real_part = np.abs((ab - ba).real).max()
             assert real_part <= 1e-4 * TOL_EIG * (1.0 + a.frobenius_norm() * b.frobenius_norm()), name
             bad = a.matrix + 2.0 * TOL_HERM * (1.0 + np.abs(a.matrix).max()) * np.triu(np.ones((dim, dim)), 1)
             with pytest.raises(HermiticityError, match="^Hermiticity defect "):
@@ -457,7 +465,7 @@ class TestCommutatorMeans:
                 mats.append(Observable(0.5 * (g + g.conj().T)))
             a, b = mats
             tol = 1e-12 * (1.0 + a.frobenius_norm() * b.frobenius_norm())
-            assert abs(commutator_mean(a, b, state).real) < tol
+            assert commutator_mean(a, b, state).real == 0.0
             xi = state.vector
             anticommutator = np.vdot(xi, a.matrix @ (b.matrix @ xi)) + np.vdot(xi, b.matrix @ (a.matrix @ xi))
             assert abs(anticommutator.imag) < tol
