@@ -122,6 +122,20 @@ test "$status" -eq 2
 test ! -s overflow.out
 test "$(wc -l < overflow.err)" -eq 1
 grep -q '^error: .*state norm inf differs from 1 by more than 1e-06$' overflow.err
+# the xi_perp boundary: an xi_perp equal to the state, and one whose squared norm overflows to inf, are each
+# one validation error line, with no RuntimeWarning; the file's xi_perp is a QuantumState, so its norm is
+# named as a state's
+python -c "import json; d = json.load(open('readme_d2.json')); d['xi_perp'] = d['state']; json.dump(d, open('par.json', 'w'))"
+python -c "import json; d = json.load(open('readme_d2.json')); d['xi_perp'] = [[1e200, 0.0], [0.0, 0.0]]; json.dump(d, open('xov.json', 'w'))"
+for case in "par.json |<state|xi_perp>| = 1.000e+00 exceeds 1.0e-10" \
+            "xov.json xi_perp: state norm inf differs from 1 by more than 1e-06"; do
+  read -r file message <<< "$case"
+  status=0
+  purbounds bounds "$file" > perp.out 2> perp.err || status=$?
+  test "$status" -eq 2
+  test ! -s perp.out
+  test "$(cat perp.err)" = "error: invalid instance $file: $message"
+done
 # both observables are sharp on |0>: every outcome is 0.1, though the sample mean is not, and the
 # check reads no violation
 cat > sharp.json <<'JSON'

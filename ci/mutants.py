@@ -30,14 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the tolerance edges of ROADMAP item 20, each as (file, old, new, reason)
 MUTANTS = (
-    ("src/purbounds/bounds.py", "if drift > RENORM_WINDOW:", "if drift > 10 * RENORM_WINDOW:",
-     "RENORM_WINDOW x10 in _checked_perp: TestUserXiPerpShape's norm_outside_window row"),
-    ("src/purbounds/quantum.py", "abs(nrm - 1.0) > TOL_NORM else", "abs(nrm - 1.0) > 10 * TOL_NORM else",
-     "TOL_NORM x10 in QuantumState: TestOneComplementRule.test_unit_vector_rule_at_tol_norm's outside_tol_norm rows"),
-    ("src/purbounds/bounds.py", "if drift > TOL_NORM else", "if drift > 10 * TOL_NORM else",
-     "TOL_NORM x10 in _checked_perp: TestOneComplementRule.test_unit_vector_rule_at_tol_norm's outside_tol_norm rows"),
+    ("src/purbounds/quantum.py", "if drift > RENORM_WINDOW:", "if drift > 10 * RENORM_WINDOW:",
+     "RENORM_WINDOW x10 in _unit_rows: TestUserXiPerpShape's norm_outside_window row"),
+    ("src/purbounds/quantum.py", "if drift > TOL_NORM else", "if drift > 10 * TOL_NORM else",
+     "TOL_NORM x10 in _unit_rows: TestOneComplementRule.test_unit_vector_rule_at_tol_norm's outside_tol_norm rows"),
     ("src/purbounds/bounds.py", "if overlap > TOL_EIG:", "if overlap > 10 * TOL_EIG:",
-     "the overlap test's TOL_EIG x10: an absolute tolerance, pinned with item 4's scale rule"),
+     "the overlap test's TOL_EIG x10: TestUserXiPerpShape's overlap_outside row"),
     ("src/purbounds/quantum.py", "if residual > TOL_EIG * (1.0", "if residual > 10 * TOL_EIG * (1.0",
      "the eigensystem residual x10: TestEigensystem.test_residual_on_both_sides_of_the_tolerance's 2x row"),
     ("src/purbounds/quantum.py", "if not peak <= _MAX_ENTRY:", "if not peak <= 2 * _MAX_ENTRY:",

@@ -45,13 +45,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .quantum import (
-    RENORM_WINDOW,
     TOL_EIG,
-    TOL_NORM,
     TOL_NULL,
     Observable,
     QuantumState,
@@ -61,6 +60,7 @@ from .quantum import (
     _project,
     _same_dim,
     _trusted_state,
+    _unit_rows,
 )
 
 __all__ = [
@@ -143,37 +143,26 @@ def _validate_which(which: str) -> str:
     return which
 
 
-def _checked_perp(state: QuantumState, xi_perp) -> np.ndarray:
-    """xi_perp under the package's unit-vector rule (see `quantum`), after checking its norm and
-    orthogonality to the state.
+def _checked_perp(state: QuantumState, xi_perp, stack: bool = True) -> np.ndarray:
+    """xi_perp, one vector or with `stack` also a stack of rows, checked as unit and orthogonal to the state.
 
-    Takes one vector or a stack of row vectors. The rank is checked first, then
-    finiteness, the dimension, and each row's norm and overlap. The rows come
-    back as a copy, or, where one is off unit norm by more than TOL_NORM, each
-    divided by its `_norms` entry, bit for bit `row / _norm(row)`. A
-    QuantumState's vector is finite, 1-D and unit by construction, so only an
-    array is checked for both, and only an array's norm can overflow.
+    A QuantumState's vector is finite, 1-D and unit by construction, so it is read as is: only its
+    dimension and overlap are checked. An array is checked for rank, finiteness, dimension, each row's
+    norm and overlap, in that order, and comes back read-only under `quantum._unit_rows`.
     """
     if isinstance(xi_perp, QuantumState):
         vec = xi_perp.vector
-        nrm = _norms(vec)
+        # the size read directly: the `dim` property would add a Python call per report
+        _same_dim(state.vector.size, vec.size)
     else:
         vec = np.asarray(xi_perp, dtype=complex)
-        if vec.ndim not in (1, 2):
-            raise ValueError(f"xi_perp must be a 1-D array or a stack of rows, got shape {vec.shape}")
+        if not 1 <= vec.ndim <= 1 + stack:
+            raise ValueError(f"xi_perp must be a 1-D array{' or a stack of rows' if stack else ''}, got shape {vec.shape}")
         if not np.isfinite(vec).all():
             raise ValueError("xi_perp must be finite")
-        # a norm that overflows to inf is outside the window, so numpy need not warn of it
-        with np.errstate(over="ignore"):
-            nrm = _norms(vec)
-    # the size read directly: the `dim` property would add a Python call per report
-    _same_dim(state.vector.size, vec.shape[-1])
-    # the largest distance from unit norm decides both the window and the unit-vector rule
-    drift = float(np.abs(nrm - 1.0).max(initial=0.0))
-    if drift > RENORM_WINDOW:
-        raise OrthogonalityError(f"xi_perp norm {float(nrm[np.abs(nrm - 1.0) > RENORM_WINDOW][0])!r} is not 1")
-    # kept as given in a copy, so that a caller's array never becomes a report's read-only candidate
-    vec = vec / nrm[..., None] if drift > TOL_NORM else vec.copy()
+        _same_dim(state.vector.size, vec.shape[-1])
+        # a new array, so that a caller's array never becomes a report's read-only candidate
+        vec = _unit_rows(vec, "xi_perp", OrthogonalityError)
     overlap = float(np.abs(np.vecdot(state.vector, vec)).max(initial=0.0))
     if overlap > TOL_EIG:
         raise OrthogonalityError(f"|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}")
@@ -205,9 +194,9 @@ _COEFFS = np.array([[1], [-1], [-1j], [1j]])
 _CANDIDATE_COEFFS = {(c1, c2): _COEFFS[[[c1, 2 + c2]]] for c1 in (0, 1) for c2 in (0, 1)}
 
 
-def _signs(k: _Kernel, xi_perp: np.ndarray):
-    """Both signs of l1 and of l2 at checked unit rows `xi_perp` (n, d), one per state, as a lazy iterator:
-    per row, the tuples (l1(+1), l1(-1)) and (l2(+1), l2(-1)); every row is formed at the first row's turn.
+def _signs(k: _Kernel, xi_perp: np.ndarray) -> list:
+    """Both signs of l1 and of l2 at checked unit rows `xi_perp` (n, d), one per state: per row, the tuples
+    (l1(+1), l1(-1)) and (l2(+1), l2(-1)).
 
     Each bound is the square of one matrix element, <psi + s phi|xi_perp> for
     l1 (<xi|(A + s B)|xi_perp>) and <psi - s i phi|xi_perp> for l2
@@ -220,8 +209,10 @@ def _signs(k: _Kernel, xi_perp: np.ndarray):
     element = np.vecdot(direction, xi_perp[:, None])
     element = np.hypot(element.real, element.imag)
     # the rest in Python floats, each the one IEEE operation numpy would take; s i <[A,B]> = -2 s Im Cov is real
+    rows = []
     for (l1_plus, l1_minus, l2_plus, l2_minus), im in zip((element * element).tolist(), k.im_cov):
-        yield (0.5 * l1_plus, 0.5 * l1_minus), (-2.0 * im + l2_plus, 2.0 * im + l2_minus)
+        rows.append(((0.5 * l1_plus, 0.5 * l1_minus), (-2.0 * im + l2_plus, 2.0 * im + l2_minus)))
+    return rows
 
 
 def _unit_projections(k: _Kernel, coeffs: np.ndarray) -> np.ndarray:
@@ -296,24 +287,22 @@ def _value_rows(k: _Kernel, user_xi_perp=None) -> list[_Values]:
 
     HRSUR bounds as closed forms in each row's Python floats; at the analytic
     optimum, the closed forms in Var(A), Var(B) and CovQ; else both signs at
-    `user_xi_perp` (n, d), checked unit rows. Raises ValueError when
-    Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in a row, where the degree-4
-    quantities (prod_var, t1, t2^2) would leave the double range, before that
-    row's Maccone-Pati values are read.
+    `user_xi_perp` (n, d), checked unit rows. Every row's scale comes before
+    any value: where Var(A) Var(B) exceeds _MAX_VAR_PRODUCT in a row, the
+    degree-4 quantities (prod_var, t1, t2^2) would leave the double range, and
+    ValueError names the first such row's product.
     """
+    for prod_var in map(mul, k.var_a, k.var_b):
+        if prod_var > _MAX_VAR_PRODUCT:
+            raise ValueError(f"operand scale too large: Var(A) Var(B) = {prod_var:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
+                             f"(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})")
     by_sign = map(_optimum_values, k.var_a, k.var_b, k.covq) if user_xi_perp is None else _signs(k, user_xi_perp)
     rows = []
-    for var_a, var_b, covq, im in zip(k.var_a, k.var_b, k.covq, k.im_cov):
+    for var_a, var_b, covq, im, (l1_by_sign, l2_by_sign) in zip(k.var_a, k.var_b, k.covq, k.im_cov, by_sign):
         prod_var = var_a * var_b
-        if prod_var > _MAX_VAR_PRODUCT:
-            raise ValueError(
-                f"operand scale too large: Var(A) Var(B) = {prod_var:.3e} exceeds {_MAX_VAR_PRODUCT:.3e} "
-                f"(|A|_F = {k.norms[0]:.3e}, |B|_F = {k.norms[1]:.3e})"
-            )
         # |<[A,B]>| = 2 |Im Cov(A,B)|
         t2 = 2.0 * abs(im)
         t1 = covq * covq + 0.25 * t2**2
-        l1_by_sign, l2_by_sign = next(by_sign)
         # the column of each maximizing sign: values equal within TOL_EIG are a tie, which goes to +1; at the
         # analytic optimum the two l2 values are one float, so l2 takes sign +1
         l1_col = 0 if l1_by_sign[0] >= l1_by_sign[1] - TOL_EIG else 1
@@ -350,15 +339,10 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
         l1_vec, l2_vec = object.__new__(QuantumState), object.__new__(QuantumState)
         l1_vec.__dict__["vector"], l2_vec.__dict__["vector"] = vectors
     else:
-        # the rank first: the candidates are states, so xi_perp is one vector (a QuantumState's is by construction)
-        if not isinstance(user_xi_perp, QuantumState):
-            user_xi_perp = np.asarray(user_xi_perp, dtype=complex)
-            if user_xi_perp.ndim != 1:
-                raise ValueError(f"xi_perp must be a 1-D array, got shape {user_xi_perp.shape}")
-        user_xi_perp = _checked_perp(state, user_xi_perp)
+        # the candidates are states, so xi_perp is one vector
+        user_xi_perp = _checked_perp(state, user_xi_perp, stack=False)
         (row,) = _value_rows(k, user_xi_perp[None])
         kind = "user_supplied"
-        user_xi_perp.setflags(write=False)
         l1_vec = l2_vec = object.__new__(QuantumState)
         l1_vec.__dict__["vector"] = user_xi_perp
     l1_candidate, l2_candidate = object.__new__(OrthogonalCandidate), object.__new__(OrthogonalCandidate)

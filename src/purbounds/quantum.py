@@ -17,12 +17,11 @@ state has no unit vector orthogonal to it, so every state the package is
 given has a nonempty complement. The geometry of that complement has one
 owner, this module: one row-norm rule (`_norms`, of which `_norm` is the
 one-row view) and one complement projection (`_project`). Unit vectors have
-one rule, `QuantumState`'s, which `bounds._checked_perp` also applies to each
-xi_perp: a vector within TOL_NORM of unit norm is kept as given, bit for bit;
-one within RENORM_WINDOW is divided by its norm; one farther off is rejected.
-A stack of xi_perp rows is kept if every row is within TOL_NORM, else every
-row is divided by its norm. A state, candidate or report the package built
-itself skips the checks, its fields filled by name through `__dict__`.
+one rule, `_unit_rows`, for a state and an xi_perp array alike: rows all
+within TOL_NORM of unit norm are kept as given, bit for bit; else each row
+within RENORM_WINDOW is divided by its norm; one farther off is rejected. A
+state, candidate or report the package built itself skips the checks, its
+fields filled by name through `__dict__`.
 Hermiticity has one owner, `Observable`: a matrix is checked within
 TOL_HERM (1 + max |M_ij|) and stored as (M + M†)/2, exactly Hermitian, and
 no evaluation re-checks it. A mean is the real part of <xi|A|xi>, and
@@ -126,6 +125,23 @@ def _norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def _unit_rows(vecs: np.ndarray, name: str, error: type[ValueError]) -> np.ndarray:
+    """One finite vector or a stack of rows under the one unit-vector rule, as a new read-only array: a copy
+    if every row is within TOL_NORM of unit norm, else each row divided by its `_norms` entry. A row whose
+    norm is farther than RENORM_WINDOW from 1 raises `error`, naming `name`."""
+    # a norm that overflows to inf is outside the window, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        nrm = _norms(vecs)
+    # the largest distance from unit norm decides both the window and the unit-vector rule
+    drift = float(np.abs(nrm - 1.0).max(initial=0.0))
+    if drift > RENORM_WINDOW:
+        off = float(nrm[np.abs(nrm - 1.0) > RENORM_WINDOW][0])
+        raise error(f"{name} norm {off!r} differs from 1 by more than {RENORM_WINDOW}")
+    vecs = vecs / nrm[..., None] if drift > TOL_NORM else vecs.copy()
+    vecs.setflags(write=False)
+    return vecs
+
+
 def _project(xi: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Each row of `vecs` with the component along its state row of `xi` removed.
 
@@ -178,14 +194,7 @@ class QuantumState:
     def __post_init__(self):
         vec = _as_vector(self.vector)
         _check_dim(vec.size)
-        # a norm that overflows to inf is outside the window, so numpy need not warn of it
-        with np.errstate(over="ignore"):
-            nrm = _norm(vec)
-        if abs(nrm - 1.0) > RENORM_WINDOW:
-            raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}")
-        vec = vec / nrm if abs(nrm - 1.0) > TOL_NORM else vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "vector", _unit_rows(vec, "state", NormalizationError))
 
     @property
     def dim(self) -> int:
@@ -269,7 +278,13 @@ def _trusted_observable(g: np.ndarray) -> Observable:
 def normalize(u) -> QuantumState:
     """u / ||u|| as a QuantumState; the numerically null vector, the empty one included, is rejected."""
     vec = _as_vector(u, "u")
-    nrm = _norm(vec)
+    with np.errstate(over="ignore"):
+        nrm = _norm(vec)
+    if nrm == math.inf:
+        # scaled by the largest |Re| or |Im| (np.abs can overflow too), part by part, so that it reads exactly 1
+        peak = max(np.abs(vec.real).max(), np.abs(vec.imag).max())
+        vec = vec.real / peak + 1j * (vec.imag / peak)
+        nrm = _norm(vec)
     if nrm <= TOL_NULL:
         raise NullVectorError("cannot normalize a null vector")
     return QuantumState(vec / nrm)

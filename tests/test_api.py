@@ -141,16 +141,21 @@ def test_readme_cli_block_names_exactly_the_parser_options():
 
 
 class TestErrorContract:
-    """Every `raise` in the package (45 sites), by module, class and message template (the `ast.unparse`
+    """Every `raise` in the package (43 sites), by module, class and message template (the `ast.unparse`
     of the raise's first argument), and the exit code `cli.main` gives each class. A new, moved,
-    deleted or reworded raise site is an edit of RAISE_SITES."""
+    deleted or reworded raise site is an edit of RAISE_SITES. The one site of class `error`, the
+    unit-vector rule's, raises the class each caller of `_unit_rows` passes: PASSED_ERRORS."""
 
     RAISE_SITES = [
         ("__init__", "AttributeError", "f'module {__name__!r} has no attribute {name!r}'"),
-        ("bounds", "OrthogonalityError", "f'xi_perp norm {float(nrm[np.abs(nrm - 1.0) > RENORM_WINDOW][0])!r} is not 1'"),
         ("bounds", "OrthogonalityError", "f'|<state|xi_perp>| = {overlap:.3e} exceeds {TOL_EIG:.1e}'"),
         ("bounds", "ValueError", "'xi_perp must be finite'"),
         ("bounds", "ValueError", 'f"which must be \'l1\' or \'l2\', got {which!r}"'),
+        (
+            "bounds",
+            "ValueError",
+            'f"xi_perp must be a 1-D array{(\' or a stack of rows\' if stack else \'\')}, got shape {vec.shape}"',
+        ),
         (
             "bounds",
             "ValueError",
@@ -159,8 +164,6 @@ class TestErrorContract:
         ),
         ("bounds", "ValueError", "f'sign must be +1 or -1, got {sign}'"),
         ("bounds", "ValueError", "f'unknown candidate kind {self.kind!r}'"),
-        ("bounds", "ValueError", "f'xi_perp must be a 1-D array or a stack of rows, got shape {vec.shape}'"),
-        ("bounds", "ValueError", "f'xi_perp must be a 1-D array, got shape {user_xi_perp.shape}'"),
         ("cli", "OSError", "f'cannot read {path}: {exc}'"),
         ("cli", "OSError", "f'cannot write {args.out}: {exc}'"),
         ("cli", "ValueError", "f'--dims must be a comma-separated integer list, got {args.dims!r}'"),
@@ -183,7 +186,6 @@ class TestErrorContract:
         ("quantum", "EigensolverError", "f'eigendecomposition residual {residual:.3e} above tolerance'"),
         ("quantum", "EigensolverError", "f'eigensolver failed to converge: {exc}'"),
         ("quantum", "HermiticityError", "f'Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e} * {scale:.3e}'"),
-        ("quantum", "NormalizationError", "f'state norm {nrm!r} differs from 1 by more than {RENORM_WINDOW}'"),
         ("quantum", "NullVectorError", "'cannot normalize a null vector'"),
         ("quantum", "ValueError", "'observable must be finite'"),
         ("quantum", "ValueError", "f'basis index {index} outside [0, {dim})'"),
@@ -194,9 +196,13 @@ class TestErrorContract:
         ("quantum", "ValueError", "f'{name} must be an integer, got {value!r}'"),
         ("quantum", "ValueError", "f'{name} must be at least {low}, got {value}'"),
         ("quantum", "ValueError", "f'{name} must be finite'"),
+        ("quantum", "error", "f'{name} norm {off!r} differs from 1 by more than {RENORM_WINDOW}'"),
         ("verify", "ValueError", "'dims must be nonempty'"),
         ("verify", "ValueError", "f'tol must be a positive finite real number, got {tol!r}'"),
     ]
+
+    # the third argument of each `_unit_rows` call in the package
+    PASSED_ERRORS = ["NormalizationError", "OrthogonalityError"]
 
     # None: raised only by the package's lazy __getattr__, which no command reaches
     EXIT_CODES = {
@@ -213,16 +219,19 @@ class TestErrorContract:
     }
 
     def test_raise_sites_match_the_table(self):
-        sites = []
+        sites, passed = [], []
         for path in sorted(Path(purbounds.__file__).resolve().parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Raise):
                     # every site raises a call with its message first
                     sites.append((path.stem, ast.unparse(node.exc.func), ast.unparse(node.exc.args[0])))
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_unit_rows":
+                    passed.append(ast.unparse(node.args[2]))
         assert sorted(sites) == self.RAISE_SITES
+        assert sorted(passed) == self.PASSED_ERRORS
 
     def test_each_class_has_one_exit_code(self, tmp_path, monkeypatch, capsys):
-        assert set(self.EXIT_CODES) == {name for _, name, _ in self.RAISE_SITES}
+        assert set(self.EXIT_CODES) == {name for _, name, _ in self.RAISE_SITES} - {"error"} | set(self.PASSED_ERRORS)
         owners = [builtins, *(importlib.import_module(f"purbounds.{name}") for name in MODULES)]
         for name, code in self.EXIT_CODES.items():
             (cls,) = {getattr(owner, name) for owner in owners if hasattr(owner, name)}

@@ -9,6 +9,7 @@ import pytest
 
 import purbounds
 from golden import report_bits
+from purbounds import bounds
 from purbounds.bounds import (
     BoundReport,
     OrthogonalCandidate,
@@ -257,13 +258,15 @@ class TestUserXiPerpShape:
     """A user xi_perp array is checked rank first, then for finiteness, and each entry point names its own
     rule: a report takes one vector, the reference one vector or a stack of rows. Its norm may be off 1 by
     at most RENORM_WINDOW (1e-6): both entry points take (1, -1)/sqrt(2) at 1 + 5e-7 times its length and
-    reject it at 1 + 5e-6, so a window ten times wider or narrower fails."""
+    reject it at 1 + 5e-6, so a window ten times wider or narrower fails. Its overlap with the state may be
+    at most TOL_EIG (1e-10): both take an overlap of 0.9e-10 and reject 1.1e-10."""
 
     RANK = "xi_perp must be a 1-D array, got shape {}"
     STACK = "xi_perp must be a 1-D array or a stack of rows, got shape {}"
     FINITE = "xi_perp must be finite"
-    OFF_NORM = "xi_perp norm 1.000005 is not 1"
-    OVERFLOW = "xi_perp norm inf is not 1"
+    OFF_NORM = "xi_perp norm 1.000005 differs from 1 by more than 1e-06"
+    OVERFLOW = "xi_perp norm inf differs from 1 by more than 1e-06"
+    OVERLAP = "|<state|xi_perp>| = 1.100e-10 exceeds 1.0e-10"
 
     # xi_perp at the state (1, 1)/sqrt(2), bound_report's message and l1_bound's, each with the shape filled in;
     # None: l1_bound accepts the stack and returns one value per row, or both entry points accept the vector
@@ -272,7 +275,7 @@ class TestUserXiPerpShape:
         "inf_imag": (np.array([1.0, complex(0.0, np.inf)]), FINITE, FINITE),
         "rank_3": (np.zeros((1, 1, 2)), RANK, STACK),
         "scalar": (np.array(1.0), RANK, STACK),
-        "zero_rows": (np.zeros((2, 2)), RANK, "xi_perp norm 0.0 is not 1"),
+        "zero_rows": (np.zeros((2, 2)), RANK, "xi_perp norm 0.0 differs from 1 by more than 1e-06"),
         "unit_orthogonal_rows": (np.array([[1, -1], [1, -1]]) / np.sqrt(2), RANK, None),
         "wrong_dim_rows": (np.zeros((2, 3)), RANK, "dimension mismatch: (2, 3)"),
         "norm_inside_window": ((1 + 5e-7) * np.array([1, -1]) / np.sqrt(2), None, None),
@@ -280,6 +283,10 @@ class TestUserXiPerpShape:
         # the squared norm overflows to inf, which is outside the window: one error and no RuntimeWarning
         "norm_overflow": (np.array([1e200, -1e200]), OVERFLOW, OVERFLOW),
         "norm_overflow_rows": (np.array([[1e200, -1e200], [1, -1]]), RANK, OVERFLOW),
+        # eps (1, 1)/sqrt(2) + (1, -1)/sqrt(2), at overlap eps with the state: the overlap tolerance is TOL_EIG
+        # (1e-10), absolute, since both vectors are unit whatever the scale of A and B
+        "overlap_inside": ((0.9e-10 * np.array([1, 1]) + np.array([1, -1])) / np.sqrt(2), None, None),
+        "overlap_outside": ((1.1e-10 * np.array([1, 1]) + np.array([1, -1])) / np.sqrt(2), OVERLAP, OVERLAP),
     }
 
     @pytest.mark.parametrize("name", BAD)
@@ -293,7 +300,8 @@ class TestUserXiPerpShape:
             return
         with pytest.raises(ValueError, match=f"^{re.escape(report_message.format(xi_perp.shape))}$") as info:
             bound_report(pauli_x(), pauli_z(), state, user_xi_perp=xi_perp)
-        assert type(info.value) is (OrthogonalityError if report_message in (self.OFF_NORM, self.OVERFLOW) else ValueError)
+        orthogonality = (self.OFF_NORM, self.OVERFLOW, self.OVERLAP)
+        assert type(info.value) is (OrthogonalityError if report_message in orthogonality else ValueError)
         if reference_message is None:
             assert l1_bound(pauli_x(), pauli_z(), state, xi_perp, 1).shape == (len(xi_perp),)
             return
@@ -682,9 +690,11 @@ class TestDispatchFloor:
     dispatch where it is. Only frames of the package's own functions are counted: numpy's C calls
     vary with the numpy version."""
 
-    # frames of package functions per report, analytic and with a user xi_perp; lower is fine
+    # frames of package functions per report: analytic, with a QuantumState xi_perp and with an array
+    # xi_perp; lower is fine
     ANALYTIC_FRAMES = 9
-    USER_FRAMES = 10
+    STATE_FRAMES = 8
+    ARRAY_FRAMES = 10
 
     @staticmethod
     def _frames(call):
@@ -710,10 +720,12 @@ class TestDispatchFloor:
         perp = random_unit_in_complement(state, rng)
         analytic = self._frames(lambda: bound_report(a, b, state))
         assert len(analytic) <= self.ANALYTIC_FRAMES, analytic
-        # a QuantumState and a raw array take the same package functions
-        for xi_perp in (perp, perp.vector.copy()):
-            user = self._frames(lambda: bound_report(a, b, state, user_xi_perp=xi_perp))
-            assert len(user) <= self.USER_FRAMES, user
+        # a QuantumState is unit by construction: it is read as is, with no norm and no unit-vector rule
+        user = self._frames(lambda: bound_report(a, b, state, user_xi_perp=perp))
+        assert len(user) <= self.STATE_FRAMES, user
+        assert not {"_norms", "_unit_rows"} & set(user), user
+        user = self._frames(lambda: bound_report(a, b, state, user_xi_perp=perp.vector.copy()))
+        assert len(user) <= self.ARRAY_FRAMES, user
 
 
 class TestPackageBuiltValues:
@@ -824,6 +836,24 @@ class TestOperandScale:
         s = (np.finfo(float).max / 6) ** 0.25
         with pytest.raises(ValueError, match=r"^operand scale too large: "):
             bound_report(Observable(s * x), Observable(s * y), basis_state(2, 0))
+
+    @pytest.mark.parametrize("user", [False, True])
+    def test_every_row_is_scaled_before_any_value(self, monkeypatch, user):
+        # s X and s Y on |+> and |0>: row 0's Var(A) Var(B) is rounding residue, far below max/8, and row 1's is
+        # s^4 = max/6, above it. The error names row 1's product, and no Maccone-Pati value of either row is
+        # formed first
+        s = (np.finfo(float).max / 6) ** 0.25
+        a, b = Observable(s * pauli_x().matrix), Observable(s * np.array([[0, -1j], [1j, 0]]))
+        k = _kernel(a, b, np.array([[1, 1], [np.sqrt(2), 0]]) / np.sqrt(2))
+        assert k.var_a[0] * k.var_b[0] < 1e-20 * bounds._MAX_VAR_PRODUCT
+        formed = []
+        for name in ("_signs", "_optimum_values"):
+            monkeypatch.setattr(bounds, name, lambda *args, name=name: formed.append(name))
+        message = f"operand scale too large: Var(A) Var(B) = {k.var_a[1] * k.var_b[1]:.3e} exceeds "
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            warnings.simplefilter("error")
+            _value_rows(k, np.array([[1, -1], [0, np.sqrt(2)]]) / np.sqrt(2) if user else None)
+        assert formed == []
 
     def test_user_xi_perp_is_checked_before_the_limit(self):
         # the kernel record reads no degree-4 quantity, so a bad xi_perp is named first

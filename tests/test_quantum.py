@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,25 @@ class TestInnerProductAndNorm:
         for dim in (1, 65):
             with pytest.raises(ValueError, match=rf"^dimension {dim} outside supported range \[2, 64\]$"):
                 normalize(np.ones(dim))
+
+    # (input, the input it normalizes as): a squared norm that overflows to inf is scaled down by the largest
+    # |Re| or |Im| first, so the vector is normalized, with no warning, to the bits of its scaled form
+    OVERFLOWING = {
+        "one_entry": ([1e200, 0], [1, 0]),
+        "two_entries": ([1e200, 1e200], [1, 1]),
+        # np.abs of the entry would overflow too
+        "complex_entry": ([1e308 + 1e308j, 0], [1 + 1j, 0]),
+    }
+
+    @pytest.mark.parametrize("name", OVERFLOWING)
+    def test_normalize_overflowing_norm(self, name):
+        vec, scaled = self.OVERFLOWING[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize(vec)
+        assert state.vector.tobytes() == normalize(scaled).vector.tobytes()
+        if name == "one_entry":
+            assert state.vector.tobytes() == basis_state(2, 0).vector.tobytes()
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_deviation_norm_squared_is_variance(self, alpha):
@@ -598,8 +618,13 @@ class TestOneComplementRule:
         assert [row.tobytes() for row in samples] == [(r / _norm(r)).tobytes() for r in projected]
 
     # (scale, kept): a unit vector scaled by 1 + 5e-13 is within TOL_NORM = 1e-12 and kept bit for bit; one
-    # scaled by 1 + 2e-12 is not, and comes back as r / _norm(r). A TOL_NORM ten times wider or narrower fails
-    UNIT_EDGES = {"inside_tol_norm": (1 + 5e-13, True), "outside_tol_norm": (1 + 2e-12, False)}
+    # scaled by 1 + 2e-12 is not, and comes back as r / _norm(r). A TOL_NORM ten times wider or narrower fails.
+    # At 1 + 5e-7, well inside RENORM_WINDOW, a state and an xi_perp are divided alike too
+    UNIT_EDGES = {
+        "inside_tol_norm": (1 + 5e-13, True),
+        "outside_tol_norm": (1 + 2e-12, False),
+        "inside_renorm_window": (1 + 5e-7, False),
+    }
 
     @pytest.mark.parametrize("edge", UNIT_EDGES)
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
