@@ -190,8 +190,9 @@ def _kernel(a: Observable, b: Observable, xi: np.ndarray) -> _Kernel:
 # 2 * bound + column: c = s for l1, and c = -s i for l2. The whole (4, 1) table broadcasts against (n, 1, d)
 # rows, and so does a (1, m, 1) selection of its rows
 _COEFFS = np.array([[1], [-1], [-1j], [1j]])
-# a report's two candidate directions, l1 then l2, keyed by the columns (l1_column, l2_column): (1, 2, 1)
-_CANDIDATE_COEFFS = {(c1, c2): _COEFFS[[[c1, 2 + c2]]] for c1 in (0, 1) for c2 in (0, 1)}
+# an analytic report's two candidate directions, l1 then l2, keyed by l1's column: (1, 2, 1). Both l2 values
+# at the optimum are one float, so l2's column is 0 and its direction is psi - i phi
+_CANDIDATE_COEFFS = {c: _COEFFS[[[c, 2]]] for c in (0, 1)}
 
 
 def _signs(k: _Kernel, xi_perp: np.ndarray) -> list:
@@ -333,8 +334,8 @@ def bound_report(a: Observable, b: Observable, state: QuantumState, user_xi_perp
     if user_xi_perp is None:
         (row,) = _value_rows(k)
         kind = "analytic_optimum"
-        # both maximizing directions in one projection pass, their coefficients read by the two columns
-        vectors = _unit_projections(k, _CANDIDATE_COEFFS[row.l1_column, row.l2_column])[0]
+        # both maximizing directions in one projection pass, their coefficients read by l1's column
+        vectors = _unit_projections(k, _CANDIDATE_COEFFS[row.l1_column])[0]
         vectors.setflags(write=False)
         l1_vec, l2_vec = object.__new__(QuantumState), object.__new__(QuantumState)
         l1_vec.__dict__["vector"], l2_vec.__dict__["vector"] = vectors

@@ -121,6 +121,8 @@ REFERENCE_ROWS = (("l1", 1), ("l1", -1), ("l2", 1), ("l2", -1))
 # since <xi|(A + s i B)|xi_perp> = <(A - s i B) xi | xi_perp>
 _REFERENCE_COEFFS = np.array([sign if which == "l1" else -sign * 1j for which, sign in REFERENCE_ROWS])
 _REFERENCE_SCALE = np.array([0.5 if which == "l1" else 1.0 for which, _ in REFERENCE_ROWS])
+# each column's multiple of Im<Ax|Bx> in its offset: 0 for l1, and -2 s for l2's s i<[A,B]>
+_REFERENCE_OFFSET = np.array([0.0 if which == "l1" else -2.0 * sign for which, sign in REFERENCE_ROWS])
 
 
 def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp) -> tuple[np.ndarray, dict]:
@@ -147,9 +149,8 @@ def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp
     t2 = 2.0 * abs(cov.imag)
     hrsur = dict(var_a=var_a, var_b=var_b, sum_var=var_a + var_b, covq=cov.real, prod_var=var_a * var_b,
                  t1=cov.real * cov.real + 0.25 * t2 * t2, t2=t2)
-    offset = np.array([0.0 if which == "l1" else -2.0 * sign * cov.imag for which, sign in REFERENCE_ROWS])
     columns = ax + _REFERENCE_COEFFS[:, None] * bx
-    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + offset, hrsur
+    return np.abs(perps @ columns.conj().T) ** 2 * _REFERENCE_SCALE + _REFERENCE_OFFSET * cov.imag, hrsur
 
 
 def l1_bound(a: Observable, b: Observable, state: QuantumState, xi_perp, sign: int):

@@ -283,6 +283,9 @@ class TestUserXiPerpShape:
         # the squared norm overflows to inf, which is outside the window: one error and no RuntimeWarning
         "norm_overflow": (np.array([1e200, -1e200]), OVERFLOW, OVERFLOW),
         "norm_overflow_rows": (np.array([[1e200, -1e200], [1, -1]]), RANK, OVERFLOW),
+        # a unit row 0 and a row 1 of norm 2: the message names the first row outside the window, not row 0
+        "second_row_off_norm": (np.array([[1, -1] / np.sqrt(2), [2, 0]]), RANK,
+                                "xi_perp norm 2.0 differs from 1 by more than 1e-06"),
         # eps (1, 1)/sqrt(2) + (1, -1)/sqrt(2), at overlap eps with the state: the overlap tolerance is TOL_EIG
         # (1e-10), absolute, since both vectors are unit whatever the scale of A and B
         "overlap_inside": ((0.9e-10 * np.array([1, 1]) + np.array([1, -1])) / np.sqrt(2), None, None),

@@ -92,7 +92,8 @@ def edited(payload, path, replace):
 
 
 # (entry path, replacement, the location the error names), all InstanceFormatError;
-# the locations are those the element-wise parser this one replaced reported
+# the locations are those the element-wise parser this one replaced reported. The two size
+# rows give the whole message, since a 1-D and a 2-D field word their size differently
 MALFORMED = {
     "bool": (("A", 1, 2, 0), lambda old: True, "A[1][2]"),
     "bool_imag": (("state", 2, 1), lambda old: False, "state[2]"),
@@ -108,8 +109,8 @@ MALFORMED = {
     "long_row": (("B", 0), lambda old: old + [[0.0, 0.0]], "B[0]"),
     "row_not_a_list": (("A", 1), lambda old: 7, "A[1]"),
     "bad_pair_before_short_row": (("A",), lambda old: [[[True, 0.0]] + old[0][1:], old[1], old[2][:2]], "A[0][0]"),
-    "wrong_length": (("state",), lambda old: old[:2], "state"),
-    "wrong_row_count": (("A",), lambda old: old[:2], "A"),
+    "wrong_length": (("state",), lambda old: old[:2], "state: expected a length-3 array of [re, im] pairs"),
+    "wrong_row_count": (("A",), lambda old: old[:2], "A: expected a 3x3 array of [re, im] pairs"),
     "huge_integer": (("A", 1, 1, 0), lambda old: 10 ** 400, "A[1][1]"),
     "nested_too_deep": (("state", 1), lambda old: [old, old], "state[1]"),
     "np_int64": (("A", 0, 0, 0), lambda old: np.int64(1), "A[0][0]"),
@@ -212,7 +213,9 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError) as info:
             parse_instance(edited(malformed_base(), path, replace))
         assert type(info.value) is InstanceFormatError
-        assert str(info.value).split(":")[0] == location
+        # a row names the location, the text before the first colon, or with a colon the whole message
+        message = str(info.value)
+        assert (message if ":" in location else message.split(":")[0]) == location
 
     def test_numpy_float64_entries_accepted(self):
         payload = malformed_base()

@@ -87,6 +87,11 @@ class TestBornDistribution:
         with pytest.raises(ValueError):
             BornDistribution(np.array([1.0]), np.array([-1.0]))
 
+    def test_total_renormalized_to_one(self):
+        # a total 5e-10 above 1 is accepted and divided out; multiplied in, it would leave a sum of ~1 + 1e-9
+        dist = BornDistribution(np.array([1.0, 2.0]), np.array([0.5, 0.5 + 5e-10]))
+        assert abs(float(dist.probabilities.sum()) - 1.0) <= 4 * np.finfo(float).eps
+
     @pytest.mark.parametrize(
         "values,probabilities,name",
         [
@@ -139,6 +144,16 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             sample_outcomes(dist, 0, 0)
         np.testing.assert_array_equal(sample_outcomes(dist, 1, 0), np.ones(1))
+
+    def test_draw_above_the_last_edge_takes_the_last_outcome(self):
+        # ten outcomes of 0.1 sum to 1 - 2^-53 in cumulative order, so the draw 1 - 2^-53 lies at the last edge
+        class Top(np.random.Generator):
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0**-53)
+
+        dist = BornDistribution(np.arange(10.0), np.full(10, 0.1))
+        assert np.cumsum(dist.probabilities)[-1] == 1.0 - 2.0**-53
+        np.testing.assert_array_equal(sample_outcomes(dist, 3, Top(np.random.PCG64(0))), np.full(3, 9.0))
 
 
 class TestEmpiricalVariance:
