@@ -142,7 +142,7 @@ def _reference_values(a: Observable, b: Observable, state: QuantumState, xi_perp
     xi = state.vector
     ax, bx = a.matrix @ xi, b.matrix @ xi
     perps = _checked_perp(state, xi_perp)
-    images = np.stack((ax, bx))
+    images = np.array((ax, bx))
     mean_a, mean_b = np.vecdot(xi, images).real.tolist()
     (aa, cov), (_, bb) = np.vecdot(images[:, None], images).tolist()
     var_a, var_b, cov = aa.real - mean_a * mean_a, bb.real - mean_b * mean_b, cov - mean_a * mean_b
@@ -225,20 +225,20 @@ def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return uv, vv
 
 
-# the two identities of vectors u and v, given their squared norms uu and vv, so that a caller
-# checking both takes each norm once
+# the two identities of vectors u and v, from the squared norms uu, vv of u and v (and ss, dd of u + v and
+# u - v), so that a caller checking both takes each norm once
 def _csi(u: np.ndarray, v: np.ndarray, uu: float, vv: float) -> float:
     return float(uu * vv - abs(np.vdot(u, v)) ** 2)
 
 
-def _parallelogram(u: np.ndarray, v: np.ndarray, uu: float, vv: float) -> float:
-    return abs(2.0 * (uu + vv) - (_norm(u + v) ** 2 + _norm(u - v) ** 2))
+def _parallelogram(uu: float, vv: float, ss: float, dd: float) -> float:
+    return abs(2.0 * (uu + vv) - (ss + dd))
 
 
 def check_parallelogram(u, v) -> float:
     """|2(||u||^2 + ||v||^2) - ||u+v||^2 - ||u-v||^2|, zero in exact arithmetic."""
     u, v = _checked_pair(u, v)
-    return _parallelogram(u, v, _norm(u) ** 2, _norm(v) ** 2)
+    return _parallelogram(*(_norm(w) ** 2 for w in (u, v, u + v, u - v)))
 
 
 def check_csi(u, v) -> float:
@@ -309,11 +309,12 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
         max(abs(pair[column] - bound), abs(pair[0] - by_sign[0]), abs(pair[1] - by_sign[1]))
         for pair, bound, by_sign, column in zip(at, (rep.l1, rep.l2), (rep.l1_by_sign, rep.l2_by_sign), columns)
     )
-    # both identities of (psi, phi), each squared norm taken once
-    identities = (psi, phi, _norm(psi) ** 2, _norm(phi) ** 2)
-    slacks = (rep.prod_var - rep.t1, 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b) - rep.t2, _csi(*identities), *minima)
+    # both identities of (psi, phi): the squared norms of psi, phi, psi + phi and psi - phi from one row-norm pass
+    uu, vv, ss, dd = (n ** 2 for n in _norms(np.array((psi, phi, psi + phi, psi - phi))).tolist())
+    sigma = 2.0 * math.sqrt(rep.var_a) * math.sqrt(rep.var_b)
+    slacks = (rep.prod_var - rep.t1, sigma - rep.t2, _csi(psi, phi, uu, vv), *minima)
     defects = (
-        _parallelogram(*identities),
+        _parallelogram(uu, vv, ss, dd),
         l2_defect,
         l1_defect,
         # every HRSUR value of the row against the reference's
