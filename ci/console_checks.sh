@@ -50,6 +50,15 @@ status=0
 purbounds random --count 5 --tol 1e-30 > violations.json || status=$?
 test "$status" -eq 3
 python -c "import json; assert json.load(open('violations.json'))['violations']"
+# the suite draws its instances in order from one stream per run: the records of --count 9 are those of the
+# first 9 instances of --count 16, and both runs exit 3
+for count in 9 16; do
+  status=0
+  purbounds random --count "$count" --tol 1e-30 > "prefix_$count.json" || status=$?
+  test "$status" -eq 3
+done
+python -c "import json; short, longer = (json.load(open(f'prefix_{n}.json'))['violations'] for n in (9, 16)); \
+assert short and short == [v for v in longer if v['index'] < 9]"
 # the README instance passes the 5-sigma sampling check
 purbounds montecarlo --file readme_d2.json --samples 2000 > montecarlo.json
 python -c "import json; assert json.load(open('montecarlo.json'))['violation'] is False"

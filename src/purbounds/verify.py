@@ -16,9 +16,11 @@ one projection pass over both rows for the four directions in table order,
 each its own sign's optimum; of each, the suite reads the state's row 0.
 
 Randomness is pinned to numpy's PCG64: every operation takes a seed (or an
-already-constructed Generator), and the suite derives one independent stream
-per instance from (seed, instance index), so results do not depend on
-evaluation order.
+already-constructed Generator). The suite draws its instances in index order
+from one stream per run, `default_rng(seed)`, so a run is a prefix of every
+longer run with the same seed, dims and sample count. Its observables are
+GUE from d^2 real normals each rather than the 2 d^2 of `random_observable`:
+(G + G†)/2 of G = X + iX has the same law.
 """
 
 from __future__ import annotations
@@ -98,21 +100,22 @@ def random_observable(dim: int, seed) -> Observable:
     return _trusted_observable(_complex_normal(np.random.default_rng(seed), (dim, dim)))
 
 
-def _complement_samples(state: QuantumState, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` unit vectors uniform on the complement sphere of the state, as rows.
+def _complement_samples(state: QuantumState, draws: np.ndarray) -> np.ndarray:
+    """Unit vectors uniform on the complement sphere of the state, one per row of `draws`.
 
-    A standard complex Gaussian projected onto the complement is a standard
-    complex Gaussian there, so each normalized row is uniform on its sphere.
-    The rows go through the kernel's projection and row-norm rules, `_project`
-    and `_norms`, so each is bit for bit `r / _norm(r)` of its projection r.
+    Each row of `draws` is a standard complex Gaussian (`_complex_normal`).
+    Projected onto the complement it is a standard complex Gaussian there, so
+    each normalized row is uniform on its sphere. The rows go through the
+    kernel's projection and row-norm rules, `_project` and `_norms`, so each
+    is bit for bit `r / _norm(r)` of its projection r.
     """
-    vecs = _project(state.vector, _complex_normal(rng, (count, state.dim)))
+    vecs = _project(state.vector, draws)
     return vecs / _norms(vecs)[:, None]
 
 
 def random_unit_in_complement(state: QuantumState, seed) -> QuantumState:
     """Uniform unit vector orthogonal to the state (a projected complex Gaussian)."""
-    return _trusted_state(_complement_samples(state, 1, np.random.default_rng(seed))[0])
+    return _trusted_state(_complement_samples(state, _complex_normal(np.random.default_rng(seed), (1, state.dim)))[0])
 
 
 # the (bound, sign) columns of the reference, in the order of BoundReport's by-sign pairs
@@ -207,7 +210,7 @@ def search_optimal_xi_perp(
     _validate_which(which)
     sign = _validate_sign(sign)
     samples = _integer("samples", samples, 1)
-    perps = _complement_samples(state, samples, np.random.default_rng(seed))
+    perps = _complement_samples(state, _complex_normal(np.random.default_rng(seed), (samples, state.dim)))
     values = (l1_bound if which == "l1" else l2_bound)(a, b, state, perps, sign)
     analytic = optimal_xi_perp(a, b, state, which, sign).bound_value
     best = int(np.argmax(values))
@@ -334,8 +337,16 @@ def run_invariant_suite(
 ) -> SuiteReport:
     """Run every invariant over `count` random instances, dims cycled in order.
 
-    Instance k draws its own PCG64 stream from (seed, k): state, observable A,
-    observable B, `perp_samples` complement vectors, then the test phase.
+    The instances are drawn in index order from one PCG64 stream, `np.random.default_rng(seed)`, so instance
+    k is the same in every run with the same seed, dims and perp_samples and a count above k. An instance of
+    dimension d takes three draws:
+
+    - `1 + perp_samples` rows of d standard complex Gaussians: row 0, normalized, is the state, and the
+      other rows, projected onto its complement and normalized, are the complement samples;
+    - a (2, d, d) block of real standard normals, X_A then X_B: each observable is (G + G†)/2 of G = X + iX,
+      which is ((X + X^T) + i(X - X^T))/2, with diagonal N(0, 1) and independent N(0, 1/2) real and
+      imaginary parts off it, the GUE law of `random_observable` from d^2 normals instead of 2 d^2;
+    - the test phase, 2 pi times one uniform.
     """
     count, seed = _integer("count", count, 1), _integer("seed", seed, 0)
     perp_samples = _integer("perp_samples", perp_samples, 1)
@@ -351,13 +362,17 @@ def run_invariant_suite(
     report = SuiteReport(count=count, dims=dims, seed=seed, tol=tol, perp_samples=perp_samples)
     slacks = np.empty((count, len(SLACK_CHECKS)))
     defects = np.empty((count, len(DEFECT_CHECKS)))
+    rng = np.random.default_rng(seed)
     for index in range(count):
         dim = dims[index % len(dims)]
-        rng = np.random.default_rng([seed, index])
-        state = random_state(dim, rng)
-        a = random_observable(dim, rng)
-        b = random_observable(dim, rng)
-        perps = _complement_samples(state, perp_samples, rng)
+        # the state and its complement samples from one complex fill, then A and B from X + iX
+        draws = _complex_normal(rng, (1 + perp_samples, dim))
+        state = _trusted_state(draws[0] / _norm(draws[0]))
+        perps = _complement_samples(state, draws[1:])
+        x = rng.standard_normal((2, dim, dim))
+        g = x.astype(complex)
+        g.imag = x
+        a, b = map(_trusted_observable, g)
         theta = 2.0 * math.pi * rng.random()
         rep, slack_row, defect_row, candidate_l2 = _check_instance(state, a, b, perps, theta)
         slacks[index], defects[index] = slack_row, defect_row

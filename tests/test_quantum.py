@@ -549,13 +549,14 @@ class TestComplementBasis:
     def test_ground_state_complement(self):
         excited = basis_state(2, 1).vector
         assert abs(np.vdot(fallback_vector(basis_state(2, 0)), excited)) == pytest.approx(1.0)
-        (vec,) = _complement_samples(basis_state(2, 0), 1, np.random.default_rng(0))
+        (vec,) = _complement_samples(basis_state(2, 0), _complex_normal(np.random.default_rng(0), (1, 2)))
         assert abs(np.vdot(vec, excited)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_equatorial_complement_collinear_with_unique_direction(self, alpha):
         state = equatorial_state(alpha)
-        for vec in (fallback_vector(state), *_complement_samples(state, 3, np.random.default_rng(1))):
+        samples = _complement_samples(state, _complex_normal(np.random.default_rng(1), (3, 2)))
+        for vec in (fallback_vector(state), *samples):
             assert abs(np.vdot(vec, perp_of(alpha))) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_d5_gram_identity(self):
@@ -563,7 +564,7 @@ class TestComplementBasis:
         rng = np.random.default_rng(17)
         for _ in range(10):
             state = normalize(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            samples = _complement_samples(state, 20, rng)
+            samples = _complement_samples(state, _complex_normal(rng, (20, state.dim)))
             assert samples.shape == (20, 5)
             coords = samples @ gram_schmidt_complement(state).conj().T
             np.testing.assert_allclose(np.linalg.norm(coords, axis=1), 1.0, atol=1e-10)
@@ -572,15 +573,15 @@ class TestComplementBasis:
     def test_deterministic(self):
         state = equatorial_state(2.2)
         np.testing.assert_array_equal(fallback_vector(state), fallback_vector(state))
-        first = _complement_samples(state, 5, np.random.default_rng(7))
-        second = _complement_samples(state, 5, np.random.default_rng(7))
+        first = _complement_samples(state, _complex_normal(np.random.default_rng(7), (5, state.dim)))
+        second = _complement_samples(state, _complex_normal(np.random.default_rng(7), (5, state.dim)))
         np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize("name,state", REFERENCE_INPUTS, ids=[name for name, _ in REFERENCE_INPUTS])
     def test_matches_gram_schmidt_reference(self, name, state):
         reference = gram_schmidt_complement(state)
         np.testing.assert_allclose(fallback_vector(state), reference[0], rtol=0, atol=1e-13)
-        samples = _complement_samples(state, 16, np.random.default_rng(3))
+        samples = _complement_samples(state, _complex_normal(np.random.default_rng(3), (16, state.dim)))
         np.testing.assert_allclose(np.linalg.norm(samples, axis=1), 1.0, rtol=0, atol=1e-13)
         assert np.max(np.abs(samples @ state.vector.conj())) < 1e-13
 
@@ -592,7 +593,7 @@ class TestComplementBasis:
         state = _haar(rng, dim)
         u = gram_schmidt_complement(state)[-1]
         count, n = 20_000, dim - 1
-        overlaps = np.abs(_complement_samples(state, count, rng) @ u.conj()) ** 2
+        overlaps = np.abs(_complement_samples(state, _complex_normal(rng, (count, state.dim))) @ u.conj()) ** 2
         sigma = np.sqrt((n - 1) / (n * n * (n + 1)) / count)
         assert abs(overlaps.mean() - 1.0 / n) < 5.0 * sigma
 
@@ -608,13 +609,13 @@ class TestOneComplementRule:
         rng = np.random.default_rng([43, dim])
         state = random_state(dim, rng)
         # rows in the complement, off unit norm by about 1e-8
-        rows = _complement_samples(state, 64, rng) * (1.0 + 1e-8 * rng.standard_normal((64, 1)))
+        rows = _complement_samples(state, _complex_normal(rng, (64, dim))) * (1.0 + 1e-8 * rng.standard_normal((64, 1)))
         expected = [(row / _norm(row)).tobytes() for row in rows]
         assert [row.tobytes() for row in _checked_perp(state, rows)] == expected
         assert _checked_perp(state, rows[0]).tobytes() == expected[0]
         # the sampler's rows against its own projected draws
-        projected = _project(state.vector, _complex_normal(np.random.default_rng([47, dim]), (64, dim)))
-        samples = _complement_samples(state, 64, np.random.default_rng([47, dim]))
+        draws = _complex_normal(np.random.default_rng([47, dim]), (64, dim))
+        projected, samples = _project(state.vector, draws), _complement_samples(state, draws)
         assert [row.tobytes() for row in samples] == [(r / _norm(r)).tobytes() for r in projected]
 
     # (scale, kept): a unit vector scaled by 1 + 5e-13 is within TOL_NORM = 1e-12 and kept bit for bit; one
@@ -632,7 +633,7 @@ class TestOneComplementRule:
         scale, kept = self.UNIT_EDGES[edge]
         rng = np.random.default_rng([61, dim])
         state = random_state(dim, rng)
-        rows = scale * _complement_samples(state, 16, rng)
+        rows = scale * _complement_samples(state, _complex_normal(rng, (16, state.dim)))
         expected = [(row if kept else row / _norm(row)).tobytes() for row in rows]
         assert [QuantumState(row).vector.tobytes() for row in rows] == expected
         assert [row.tobytes() for row in _checked_perp(state, rows)] == expected
@@ -644,7 +645,7 @@ class TestOneComplementRule:
         # renormalized one rounding away
         rng = np.random.default_rng([59, dim])
         state = random_state(dim, rng)
-        rows = _complement_samples(state, 100, rng)
+        rows = _complement_samples(state, _complex_normal(rng, (100, state.dim)))
         assert _checked_perp(state, rows).tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])

@@ -307,7 +307,7 @@ class TestInvariantSuite:
         def fail(*args):
             raise AssertionError("an instance was drawn before the seed was checked")
 
-        monkeypatch.setattr(verify, "random_state", fail)
+        monkeypatch.setattr(verify, "_complex_normal", fail)
         with pytest.raises(ValueError, match=f"^seed must be at least 0, got {int(seed)}$"):
             run_invariant_suite(count=2, seed=seed)
 
@@ -420,15 +420,91 @@ class TestSuiteViolations:
         assert {v["check"] for v in report.violations} < set(SLACK_CHECKS + DEFECT_CHECKS)
 
     def test_payloads_replay_the_instance_bit_for_bit(self, report):
+        # the run's one stream, replayed in index order with plain numpy and the validating constructors: per
+        # instance the real then imaginary parts of 1 + perp_samples complex rows (row 0 the state), the
+        # (2, d, d) real block of A and B, and the phase's uniform
+        rng = np.random.default_rng(report.seed)
+        instances = []
+        for index in range(report.count):
+            dim = report.dims[index % len(report.dims)]
+            re, im = rng.standard_normal((2, 1 + report.perp_samples, dim))
+            vec = re[0] + 1j * im[0]
+            a, b = (Observable(0.5 * (g + g.conj().T)) for g in (1 + 1j) * rng.standard_normal((2, dim, dim)))
+            rng.random()
+            instances.append((QuantumState(vec / np.linalg.norm(vec)), a, b))
+        assert report.violations
         for v in report.violations:
             assert v["dim"] == report.dims[v["index"] % len(report.dims)]
-            rng = np.random.default_rng([report.seed, v["index"]])
-            state = random_state(v["dim"], rng)
-            a, b = random_observable(v["dim"], rng), random_observable(v["dim"], rng)
+            state, a, b = instances[v["index"]]
             inst = parse_instance(json.loads(json_dumps(v["instance"])))
             assert inst.state.vector.tobytes() == state.vector.tobytes()
             assert inst.a.matrix.tobytes() == a.matrix.tobytes()
             assert inst.b.matrix.tobytes() == b.matrix.tobytes()
+
+
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self):
+        # instance k comes from the same place in the run's stream whatever the count
+        short, longer = (run_invariant_suite(count=count, tol=self.TOL) for count in (9, 16))
+        assert short.violations and len(longer.violations) > len(short.violations)
+        assert short.violations == [v for v in longer.violations if v["index"] < 9]
+
+
+class TestSuiteDrawLaws:
+    """The suite's own instances, as it hands them to `_check_instance`, follow the laws of `random_state`,
+    `random_observable` and the complement sampler: each sample mean lies within 5 standard errors of the
+    sample of its exact value."""
+
+    DIMS = (3, 8)
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        drawn = {dim: [] for dim in self.DIMS}
+        original = verify._check_instance
+
+        def recording(state, a, b, perps, theta):
+            drawn[state.dim].append((state.vector, a.matrix, b.matrix, perps))
+            return original(state, a, b, perps, theta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_check_instance", recording)
+            run_invariant_suite(count=2000, dims=self.DIMS, seed=2014, perp_samples=10)
+        return drawn
+
+    @staticmethod
+    def assert_mean(samples, exact):
+        samples = np.ravel(samples)
+        assert abs(samples.mean() - exact) < 5.0 * samples.std(ddof=1) / math.sqrt(samples.size)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_states_are_haar(self, drawn, dim):
+        # |<e_0|xi>|^2 of a Haar state is Beta(1, d - 1), of mean 1/d
+        self.assert_mean([abs(xi[0]) ** 2 for xi, _, _, _ in drawn[dim]], 1.0 / dim)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_observables_are_gue(self, drawn, dim):
+        # diagonal N(0, 1); above it, real and imaginary parts independent N(0, 1/2); A and B independent
+        a, b = (np.array([inst[k] for inst in drawn[dim]]) for k in (1, 2))
+        both = np.concatenate((a, b))
+        rows, columns = np.triu_indices(dim, 1)
+        upper = both[:, rows, columns]
+        diagonal = np.diagonal(both, axis1=1, axis2=2).real
+        self.assert_mean(diagonal ** 2, 1.0)
+        self.assert_mean(upper.real ** 2, 0.5)
+        self.assert_mean(upper.imag ** 2, 0.5)
+        self.assert_mean(upper.real * upper.imag, 0.0)
+        self.assert_mean(np.diagonal(a, axis1=1, axis2=2).real * np.diagonal(b, axis1=1, axis2=2).real, 0.0)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_complement_samples_are_uniform(self, drawn, dim):
+        # unit, orthogonal to xi, and |<u|p>|^2 of mean 1/(d - 1) for u a unit vector fixed in xi's complement,
+        # here e_1 projected onto it
+        overlaps = []
+        for xi, _, _, perps in drawn[dim]:
+            np.testing.assert_allclose(np.linalg.norm(perps, axis=1), 1.0, rtol=0, atol=1e-13)
+            assert np.abs(perps @ xi.conj()).max() < 1e-13
+            u = np.eye(dim)[1] - xi[1].conj() * xi
+            overlaps.append(np.abs(perps @ u.conj()) ** 2 / np.vdot(u, u).real)
+        self.assert_mean(overlaps, 1.0 / (dim - 1))
 
 
 def assert_as_validated_state(state):
@@ -539,10 +615,10 @@ class TestCheckInstanceRoutes:
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_rows_equal_public_routes_by_hex(self, dim):
         for index in range(4):
-            # the suite's draw order
+            # an instance, its complement samples and a test phase
             rng = np.random.default_rng([31, dim, index])
             state, a, b = random_state(dim, rng), random_observable(dim, rng), random_observable(dim, rng)
-            perps = verify._complement_samples(state, 20, rng)
+            perps = verify._complement_samples(state, verify._complex_normal(rng, (20, dim)))
             theta = 2.0 * np.pi * rng.random()
             _, slacks, defects, candidate_l2 = verify._check_instance(state, a, b, perps, theta)
 
