@@ -328,6 +328,21 @@ def _check_instance(state: QuantumState, a: Observable, b: Observable, perps: np
     return rep, slacks, defects, at[1][rep.l2_column]
 
 
+def _suite_instance(rng: np.random.Generator, dim: int, perp_samples: int):
+    """(state, A, B, complement samples, phase) of one suite instance, in the draw order of
+    `run_invariant_suite`, whose draw buffers are freed before the instance is checked."""
+    # the state and its complement samples from one complex fill, then A and B from X + iX
+    draws = _complex_normal(rng, (1 + perp_samples, dim))
+    state = _trusted_state(draws[0] / _norm(draws[0]))
+    perps = _complement_samples(state, draws[1:])
+    # freed before A and B are built, and X is held only as the real part of G, so that the suite's
+    # peak memory, set at d = 64, does not grow
+    del draws
+    g = rng.standard_normal((2, dim, dim)).astype(complex)
+    g.imag = g.real
+    return state, *map(_trusted_observable, g), perps, 2.0 * math.pi * rng.random()
+
+
 def run_invariant_suite(
     count: int = 1000,
     dims: tuple[int, ...] = DEFAULT_SUITE_DIMS,
@@ -365,15 +380,7 @@ def run_invariant_suite(
     rng = np.random.default_rng(seed)
     for index in range(count):
         dim = dims[index % len(dims)]
-        # the state and its complement samples from one complex fill, then A and B from X + iX
-        draws = _complex_normal(rng, (1 + perp_samples, dim))
-        state = _trusted_state(draws[0] / _norm(draws[0]))
-        perps = _complement_samples(state, draws[1:])
-        x = rng.standard_normal((2, dim, dim))
-        g = x.astype(complex)
-        g.imag = x
-        a, b = map(_trusted_observable, g)
-        theta = 2.0 * math.pi * rng.random()
+        state, a, b, perps, theta = _suite_instance(rng, dim, perp_samples)
         rep, slack_row, defect_row, candidate_l2 = _check_instance(state, a, b, perps, theta)
         slacks[index], defects[index] = slack_row, defect_row
         failed = [(name, "slack", v) for name, v in zip(SLACK_CHECKS, slack_row) if v < -tol]
