@@ -441,7 +441,6 @@ class TestSuiteViolations:
             assert inst.a.matrix.tobytes() == a.matrix.tobytes()
             assert inst.b.matrix.tobytes() == b.matrix.tobytes()
 
-
     def test_a_shorter_run_is_a_prefix_of_a_longer_one(self):
         # instance k comes from the same place in the run's stream whatever the count
         short, longer = (run_invariant_suite(count=count, tol=self.TOL) for count in (9, 16))
@@ -451,8 +450,8 @@ class TestSuiteViolations:
 
 class TestSuiteDrawLaws:
     """The suite's own instances, as it hands them to `_check_instance`, follow the laws of `random_state`,
-    `random_observable` and the complement sampler: each sample mean lies within 5 standard errors of the
-    sample of its exact value."""
+    `random_observable` and the complement sampler: each sample mean lies within 5 standard errors, estimated
+    from the sample, of its exact value."""
 
     DIMS = (3, 8)
 
